@@ -11,19 +11,20 @@ takes a norm tag (l1, l2, or linf).
 
 import numpy as np
 
-from oseledets.grassmann import (Subspace, good_complement,
-                                 grassmann_distance, is_eps_nice, nice_basis,
-                                 one_sided_hausdorff, point_distance,
+from oseledets.grassmann import (Subspace, distance_point_subspace,
+                                 good_complement, grassmann_distance,
+                                 is_eps_nice, nice_basis, one_sided_hausdorff,
                                  projection)
 
 # A subspace is stored as a basis matrix plus the ambient norm.
 Y = Subspace(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), norm="l2")
 W = Subspace(np.array([[1.0], [0.0], [0.0]]), norm="l2")
 
-# point_distance is the distance from a vector to a span; the subspace
-# metric takes a sup of such distances over unit balls, one side at a time.
+# distance_point_subspace is the distance from a vector to a span; the
+# subspace metric takes a sup of such distances over unit balls, one side at
+# a time.
 x = np.array([0.0, 3.0, 4.0])
-print("d(x, W)          :", point_distance(x, W))
+print("d(x, W)          :", distance_point_subspace(x, W))
 print("one-sided W -> Y :", one_sided_hausdorff(W, Y))   # W sits inside Y
 print("one-sided Y -> W :", one_sided_hausdorff(Y, W))   # but not back
 print("d(Y, W)          :", grassmann_distance(Y, W))
@@ -37,10 +38,10 @@ print("rotated line     :", grassmann_distance(L0, L1), "~ sin 0.1 =",
 
 # nice_basis turns any spanning set into a basis of unit vectors that each
 # keep distance 1 from the span of the following ones; is_eps_nice checks
-# the property with slack eps.
+# the property with slack eps, which must stay below 2^-(k+2) for k vectors.
 raw = np.array([[1.0, 1.0], [0.0, 1e-3], [0.0, 0.0]])
 basis = nice_basis(Subspace(raw, norm="linf"))
-print("nice in linf     :", is_eps_nice(basis, 0.9, "linf"))
+print("nice in linf     :", is_eps_nice(basis, 0.05, "linf"))
 
 # Oblique projections onto Y along a complement Z report their operator
 # norm; the norm blows up as the two spaces lean toward each other.
@@ -50,9 +51,9 @@ for tilt in (1.0, 0.2, 0.05):
     pair = projection(X, Z)
     print(f"projection norm with tilt {tilt:4}:", round(pair.norm_value, 3))
 
-# good_complement picks, for each level of a flag, a complement whose basis
-# stays eps-nice; it is the geometric engine behind the splitting.
-flag = [Subspace(np.eye(3)[:, :1]), Subspace(np.eye(3)[:, :2])]
+# good_complement picks, for each level of a decreasing flag, a complement
+# whose basis stays eps-nice; it is the geometric engine behind the splitting.
+flag = [Subspace(np.eye(3)[:, :2]), Subspace(np.eye(3)[:, :1])]
 for U, diag in good_complement(flag, eps=0.9):
     print("complement level :", U.dim, "distances",
           [round(d, 3) for d in diag["distances"]])

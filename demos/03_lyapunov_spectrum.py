@@ -40,10 +40,10 @@ spec2 = lyapunov_exponents(gen2, orbit2, 2000)
 print("random exponents   :", [round(x, 4) for x in spec2.exponents])
 
 # The slow filtration at a base point: directions that grow no faster than
-# each exponent.  For the constant triangular matrix the slow line is the
-# second eigenvector, span (1, -1.5).
-filt = filtration_at(gen, orbit, 0, 400)
-slow = filt.subspaces[0].basis.ravel()
+# each exponent.  V_1 is the whole plane; for the constant triangular matrix
+# the slow line V_2 is the second eigenvector, span (1, -1.5).
+filt = filtration_at(gen, orbit, 0, 400, spec)
+slow = filt.subspaces[1].basis.ravel()
 print("slow direction     :", np.round(slow / slow[0], 6))
 
 # growth_rate measures a single vector; a generic vector sees the top rate,

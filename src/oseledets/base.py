@@ -103,9 +103,6 @@ class FiniteCycle:
     def step(self, state):
         return (int(state) + 1) % self.period
 
-    def describe(self):
-        return {"kind": "finite_cycle", "period": self.period}
-
 
 class IrrationalRotation:
     """Rotation x -> x + angle (mod 1); state is the point in [0,1).
@@ -133,10 +130,6 @@ class IrrationalRotation:
     def step(self, state):
         return (float(state) + self.angle) % 1.0
 
-    def describe(self):
-        return {"kind": "irrational_rotation", "angle": self.angle,
-                "initial_point": self.initial_point}
-
 
 class BernoulliShift:
     """I.i.d. symbols; the state at offset n is a pure function of (seed, n)."""
@@ -155,9 +148,6 @@ class BernoulliShift:
     def states(self, seed, offsets):
         u = prf_uniform(seed, offsets)
         return np.searchsorted(self._cum, u, side="right").astype(np.int64)
-
-    def describe(self):
-        return {"kind": "bernoulli", "probs": self.probs.tolist()}
 
 
 class MarkovShift:
@@ -228,10 +218,6 @@ class MarkovShift:
         for k in range(-1, lo - 1, -1):
             sym[k] = self._draw(self.reversal[sym[k + 1]], uat(k))
         return np.array([sym[int(k)] for k in offsets], dtype=np.int64)
-
-    def describe(self):
-        return {"kind": "markov", "matrix": self.matrix.tolist(),
-                "initial": self.initial.tolist()}
 
 
 # ---------------------------------------------------------------------------

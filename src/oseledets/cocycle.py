@@ -112,8 +112,7 @@ class ScaledMatrix:
     def dense(self):
         """Plain array; overflows to inf if the scale is extreme."""
         with np.errstate(over="ignore"):
-            return self.matrix * math.exp(min(self.log_scale, 1e4)) \
-                if self.log_scale <= 1e4 else self.matrix * math.inf
+            return self.matrix * np.exp(self.log_scale)
 
     def log_norm(self, norm="l2"):
         n = operator_norm(self.matrix, norm)
@@ -151,10 +150,6 @@ def forward_product(gen, orbit, start, n):
 def pullback_product(gen, orbit, n):
     """Product pushed forward from sigma^(-n) w to w: offsets -n..-1."""
     return forward_product(gen, orbit, -n, n)
-
-
-def scaled_pullback_product(gen, orbit, n):
-    return scaled_forward_product(gen, orbit, -n, n)
 
 
 class BlockDecomposition:

@@ -3,9 +3,10 @@
 Subspace distance is the Hausdorff distance between intersections of
 subspaces with the unit ball of the chosen norm (l1, l2 or linf).  For l2
 the one-sided sups have exact singular-value expressions; for l1/linf they
-are estimated by sampling plus local polish over basis coefficients, with
+are exact maxima over the vertices of the polytope Y intersect ball, with
 the per-point distances to a subspace solved exactly by enumerating the
-basic solutions of the corresponding linear program (batched numpy solves).
+basic solutions of the corresponding linear program (batched numpy solves)
+and a ball-constrained LP where the unconstrained minimizer leaves the ball.
 
 Also provides nice bases (unit vectors each at distance exactly 1 from the
 span of the previous ones), oblique projections, and good complements of
@@ -17,7 +18,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy import optimize
 
 __all__ = [
     "NORM_TAGS",
@@ -39,7 +39,8 @@ NORM_TAGS = ("l1", "l2", "linf")
 RANK_SV_CUTOFF = 1e-10      # smallest singular value of an orthonormalized basis
 COMPLEMENT_CONDITION = 1e12  # condition-number cutoff for oblique projections
 
-# enumeration guard: beyond this many index subsets fall back to linprog
+# enumeration guard: beyond this many index subsets point distances fall
+# back to linprog, and ball-vertex enumeration raises ValueError
 _MAX_SUBSETS = 20000
 
 
@@ -266,6 +267,8 @@ def _linf_dist_batch(X, B):
 
 def _linprog_dist(x, B, norm, ball=False):
     """Exact LP fallback for l1/linf point-subspace distance."""
+    from scipy import optimize
+
     d, k = B.shape
     if norm == "l1":
         # vars: c (k), t (d) [, u (d)]
@@ -348,90 +351,82 @@ def distance_point_subspace(x, W, norm=None):
     return float(d[0])
 
 
-def _dist_ball_batch(X, B, norm):
-    """Distances from rows of X to span(B) intersected with the unit ball."""
-    if B.shape[1] == 0:
-        return vector_norm(X, norm, axis=1)
-    if norm == "l2":
-        Q, _ = _orthonormalize(B)
-        C0 = X @ Q
-        nb = np.sqrt((C0 * C0).sum(axis=1))
-        perp = X - C0 @ Q.T
-        perp2 = (perp * perp).sum(axis=1)
-        excess = np.maximum(nb - 1.0, 0.0)
-        return np.sqrt(perp2 + excess * excess)
-    dist, coef = _dist_batch(X, B, norm)
-    wn = vector_norm(coef @ B.T, norm, axis=1)
-    bad = wn > 1.0 + 1e-12
-    if np.any(bad):
-        for i in np.nonzero(bad)[0]:
-            dist[i], _ = _linprog_dist(X[i], B, norm, ball=True)
-    return dist
-
-
 def _ball_sup_batch(X, B, norm):
     """Max over rows of X of the distance to span(B) intersected with the
-    unit ball, plus per-row lower bounds (used only to rank polish starts).
+    unit ball, exact.
 
     The span distance bounds the ball distance below; rescaling the
     unconstrained minimizer onto the sphere bounds it above.  Only rows whose
     upper bound reaches the running max need the exact ball-constrained LP,
     which prunes almost every call when the two subspaces are close.
     """
-    if B.shape[1] == 0:
-        vals = vector_norm(X, norm, axis=1)
-        return vals, float(vals.max()) if vals.size else 0.0
     dist, coef = _dist_batch(X, B, norm)
     w = coef @ B.T
     wn = vector_norm(w, norm, axis=1)
     bad = wn > 1.0 + 1e-12
-    if not np.any(bad):
-        return dist, float(dist.max()) if dist.size else 0.0
-    scale = np.maximum(wn, 1.0)
-    ub = vector_norm(X - w / scale[:, None], norm, axis=1)
-    ub = np.where(bad, ub, dist)
     best = float(dist.max())
-    order = np.argsort(ub)[::-1]
-    for i in order:
+    if not np.any(bad):
+        return best
+    ub = vector_norm(X - w / np.maximum(wn, 1.0)[:, None], norm, axis=1)
+    for i in np.argsort(ub)[::-1]:
         if not bad[i] or ub[i] < best - 1e-15:
             continue
-        di, _ = _linprog_dist(X[i], B, norm, ball=True)
-        dist[i] = di
-        if di > best:
-            best = di
-    return dist, best
+        best = max(best, _linprog_dist(X[i], B, norm, ball=True)[0])
+    return best
 
 
 # ---------------------------------------------------------------------------
 # one-sided Hausdorff sups and the Grassmannian metric
+#
+# For l1/linf, Y intersect ball is a polytope and y -> d(y, W intersect ball)
+# is convex, so its sup over the unit sphere of Y is attained at a vertex of
+# that polytope (Rockafellar, Convex Analysis, section 32).  The same holds
+# for y -> d(y, W), which good_complement maximizes.
 
 
-def _unit_sphere_candidates(Bn, norm, n_samples, rng):
-    """Candidate unit vectors of span(Bn); Bn columns are a nice basis."""
-    k = Bn.shape[1]
-    coefs = [np.eye(k), -np.eye(k)]
-    if k > 1 and k <= 8:
-        # corners of the coordinate box |a_i| <= 2^(k+1-i)
-        box = 2.0 ** (k + 1 - np.arange(1, k + 1))
-        signs = np.array(list(itertools.product(*([[-1.0, 1.0]] * k))))
-        coefs.append(signs * box[None, :])
-    if n_samples > 0:
-        g = rng.standard_normal((n_samples, k))
-        coefs.append(g)
-        box = 2.0 ** (k + 1 - np.arange(1, k + 1))
-        coefs.append(rng.uniform(-1.0, 1.0, (n_samples, k)) * box[None, :])
-    A = np.vstack(coefs)
-    Y = A @ Bn.T
+def _ball_vertices(B, norm):
+    """Unit vectors of span(B), one of each +- pair, that include every
+    vertex of span(B) intersected with the l1 or linf unit ball.
+
+    l1: a vertex y = Qa has zeros on k-1 rows of Q whose submatrix has
+    rank k-1, so a spans that submatrix's null space.
+    linf: a vertex solves Q_S a = s on k rows S with Q_S invertible and
+    signs s, and lies in the cube.
+    Q is an orthonormal basis of span(B).  Raises ValueError beyond
+    _MAX_SUBSETS candidates.
+    """
+    Q, _ = _orthonormalize(B)
+    d, k = Q.shape
+    count = (math.comb(d, k - 1) if norm == "l1"
+             else math.comb(d, k) * 2 ** (k - 1))
+    if count > _MAX_SUBSETS:
+        raise ValueError(
+            f"{norm} ball of a dim-{k} subspace of R^{d}: {count} vertex "
+            f"candidates exceed the enumeration limit {_MAX_SUBSETS}")
+    if norm == "l1":
+        A = Q[np.array(_subsets(d, k - 1), dtype=int)]
+        _, s, vt = np.linalg.svd(A)
+        coef = vt[s.min(axis=1, initial=np.inf) > RANK_SV_CUTOFF, -1]
+    else:
+        A = Q[np.array(_subsets(d, k))]
+        A = A[np.linalg.svd(A, compute_uv=False)[:, -1] > RANK_SV_CUTOFF]
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=k)))
+        signs = signs[signs[:, 0] > 0]      # s and -s give y and -y
+        coef = np.linalg.solve(A[:, None], signs[None, :, :, None])
+        coef = coef.reshape(-1, k)
+    Y = coef @ Q.T
     nrm = vector_norm(Y, norm, axis=1)
-    ok = nrm > 1e-12
-    return Y[ok] / nrm[ok][:, None], A[ok] / nrm[ok][:, None]
+    if norm == "linf":
+        inside = nrm <= 1.0 + 1e-9   # solutions outside the cube are not vertices
+        Y, nrm = Y[inside], nrm[inside]
+    return Y / nrm[:, None]
 
 
-def one_sided_hausdorff(Y, W, n_samples=128, polish=True, seed=0):
+def one_sided_hausdorff(Y, W):
     """sup over y in Y with ||y||=1 of the distance from y to (W intersect ball).
 
-    Exact for l2; sampling plus Nelder-Mead polish over basis coefficients
-    otherwise (a lower estimate of the true sup).
+    Exact: singular values for l2; for l1/linf the max over the vertices of
+    Y intersect ball of the ball-constrained distance.
     """
     if Y.norm != W.norm or Y.ambient_dim != W.ambient_dim:
         raise DimensionMismatchError("norm tags and ambient dims must match")
@@ -444,52 +439,19 @@ def one_sided_hausdorff(Y, W, n_samples=128, polish=True, seed=0):
         M = QY - QW @ (QW.T @ QY) if W.dim else QY
         s = np.linalg.svd(M, compute_uv=False)
         return float(min(s[0], 1.0)) if s.size else 0.0
-    if Y.dim == 1:
-        # the unit sphere of a line is one symmetric pair, and the unit
-        # ball of W is symmetric, so a single point carries the sup exactly
-        u = Y.basis[:, 0]
-        u = u / vector_norm(u, norm)
-        val = float(_dist_ball_batch(u[None, :], W.basis, norm)[0])
-        return min(val, 1.0)
-    Bn = np.column_stack(nice_basis(Y))
-    BW = W.basis
-    rng = np.random.default_rng(seed)
-    cand, acand = _unit_sphere_candidates(Bn, norm, n_samples, rng)
-    vals, best = _ball_sup_batch(cand, BW, norm)
-    order = np.argsort(vals)[::-1]
-    if polish:
-        for idx in order[:3]:
-            a0 = acand[idx]
-
-            def neg(a):
-                y = Bn @ a
-                n = vector_norm(y, norm)
-                if n < 1e-12:
-                    return 0.0
-                return -float(_dist_ball_batch((y / n)[None, :], BW, norm)[0])
-
-            res = optimize.minimize(neg, a0, method="Nelder-Mead",
-                                    options={"maxiter": 80 * Y.dim, "xatol": 1e-10,
-                                             "fatol": 1e-12})
-            best = max(best, -float(res.fun))
-    return min(best, 1.0) if W.dim else 1.0
+    return min(_ball_sup_batch(_ball_vertices(Y.basis, norm), W.basis, norm), 1.0)
 
 
-def grassmann_distance(Y, Yp, n_samples=128, polish=True, seed=0):
-    """Hausdorff distance between the unit-ball sections of two subspaces.
-
-    For l2 this is exact (principal angles); for l1/linf it is the max of
-    two optimization-estimated one-sided sups.
-    """
+def grassmann_distance(Y, Yp):
+    """Hausdorff distance between the unit-ball sections of two subspaces:
+    the max of the two exact one-sided sups."""
     if not isinstance(Y, Subspace) or not isinstance(Yp, Subspace):
         raise TypeError("grassmann_distance expects Subspace arguments")
     if Y.ambient_dim != Yp.ambient_dim:
         raise DimensionMismatchError("ambient dimensions differ")
     if Y.norm != Yp.norm:
         raise DimensionMismatchError("norm tags differ")
-    a = one_sided_hausdorff(Y, Yp, n_samples, polish, seed)
-    b = one_sided_hausdorff(Yp, Y, n_samples, polish, seed + 1)
-    return max(a, b)
+    return max(one_sided_hausdorff(Y, Yp), one_sided_hausdorff(Yp, Y))
 
 
 def principal_angles(Y, Yp):
@@ -620,7 +582,7 @@ def projection(Y, Z):
 # good complements
 
 
-def _argmax_distance_unit(V_basis, W_basis, norm, rng, n_samples=160):
+def _argmax_distance_unit(V_basis, W_basis, norm):
     """Most-distant unit vector of span(V_basis) from span(W_basis)."""
     if norm == "l2":
         QV, _ = _orthonormalize(V_basis)
@@ -632,28 +594,9 @@ def _argmax_distance_unit(V_basis, W_basis, norm, rng, n_samples=160):
         _, _, vt = np.linalg.svd(M)
         u = QV @ vt[0]
         return _sign_fix(u / vector_norm(u, "l2"))
-    sub = Subspace(V_basis, norm)
-    Bn = np.column_stack(nice_basis(sub))
-    cand, acand = _unit_sphere_candidates(Bn, norm, n_samples, rng)
-    vals = _dist_batch(cand, W_basis, norm)[0] if W_basis.shape[1] else \
-        vector_norm(cand, norm, axis=1)
-    i0 = int(np.argmax(vals))
-    a0 = acand[i0]
-
-    def neg(a):
-        y = Bn @ a
-        n = vector_norm(y, norm)
-        if n < 1e-12:
-            return 0.0
-        if W_basis.shape[1] == 0:
-            return -1.0
-        return -float(_dist_batch((y / n)[None, :], W_basis, norm)[0][0])
-
-    res = optimize.minimize(neg, a0, method="Nelder-Mead",
-                            options={"maxiter": 120 * sub.dim})
-    a = res.x if -res.fun >= vals[i0] else a0
-    u = Bn @ a
-    return _sign_fix(u / vector_norm(u, norm))
+    cand = _ball_vertices(V_basis, norm)
+    u = cand[int(np.argmax(_dist_batch(cand, W_basis, norm)[0]))]
+    return _sign_fix(u)
 
 
 def good_complement(filtration, eps=0.9, rotation_seed=None):
@@ -683,11 +626,11 @@ def good_complement(filtration, eps=0.9, rotation_seed=None):
         if Vn.dim > V.dim:
             raise FiltrationError("filtration dimensions must be non-increasing")
         if Vn.dim:
-            gap = one_sided_hausdorff(Vn, V, n_samples=32, polish=False)
+            gap = one_sided_hausdorff(Vn, V)
             if gap > 1e-8:
                 raise FiltrationError(
                     f"nesting violation: one-sided sup {gap:.3e} > 1e-8")
-    rng = np.random.default_rng(0 if rotation_seed is None else rotation_seed)
+    rng = np.random.default_rng(rotation_seed)
     out = []
     chosen_prior = []   # all U_i basis vectors with i < current level
     for j in range(len(filtration) - 1):
@@ -701,7 +644,7 @@ def good_complement(filtration, eps=0.9, rotation_seed=None):
             cols = ([Vn.basis] if Vn.dim else []) + \
                 [v[:, None] for v in chosen_prior + level_vecs]
             W = np.column_stack(cols) if cols else np.zeros((d, 0))
-            u = _argmax_distance_unit(Vj.basis, W, norm, rng)
+            u = _argmax_distance_unit(Vj.basis, W, norm)
             if rotation_seed is not None:
                 u = _blend_direction(u, Vj, W, norm, rng, eps)
             du = distance_point_subspace(u, Subspace(W, norm)) if W.shape[1] else 1.0

@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from .base import ParameterError
-from .cocycle import scaled_forward_product
 from .grassmann import (ComplementarityError, DegenerateSubspaceError,
                         Subspace, good_complement, grassmann_distance,
                         nice_basis, operator_norm, projection)

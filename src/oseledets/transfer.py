@@ -14,7 +14,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy import optimize
 
 from .base import ParameterError
 from .cocycle import CocycleGenerator
@@ -127,6 +126,8 @@ class Branch:
         if not lo <= yf <= hi:
             return None
         af, bf = float(self.a), float(self.b)
+        from scipy import optimize
+
         try:
             return optimize.brentq(lambda u: self.value(u) - yf, af, bf,
                                    xtol=1e-15, rtol=8.9e-16)
@@ -333,7 +334,6 @@ def ulam_matrix(T, n_bins):
     for br in T.branches:
         af, bf = float(br.a), float(br.b)
         lo_img, hi_img = (float(x) for x in br.image())
-        increasing = br.derivative(0.5 * (af + bf)) > 0
         # branch cut points: pre-images of bin edges inside the image
         cuts = [af, bf]
         j_lo, j_hi = _bin_range(lo_img, hi_img, n)
@@ -354,7 +354,6 @@ def ulam_matrix(T, n_bins):
                 ov = min(x1, (i + 1) / n) - max(x0, i / n)
                 if ov > 0:
                     M[i, j] += ov * n
-        _ = increasing
     return UlamOperator(n, M, exact=False)
 
 

@@ -134,6 +134,12 @@ class TestScaledMatrix:
         dense = forward_product(gen, _orbit(), 0, 6)
         assert np.allclose(dense, np.linalg.matrix_power(M, 6), rtol=1e-12)
 
+    def test_dense_overflows_to_inf(self):
+        # 2^1500 exceeds the float range: the product reads inf, not an error
+        gen = CocycleGenerator.constant(np.array([[2.0]]))
+        dense = forward_product(gen, _orbit(n=1600), 0, 1500)
+        assert dense.shape == (1, 1) and dense[0, 0] == math.inf
+
     def test_zero_matrix_log_norm(self):
         assert ScaledMatrix(np.zeros((2, 2))).log_norm() == -math.inf
 

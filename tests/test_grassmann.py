@@ -1,5 +1,6 @@
 """Subspace geometry: norms, distances, nice bases, projections, complements."""
 
+import itertools
 import math
 
 import numpy as np
@@ -199,6 +200,64 @@ class TestGrassmannDistance:
         R = np.array([[math.cos(th)], [math.sin(th)]])
         d = grassmann_distance(Subspace(np.eye(2)[:, :1]), Subspace(R))
         assert d == pytest.approx(math.sin(th), abs=1e-9)
+
+
+def _oracle_vertices(B, norm):
+    """Vertices of span(B) intersected with the l1 or linf unit ball, one
+    (k-1)-row null direction or one k-row sign system at a time."""
+    d, k = B.shape
+    out = []
+    if norm == "l1":
+        for rows in itertools.combinations(range(d), k - 1):
+            A = B[list(rows)]
+            if np.linalg.matrix_rank(A) == k - 1:
+                y = B @ np.linalg.svd(A)[2][-1]
+                out.append(y / np.abs(y).sum())
+    else:
+        for rows in itertools.combinations(range(d), k):
+            A = B[list(rows)]
+            if np.linalg.matrix_rank(A) < k:
+                continue
+            for s in itertools.product([-1.0, 1.0], repeat=k):
+                y = B @ np.linalg.solve(A, s)
+                if np.abs(y).max() <= 1.0 + 1e-9:
+                    out.append(y)
+    return out
+
+
+def _oracle_distance(B, C, norm):
+    """Symmetric Hausdorff distance of the unit-ball sections, by LP at
+    every vertex of each side."""
+    return max(max(_linprog_dist(y, Z, norm, ball=True)[0]
+                   for y in _oracle_vertices(X, norm))
+               for X, Z in ((B, C), (C, B)))
+
+
+class TestExactPolyhedralSup:
+    def test_l1_far_pair_matches_vertex_oracle(self):
+        rng = np.random.default_rng([102, 6, 3, 0, 1])
+        B = rng.standard_normal((6, 3))
+        C = rng.standard_normal((6, 3))
+        got = grassmann_distance(Subspace(B, "l1"), Subspace(C, "l1"))
+        assert got == pytest.approx(_oracle_distance(B, C, "l1"), abs=1e-9)
+        assert got == pytest.approx(0.9809470546, abs=1e-9)
+
+    def test_linf_pairs_match_vertex_oracle(self):
+        rng = np.random.default_rng(14)
+        for d, k, near in ((3, 1, False), (4, 2, False), (5, 2, True),
+                           (6, 3, False), (6, 3, True)):
+            B = rng.standard_normal((d, k))
+            C = B + 1e-3 * rng.standard_normal((d, k)) if near \
+                else rng.standard_normal((d, k))
+            got = grassmann_distance(Subspace(B, "linf"), Subspace(C, "linf"))
+            assert got == pytest.approx(_oracle_distance(B, C, "linf"),
+                                        abs=1e-9)
+
+    def test_enumeration_limit_raises(self):
+        rng = np.random.default_rng(15)
+        Y = Subspace(rng.standard_normal((40, 4)), "linf")
+        with pytest.raises(ValueError, match="linf.*R\\^40"):
+            one_sided_hausdorff(Y, Subspace(rng.standard_normal((40, 4)), "linf"))
 
 
 class TestOneSidedHausdorff:

@@ -185,7 +185,7 @@ class TestFiltration:
         A = gen.matrix_at(orbit, 0)
         for j in range(1, len(f0)):
             pushed = Subspace(A @ f0[j].basis)
-            assert one_sided_hausdorff(pushed, f1[j], n_samples=32) < 1e-4
+            assert one_sided_hausdorff(pushed, f1[j]) < 1e-4
 
     def test_offset_recorded(self):
         gen = CocycleGenerator.constant(np.diag([2.0, 0.5]))
