@@ -39,9 +39,11 @@ NORM_TAGS = ("l1", "l2", "linf")
 RANK_SV_CUTOFF = 1e-10      # smallest singular value of an orthonormalized basis
 COMPLEMENT_CONDITION = 1e12  # condition-number cutoff for oblique projections
 
-# enumeration guard: beyond this many index subsets point distances fall
-# back to linprog, and ball-vertex enumeration raises ValueError
+# enumeration guard: beyond this many index subsets, or beyond the entries
+# of that many 4 x 4 systems, point distances fall back to linprog and
+# ball-vertex enumeration raises ValueError
 _MAX_SUBSETS = 20000
+_MAX_ENTRIES = 16 * _MAX_SUBSETS
 
 
 class DimensionMismatchError(ValueError):
@@ -173,6 +175,11 @@ def _subsets(d, k):
     return list(itertools.combinations(range(d), k))
 
 
+def _enumerable(count, size):
+    """Whether `count` stacked size x size systems are within the guard."""
+    return count <= _MAX_SUBSETS and count * size * size <= _MAX_ENTRIES
+
+
 def _l2_dist_batch(X, B):
     Q, _ = _orthonormalize(B)
     C0 = X @ Q                     # coefficients in the orthonormal basis
@@ -188,7 +195,7 @@ def _l1_dist_batch(X, B):
     k = B.shape[1]
     # count before materializing: C(d, k) overflows memory long before the
     # list comparison would reject it
-    if math.comb(d, k) > _MAX_SUBSETS:
+    if not _enumerable(math.comb(d, k), k):
         return None
     S = np.array(_subsets(d, k))                         # (ns, k)
     A = B[S, :]                                          # (ns, k, k)
@@ -221,7 +228,7 @@ def _linf_dist_batch(X, B):
         # k = d: the span is everything
         coef = np.linalg.solve(B, X.T).T if k == d else None
         return np.zeros(m), coef
-    if math.comb(d, k + 1) * (2 ** k) > _MAX_SUBSETS:
+    if not _enumerable(math.comb(d, k + 1) * 2 ** k, k + 1):
         return None
     S = np.array(_subsets(d, k + 1))                     # (ns, k+1)
     signs = np.array(list(itertools.product([1.0], *([[-1.0, 1.0]] * k))))
@@ -384,6 +391,23 @@ def _ball_sup_batch(X, B, norm):
 # for y -> d(y, W), which good_complement maximizes.
 
 
+def _check_vertex_enumeration(d, k, norm):
+    """Raise ValueError when the l1 or linf ball of a dim-k subspace of R^d
+    has more vertex candidates than the enumeration guard admits.
+
+    l1 has C(d, k-1) candidates, linf C(d, k) * 2^(k-1); the guard admits at
+    most _MAX_SUBSETS of them and at most _MAX_ENTRIES entries in their
+    stacked k-column systems.
+    """
+    count = (math.comb(d, k - 1) if norm == "l1"
+             else math.comb(d, k) * 2 ** (k - 1))
+    if not _enumerable(count, k):
+        raise ValueError(
+            f"{norm} ball of a dim-{k} subspace of R^{d}: {count} vertex "
+            f"candidates exceed the enumeration limit ({_MAX_SUBSETS} "
+            f"candidates, {_MAX_ENTRIES} system entries)")
+
+
 def _ball_vertices(B, norm):
     """Unit vectors of span(B), one of each +- pair, that include every
     vertex of span(B) intersected with the l1 or linf unit ball.
@@ -392,17 +416,12 @@ def _ball_vertices(B, norm):
     rank k-1, so a spans that submatrix's null space.
     linf: a vertex solves Q_S a = s on k rows S with Q_S invertible and
     signs s, and lies in the cube.
-    Q is an orthonormal basis of span(B).  Raises ValueError beyond
-    _MAX_SUBSETS candidates.
+    Q is an orthonormal basis of span(B).  Raises ValueError past the
+    guard of _check_vertex_enumeration.
     """
     Q, _ = _orthonormalize(B)
     d, k = Q.shape
-    count = (math.comb(d, k - 1) if norm == "l1"
-             else math.comb(d, k) * 2 ** (k - 1))
-    if count > _MAX_SUBSETS:
-        raise ValueError(
-            f"{norm} ball of a dim-{k} subspace of R^{d}: {count} vertex "
-            f"candidates exceed the enumeration limit {_MAX_SUBSETS}")
+    _check_vertex_enumeration(d, k, norm)
     if norm == "l1":
         A = Q[np.array(_subsets(d, k - 1), dtype=int)]
         _, s, vt = np.linalg.svd(A)
@@ -426,7 +445,8 @@ def one_sided_hausdorff(Y, W):
     """sup over y in Y with ||y||=1 of the distance from y to (W intersect ball).
 
     Exact: singular values for l2; for l1/linf the max over the vertices of
-    Y intersect ball of the ball-constrained distance.
+    Y intersect ball of the ball-constrained distance, which raises
+    ValueError past the guard of _check_vertex_enumeration.
     """
     if Y.norm != W.norm or Y.ambient_dim != W.ambient_dim:
         raise DimensionMismatchError("norm tags and ambient dims must match")
@@ -582,21 +602,33 @@ def projection(Y, Z):
 # good complements
 
 
-def _argmax_distance_unit(V_basis, W_basis, norm):
-    """Most-distant unit vector of span(V_basis) from span(W_basis)."""
+def _argmax_distance_unit(V_basis, K_basis, W_basis, norm):
+    """Most-distant unit vector of V = span(V_basis) from W = span(W_basis),
+    given K = span(K_basis) = V intersect W.
+
+    d(., W) is constant on each coset c + K, whose least norm d(c, K) is
+    reached at c - k*, k* a best approximation of c from K; the unit vector
+    (c - k*) / d(c, K) is at distance d(c, W) / d(c, K) <= 1 from W.  If V
+    has one direction outside K, or K = W (the ratio is then 1), any c of V
+    outside K attains the maximum.  Otherwise the maximum is taken over the
+    vertices of V intersect ball, as in one_sided_hausdorff.
+    """
+    QV, _ = _orthonormalize(V_basis)
+    M = QV
+    if W_basis.shape[1]:
+        QW, _ = _orthonormalize(W_basis)
+        M = QV - QW @ (QW.T @ QV)
+    _, _, vt = np.linalg.svd(M)
+    c = QV @ vt[0]          # the l2 most-distant unit vector, outside K
     if norm == "l2":
-        QV, _ = _orthonormalize(V_basis)
-        if W_basis.shape[1]:
-            QW, _ = _orthonormalize(W_basis)
-            M = QV - QW @ (QW.T @ QV)
-        else:
-            M = QV
-        _, _, vt = np.linalg.svd(M)
-        u = QV @ vt[0]
-        return _sign_fix(u / vector_norm(u, "l2"))
+        return _sign_fix(c)
+    k_dim = K_basis.shape[1]
+    if QV.shape[1] - k_dim == 1 or k_dim == W_basis.shape[1]:
+        _, coef = _dist_batch(c[None, :], K_basis, norm)
+        r = c - K_basis @ coef[0]
+        return _sign_fix(r / vector_norm(r, norm))
     cand = _ball_vertices(V_basis, norm)
-    u = cand[int(np.argmax(_dist_batch(cand, W_basis, norm)[0]))]
-    return _sign_fix(u)
+    return _sign_fix(cand[int(np.argmax(_dist_batch(cand, W_basis, norm)[0]))])
 
 
 def good_complement(filtration, eps=0.9, rotation_seed=None):
@@ -617,6 +649,11 @@ def good_complement(filtration, eps=0.9, rotation_seed=None):
     Returns a list of (U_j, diagnostics) pairs; diagnostics carry the
     measured distances and the projection norm of Pi_{U_j || V_{j+1}+U_{<j}}
     when the chain spans the ambient space.
+
+    Every choice is exact and needs one point distance, except the first
+    m-1 vectors of a level j >= 2 of multiplicity m >= 2 in l1/linf: they
+    enumerate the ball vertices of V_j, and raise ValueError past the guard
+    of _check_vertex_enumeration.
     """
     if len(filtration) < 1:
         raise FiltrationError("empty filtration")
@@ -626,10 +663,12 @@ def good_complement(filtration, eps=0.9, rotation_seed=None):
         if Vn.dim > V.dim:
             raise FiltrationError("filtration dimensions must be non-increasing")
         if Vn.dim:
-            gap = one_sided_hausdorff(Vn, V)
+            # nesting is a linear question, so the l2 sup answers it for
+            # every norm without enumerating anything
+            gap = one_sided_hausdorff(Subspace(Vn.basis), Subspace(V.basis))
             if gap > 1e-8:
                 raise FiltrationError(
-                    f"nesting violation: one-sided sup {gap:.3e} > 1e-8")
+                    f"nesting violation: l2 one-sided sup {gap:.3e} > 1e-8")
     rng = np.random.default_rng(rotation_seed)
     out = []
     chosen_prior = []   # all U_i basis vectors with i < current level
@@ -641,10 +680,10 @@ def good_complement(filtration, eps=0.9, rotation_seed=None):
         level_vecs = []
         dists = []
         for _ in range(m):
-            cols = ([Vn.basis] if Vn.dim else []) + \
-                [v[:, None] for v in chosen_prior + level_vecs]
-            W = np.column_stack(cols) if cols else np.zeros((d, 0))
-            u = _argmax_distance_unit(Vj.basis, W, norm)
+            # K = V_j intersect W: the earlier levels' vectors lie outside V_j
+            K = np.column_stack([Vn.basis] + [v[:, None] for v in level_vecs])
+            W = np.column_stack([K] + [v[:, None] for v in chosen_prior])
+            u = _argmax_distance_unit(Vj.basis, K, W, norm)
             if rotation_seed is not None:
                 u = _blend_direction(u, Vj, W, norm, rng, eps)
             du = distance_point_subspace(u, Subspace(W, norm)) if W.shape[1] else 1.0

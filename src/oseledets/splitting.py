@@ -13,8 +13,9 @@ import numpy as np
 
 from .base import ParameterError
 from .grassmann import (ComplementarityError, DegenerateSubspaceError,
-                        Subspace, good_complement, grassmann_distance,
-                        nice_basis, operator_norm, projection)
+                        Subspace, _check_vertex_enumeration, good_complement,
+                        grassmann_distance, nice_basis, operator_norm,
+                        projection)
 from .spectrum import filtration_at, growth_rate
 
 __all__ = [
@@ -248,6 +249,16 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
     Useful when only the top of the spectrum matters: distances between
     high-dimensional subspaces in the l1/linf norms are combinatorial,
     and interior levels can dominate the cost.
+
+    In l1/linf the Cauchy test takes exact distances between level spaces by
+    enumerating ball vertices, so a level of multiplicity m in R^d raises
+    ValueError before any work once the enumeration is past its guard: l1
+    from d = 201 (m = 3), 51 (m = 4), 26 (m = 5), 19 (m = 6); linf from
+    d = 142 (m = 2), 33 (m = 3), 18 (m = 4), 13 (m = 5).  Multiplicity-1
+    levels, and l1 with m = 2, stay exact below d = 20,001.  check_equivariance
+    and uniqueness_probe take the same distances.  With rotation_seed,
+    good_complement also enumerates V_j for each level j >= 2 of
+    multiplicity >= 2 (see its docstring).
     """
     lam = spectrum.exponents
     l = len(lam)
@@ -270,6 +281,9 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
         n *= 2
 
     mult = [int(m) for m in spectrum.multiplicities]
+    if norm != "l2" and len(schedule) > 1:
+        for m in mult[:l_use]:
+            _check_vertex_enumeration(d, m, norm)
 
     def level_space(j, hull, depth, filt_fwd):
         # the pushforward of the hull U_1 + ... + U_(j+1) is float-stable

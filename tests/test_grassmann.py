@@ -15,6 +15,7 @@ from oseledets.grassmann import (
     FiltrationError,
     ProjectionPair,
     Subspace,
+    _check_vertex_enumeration,
     _linprog_dist,
     distance_point_subspace,
     good_complement,
@@ -259,6 +260,23 @@ class TestExactPolyhedralSup:
         with pytest.raises(ValueError, match="linf.*R\\^40"):
             one_sided_hausdorff(Y, Subspace(rng.standard_normal((40, 4)), "linf"))
 
+    def test_linf_plane_in_r150_raises(self):
+        # the level spaces of a multiplicity-2 linf level at N = 150 bins
+        rng = np.random.default_rng(16)
+        Y = Subspace(rng.standard_normal((150, 2)), "linf")
+        W = Subspace(rng.standard_normal((150, 2)), "linf")
+        with pytest.raises(ValueError, match="22350 vertex candidates"):
+            grassmann_distance(Y, W)
+
+    @pytest.mark.parametrize("norm, k, d", [
+        ("l1", 3, 201), ("l1", 4, 51), ("l1", 5, 26), ("l1", 6, 19),
+        ("linf", 2, 142), ("linf", 3, 33), ("linf", 4, 18), ("linf", 5, 13)])
+    def test_enumeration_thresholds(self, norm, k, d):
+        # the thresholds listed in the compute_splitting docstring
+        _check_vertex_enumeration(d - 1, k, norm)
+        with pytest.raises(ValueError):
+            _check_vertex_enumeration(d, k, norm)
+
 
 class TestOneSidedHausdorff:
     def test_nested_asymmetry(self):
@@ -410,6 +428,45 @@ class TestGoodComplement:
         bad = Subspace(np.eye(3)[:, 2:])   # not contained in V1
         with pytest.raises(FiltrationError):
             good_complement([V1, bad])
+
+    @pytest.mark.parametrize("norm", ["l1", "linf"])
+    def test_choices_attain_vertex_oracle_max(self, norm):
+        # level 2 of R^5 > 3 > 1: the first vector maximizes over the ball
+        # vertices of V_2, the second by the one-direction coset formula
+        rng = np.random.default_rng(17)
+        G = rng.standard_normal((5, 5))
+        filt = [Subspace(G[:, :m], norm) for m in (5, 3, 1)]
+        out = good_complement(filt)
+        prior = []
+        for j, (U, diag) in enumerate(out):
+            for i in range(U.dim):
+                W = np.column_stack([filt[j + 1].basis] + prior
+                                    + [U.basis[:, :i]])
+                best = max(_linprog_dist(v, W, norm)[0]
+                           for v in _oracle_vertices(filt[j].basis, norm))
+                assert diag["distances"][i] == pytest.approx(best, abs=1e-9)
+            prior.append(U.basis)
+
+    def test_large_flags_need_no_enumeration(self):
+        # past the enumeration guard for V_3 (l1) and V_2 (linf); level 1 is
+        # at distance exactly 1, the one-direction level 2 above the floor
+        rng = np.random.default_rng(18)
+        for norm, d in (("l1", 60), ("linf", 20)):
+            G = rng.standard_normal((d, d))
+            filt = [Subspace(G[:, :m], norm) for m in (d, d - 1, d - 2)]
+            for seed in (None, 3):
+                out = good_complement(filt, rotation_seed=seed)
+                assert [U.dim for U, _ in out] == [1, 1]
+                if seed is None:
+                    assert out[0][1]["distances"][0] == pytest.approx(1.0)
+                assert min(diag["distances"][0] for _, diag in out) > 0.1
+
+    def test_wide_lower_level_past_guard_raises(self):
+        # level 2 of multiplicity 2 enumerates the vertices of V_2 in R^20
+        G = np.random.default_rng(19).standard_normal((20, 20))
+        filt = [Subspace(G[:, :m], "linf") for m in (20, 19, 17)]
+        with pytest.raises(ValueError, match="dim-19 subspace of R\\^20"):
+            good_complement(filt)
 
     def test_rotation_seed_changes_choice(self):
         rng = np.random.default_rng(13)

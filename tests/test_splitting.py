@@ -1,11 +1,13 @@
 """Equivariant splittings: pushforwards, convergence, checks, temperedness."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from oseledets.base import (
+    BernoulliShift,
     FiniteCycle,
     ParameterError,
     generate_orbit,
@@ -14,6 +16,8 @@ from oseledets.base import (
 from oseledets.cocycle import CocycleGenerator
 from oseledets.grassmann import Subspace, grassmann_distance
 from oseledets.spectrum import lyapunov_exponents
+from oseledets.transfer import (RandomLYSystem, full_branch_affine,
+                                random_ulam_cocycle)
 from oseledets.splitting import (
     RankCollapseError,
     SplittingResult,
@@ -217,6 +221,37 @@ class TestChecks:
         orbit = _orbit()
         spec = lyapunov_exponents(gen, orbit, 100)
         assert uniqueness_probe(gen, orbit, spec, n_max=8) == math.inf
+
+
+def _ulam_mixture(n_bins, n_max):
+    """The 3/10, 2/5 full-branch affine Bernoulli mixture, Ulam at n_bins."""
+    driver = BernoulliShift([0.5, 0.5])
+    system = RandomLYSystem(driver, [full_branch_affine([0, q, 1]) for q in
+                                     (Fraction(3, 10), Fraction(2, 5))])
+    orbit = generate_orbit(driver, 7, n_max + 1, 2 * n_max + 2)
+    gen = random_ulam_cocycle(system, n_bins)
+    return gen, orbit, lyapunov_exponents(gen, orbit, 2 * n_max, norm="l1")
+
+
+class TestUlamL1:
+    def test_rotated_complements_at_64_bins(self):
+        # the flag V_1 > V_2 > V_3 has dims 64, 63, 62: the rotated good
+        # complements stay exact without enumerating these spaces' vertices
+        gen, orbit, spec = _ulam_mixture(64, 128)
+        assert list(spec.multiplicities[:2]) == [1, 1]
+        base = compute_splitting(gen, orbit, spec, 128, norm="l1", levels=2)
+        rot = compute_splitting(gen, orbit, spec, 128, norm="l1", levels=2,
+                                rotation_seed=1)
+        for Y, Yr in zip(base.spaces, rot.spaces):
+            assert grassmann_distance(Y, Yr) < 1e-8
+
+    def test_wide_level_fails_before_work(self):
+        # level 3 has multiplicity 54 in R^64: its l1 distances are past the
+        # vertex enumeration guard
+        gen, orbit, spec = _ulam_mixture(64, 16)
+        assert spec.multiplicities[2] > 6
+        with pytest.raises(ValueError, match="l1 ball of a dim-"):
+            compute_splitting(gen, orbit, spec, 16, norm="l1")
 
 
 class TestEquivarianceAcrossOffsets:
