@@ -43,11 +43,12 @@ raw = np.array([[1.0, 1.0], [0.0, 1e-3], [0.0, 0.0]])
 basis = nice_basis(Subspace(raw, norm="linf"))
 print("nice in linf     :", is_eps_nice(basis, 0.05, "linf"))
 
-# Oblique projections onto Y along a complement Z report their operator
-# norm; the norm blows up as the two spaces lean toward each other.
+# Oblique projections onto X along a complement Z report their operator
+# norm; the norm blows up as the two spaces lean toward each other (here Z
+# turns toward X as the tilt shrinks).
+X = Subspace(np.array([[0.0], [1.0]]))
 for tilt in (1.0, 0.2, 0.05):
-    Z = Subspace(np.array([[1.0], [tilt]]))
-    X = Subspace(np.array([[0.0], [1.0]]))
+    Z = Subspace(np.array([[tilt], [1.0]]))
     pair = projection(X, Z)
     print(f"projection norm with tilt {tilt:4}:", round(pair.norm_value, 3))
 

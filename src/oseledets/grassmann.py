@@ -366,6 +366,10 @@ def _ball_sup_batch(X, B, norm):
     unconstrained minimizer onto the sphere bounds it above.  Only rows whose
     upper bound reaches the running max need the exact ball-constrained LP,
     which prunes almost every call when the two subspaces are close.
+
+    For one column b the upper bound is exact: t -> ||x - t b|| is convex,
+    so its minimum over the interval |t| <= 1/||b|| is at the clip of an
+    unconstrained minimizer, which is what the rescaling computes.
     """
     dist, coef = _dist_batch(X, B, norm)
     w = coef @ B.T
@@ -375,6 +379,8 @@ def _ball_sup_batch(X, B, norm):
     if not np.any(bad):
         return best
     ub = vector_norm(X - w / np.maximum(wn, 1.0)[:, None], norm, axis=1)
+    if B.shape[1] == 1:
+        return max(best, float(ub[bad].max()))
     for i in np.argsort(ub)[::-1]:
         if not bad[i] or ub[i] < best - 1e-15:
             continue

@@ -225,7 +225,7 @@ def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
         warnings=warnings)
 
 
-def filtration_at(gen, orbit, offset, n, spectrum, norm="l2"):
+def filtration_at(gen, orbit, offset, n, spectrum, norm="l2", levels=None):
     """Filtration V_1 > V_2 > ... > V_{l+1} at sigma^offset w.
 
     V_{j+1} is the orthogonal complement of the top right-singular
@@ -234,29 +234,46 @@ def filtration_at(gen, orbit, offset, n, spectrum, norm="l2"):
     not: a direction in the numerical kernel measures log-rate about
     lambda_1 - 36/n (the float resolution), nowhere near its true value,
     but it still sorts last.
+
+    `levels` caps the flag at V_{levels+1} (default: every resolved
+    level).  Only the leading w = min(d, m_1 + ... + m_levels + 1)
+    directions are carried through the n backward steps, one more than
+    the deepest cut so that the boundary check can read its rate; the
+    frame is completed once at the end.  FiltrationAt.rates therefore
+    has w entries, the rates of those directions.
     """
     d = gen.dim
     lam = spectrum.exponents
     if n < 1:
         raise ParameterError("n must be >= 1")
+    mult = [int(m) for m in spectrum.multiplicities]
+    if levels is not None:
+        if levels < 1:
+            raise ParameterError("levels must be >= 1")
+        mult = mult[:levels]
+    w = min(d, sum(mult) + 1)
     # stepwise QR on the transposed generator, read backward: the leading
     # columns of Q converge to the top right-singular subspaces of the
     # forward product with only local-gap error, where a one-shot SVD of
     # the product carries backward error eps * sigma_1 and buries every
-    # level more than sixteen digits below the top
-    Q = np.eye(d)
-    log_diag = np.zeros(d)
+    # level more than sixteen digits below the top.  The first w columns
+    # of a QR depend only on the first w input columns, so the trailing
+    # ones are never formed
+    Q = np.eye(d, w)
+    log_diag = np.zeros(w)
     for k in range(n):
         Q, R = np.linalg.qr(gen.matrix_at(orbit, offset + n - 1 - k).T @ Q)
         with np.errstate(divide="ignore"):
             log_diag += np.log(np.abs(np.diag(R)))
     rates = log_diag / n
+    if w < d:
+        Q, _ = np.linalg.qr(Q, mode="complete")
     subspaces = [Subspace(np.eye(d), norm)]
     warnings = list(spectrum.warnings)
     midpoints = [(a + b) / 2.0 for a, b in zip(lam, lam[1:])]
     cut = 0
-    for j, m in enumerate(spectrum.multiplicities):
-        cut += int(m)
+    for j, m in enumerate(mult):
+        cut += m
         if cut >= d:
             break
         if j < len(midpoints) and rates[cut] > midpoints[j]:

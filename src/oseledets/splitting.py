@@ -238,7 +238,8 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
     Doubles the pullback depth until d(Y_j^(n), Y_j^(2n)) < tol for every
     level or n_max is reached; non-converged levels are flagged, not
     errors.  A rank collapse during pushforward is retried once from a
-    perturbed complement, then raised.  The orbit window must span
+    perturbed complement, with a warning naming the level and the depth,
+    then raised.  The orbit window must span
     [offset - n_max, offset + n_max] (forward room beyond the base point
     sharpens the filtrations that cut the levels out of the fast hulls;
     up to 2 * n_max is used when available).
@@ -248,7 +249,9 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
     filtration subspace, so Y_1 + ... + Y_levels + remainder still spans.
     Useful when only the top of the spectrum matters: distances between
     high-dimensional subspaces in the l1/linf norms are combinatorial,
-    and interior levels can dominate the cost.
+    and interior levels can dominate the cost.  The filtrations then
+    track only the leading m_1 + ... + m_levels + 1 directions through
+    their backward QR steps (see filtration_at).
 
     In l1/linf the Cauchy test takes exact distances between level spaces by
     enumerating ball vertices, so a level of multiplicity m in R^d raises
@@ -273,6 +276,7 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
             raise ParameterError("levels must be >= 1")
         l_use = min(int(levels), l)
     d = gen.dim
+    warnings = []
 
     schedule = []
     n = n_start
@@ -304,7 +308,7 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
 
     def spaces_at(depth):
         filt = filtration_at(gen, orbit, offset - depth, depth, spectrum,
-                             norm=norm)
+                             norm=norm, levels=l_use)
         if len(filt.subspaces) < min(l, l_use + 1):
             raise RankCollapseError(
                 f"filtration at depth {depth} resolved only "
@@ -322,7 +326,7 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
         avail_fwd = orbit.n_future - offset - 1
         m_fwd = min(2 * depth, max(depth, avail_fwd))
         filt_fwd = filtration_at(gen, orbit, offset, m_fwd, spectrum,
-                                 norm=norm)
+                                 norm=norm, levels=l_use)
         out = []
         cols = []
         for j, U in enumerate(comps[:l_use]):
@@ -330,8 +334,11 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
             hull = Subspace(np.column_stack(cols), norm)
             try:
                 out.append(level_space(j, hull, depth, filt_fwd))
-            except RankCollapseError:
+            except RankCollapseError as exc:
                 # measure-zero under the standing hypotheses; one retry
+                warnings.append(
+                    f"level {j + 1}: rank collapse at depth {depth} ({exc}); "
+                    "retried from a perturbed hull")
                 rng = np.random.default_rng(depth)
                 pert = hull.basis + 1e-6 * rng.standard_normal(
                     hull.basis.shape)
@@ -344,7 +351,6 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
     seps = [[] for _ in range(l_use)]
     gs = [[] for _ in range(l_use)]
     converged_at = [None] * l_use
-    warnings = []
 
     final_spaces = None
     for idx, depth in enumerate(schedule):
@@ -362,7 +368,8 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
             break
 
     n_final = history[-1][0]
-    filt_final = filtration_at(gen, orbit, offset, n_final, spectrum, norm=norm)
+    filt_final = filtration_at(gen, orbit, offset, n_final, spectrum,
+                               norm=norm, levels=l_use)
     if len(filt_final.subspaces) > l_use:
         remainder = filt_final.subspaces[l_use]
     else:
@@ -476,14 +483,16 @@ def check_growth(result, gen, orbit, n_check, slack=0.1, seed=0):
 
 
 def uniqueness_probe(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
-                     alternative_complement_seed=1, offset=0, norm="l2"):
+                     alternative_complement_seed=1, offset=0, norm="l2",
+                     levels=None):
     """Max over levels of d(Y_j, Y_j') for two different good-complement
-    selections; inf sentinel when either run fails to converge."""
+    selections; inf sentinel when either run fails to converge.  `levels`
+    caps the levels compared, as in compute_splitting."""
     base = compute_splitting(gen, orbit, spectrum, n_max, tol, offset=offset,
-                             norm=norm)
+                             norm=norm, levels=levels)
     alt = compute_splitting(gen, orbit, spectrum, n_max, tol, offset=offset,
                             rotation_seed=alternative_complement_seed,
-                            norm=norm)
+                            norm=norm, levels=levels)
     if not (base.converged and alt.converged):
         return math.inf
     return max(grassmann_distance(Y, Yp)

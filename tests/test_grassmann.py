@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
+from oseledets import grassmann
 from oseledets.grassmann import (
     NORM_TAGS,
     ComplementarityError,
@@ -15,6 +16,7 @@ from oseledets.grassmann import (
     FiltrationError,
     ProjectionPair,
     Subspace,
+    _ball_sup_batch,
     _check_vertex_enumeration,
     _linprog_dist,
     distance_point_subspace,
@@ -276,6 +278,71 @@ class TestExactPolyhedralSup:
         _check_vertex_enumeration(d - 1, k, norm)
         with pytest.raises(ValueError):
             _check_vertex_enumeration(d, k, norm)
+
+
+def _breakpoint_ball_distance(x, b, norm):
+    """min over |t| <= 1/||b|| of ||x - t b||: a piecewise-linear convex
+    function of t, so its minimum sits at a breakpoint or an endpoint."""
+    r = 1.0 / vector_norm(b, norm)
+    ts = [-r, r]
+    nz = b != 0
+    ts += list(x[nz] / b[nz])
+    if norm == "linf":
+        # the max of |x_i - t b_i| switches pieces where two of them cross
+        for i, j in itertools.combinations(range(len(x)), 2):
+            for sgn in (1.0, -1.0):
+                den = b[i] - sgn * b[j]
+                if den != 0:
+                    ts.append((x[i] - sgn * x[j]) / den)
+    ts = np.clip(np.array(ts), -r, r)
+    return float(min(vector_norm(x - t * b, norm) for t in ts))
+
+
+class TestDimOneBallDistance:
+    """A one-column W needs no ball-constrained LP: clipping the
+    unconstrained minimizer to the interval |t| <= 1/||b|| is exact."""
+
+    @pytest.fixture(autouse=True)
+    def no_linprog(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("_linprog_dist called")
+
+        monkeypatch.setattr(grassmann, "_linprog_dist", no_lp)
+
+    @pytest.mark.parametrize("norm", ["l1", "linf"])
+    def test_clip_matches_breakpoint_oracle(self, norm):
+        rng = np.random.default_rng(21)
+        for d in (3, 5, 8):
+            b = rng.standard_normal(d)
+            u = b / vector_norm(b, norm)
+            rows = [rng.standard_normal(d) for _ in range(4)]
+            # near pairs: just outside the ball along +-u, where the
+            # unconstrained minimizer leaves the ball and the clip decides
+            for eps in (1e-6, 1e-7, 1e-8):
+                for sgn in (1.0, -1.0):
+                    x = sgn * (1.0 + eps) * u + eps * rng.standard_normal(d)
+                    rows.append(x / vector_norm(x, norm))
+            X = np.array(rows)
+            oracle = [_breakpoint_ball_distance(x, b, norm) for x in X]
+            for x, ref in zip(X, oracle):
+                got = _ball_sup_batch(x[None, :], b[:, None], norm)
+                assert got == pytest.approx(ref, rel=1e-9, abs=1e-15)
+            assert _ball_sup_batch(X, b[:, None], norm) == \
+                pytest.approx(max(oracle), rel=1e-9, abs=1e-15)
+            near = oracle[4:]
+            assert max(near) <= 1e-5 and min(near) > 0.0
+
+    @pytest.mark.parametrize("norm", ["l1", "linf"])
+    def test_near_lines_exact(self, norm):
+        rng = np.random.default_rng(22)
+        b = rng.standard_normal(6)
+        c = b + 1e-7 * rng.standard_normal(6)
+        got = grassmann_distance(Subspace(b[:, None], norm),
+                                 Subspace(c[:, None], norm))
+        ref = max(_breakpoint_ball_distance(p / vector_norm(p, norm), q, norm)
+                  for p, q in ((b, c), (c, b)))
+        assert 0.0 < got <= 1e-6
+        assert got == pytest.approx(ref, rel=1e-9, abs=1e-15)
 
 
 class TestOneSidedHausdorff:

@@ -25,6 +25,27 @@ def test_import_loads_no_scipy_optimize():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_l1_top_splitting_loads_no_scipy_optimize():
+    # one-dimensional levels take their ball-constrained distances in
+    # closed form, so the top of an l1 Ulam splitting never needs an LP
+    code = """
+import sys
+from fractions import Fraction
+import oseledets as ose
+driver = ose.BernoulliShift([0.5, 0.5])
+system = ose.RandomLYSystem(driver, [ose.full_branch_affine([0, q, 1])
+                                     for q in (Fraction(3, 10), Fraction(2, 5))])
+orbit = ose.generate_orbit(driver, 7, 65, 130)
+gen = ose.random_ulam_cocycle(system, 32)
+spec = ose.lyapunov_exponents(gen, orbit, 128, norm="l1")
+res = ose.compute_splitting(gen, orbit, spec, 64, norm="l1", levels=2)
+assert [Y.dim for Y in res.spaces] == [1, 1]
+assert "scipy.optimize" not in sys.modules
+"""
+    proc = _run(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_demos_found():
     assert len(DEMOS) >= 7
 

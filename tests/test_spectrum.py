@@ -1,6 +1,7 @@
 """Lyapunov spectrum estimation, filtrations, growth rates, kappa bounds."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from oseledets.base import (
     generate_orbit,
     shift_view,
 )
+from oseledets import spectrum as spectrum_module
 from oseledets.cocycle import CocycleGenerator, forward_product
-from oseledets.grassmann import Subspace, one_sided_hausdorff
+from oseledets.grassmann import Subspace, grassmann_distance, one_sided_hausdorff
 from oseledets.spectrum import (
     FiltrationAt,
     filtration_at,
@@ -23,6 +25,8 @@ from oseledets.spectrum import (
     index_of_compactness_proxy,
     lyapunov_exponents,
 )
+from oseledets.transfer import (RandomLYSystem, full_branch_affine,
+                                random_ulam_cocycle)
 
 
 def _cycle_orbit(period=2, n=2000):
@@ -200,6 +204,78 @@ class TestFiltration:
         spec = lyapunov_exponents(gen, orbit, 64)
         with pytest.raises(ParameterError):
             filtration_at(gen, orbit, 0, 0, spec)
+
+
+def _l2_sine(V, W):
+    return grassmann_distance(Subspace(V.basis), Subspace(W.basis))
+
+
+class TestTruncatedFiltration:
+    """levels=k carries only m_1 + ... + m_k + 1 directions; the spans and
+    the tracked rates agree with the full-width filtration."""
+
+    @pytest.fixture(scope="class")
+    def mixture(self):
+        # the 3/10, 2/5 full-branch affine mixture at 128 bins: exponents
+        # 0 (m=1), -0.60 (m=1), then one wide level
+        driver = BernoulliShift([0.5, 0.5])
+        system = RandomLYSystem(driver, [full_branch_affine([0, q, 1])
+                                         for q in (Fraction(3, 10),
+                                                   Fraction(2, 5))])
+        orbit = generate_orbit(driver, 7, 65, 130)
+        gen = random_ulam_cocycle(system, 128)
+        spec = lyapunov_exponents(gen, orbit, 128, norm="l1")
+        assert spec.multiplicities[:2] == [1, 1]
+        return gen, orbit, spec
+
+    @staticmethod
+    def _assert_matches(full, part, w):
+        assert len(part) == 3 and len(full) >= 3
+        for j in range(3):
+            assert part[j].dim == full[j].dim
+            assert _l2_sine(full[j], part[j]) < 1e-12
+        assert part.rates.shape == (w,)
+        assert part.rates == pytest.approx(full.rates[:w], abs=1e-12)
+        assert part.warnings == full.warnings
+
+    def test_mixture_levels_match_full_width(self, mixture):
+        gen, orbit, spec = mixture
+        full = filtration_at(gen, orbit, -64, 64, spec)
+        part = filtration_at(gen, orbit, -64, 64, spec, levels=2)
+        assert full.rates.shape == (128,)
+        self._assert_matches(full, part, 3)
+
+    def test_constant_triangular_matches_full_width(self):
+        A = np.triu(np.ones((4, 4))) + np.diag([2.0, 0.0, -0.5, -0.75])
+        gen = CocycleGenerator.constant(A)
+        orbit = _cycle_orbit()
+        spec = lyapunov_exponents(gen, orbit, 200)
+        assert spec.multiplicities == [1, 1, 1, 1]
+        full = filtration_at(gen, orbit, 0, 60, spec)
+        part = filtration_at(gen, orbit, 0, 60, spec, levels=2)
+        self._assert_matches(full, part, 3)
+        # the slow line of an upper-triangular matrix is not an axis, so
+        # the completed frame must carry the tracked directions' complement
+        assert one_sided_hausdorff(part[2], Subspace(np.eye(4)[:, 2:])) > 0.1
+
+    def test_qr_sees_only_tracked_columns(self, mixture, monkeypatch):
+        gen, orbit, spec = mixture
+        shapes = []
+        qr = np.linalg.qr
+
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(spectrum_module.np.linalg, "qr", spy)
+        filtration_at(gen, orbit, -16, 16, spec, levels=2)
+        assert len(shapes) == 17
+        assert set(shapes) == {(128, 3)}
+
+    def test_levels_validation(self, mixture):
+        gen, orbit, spec = mixture
+        with pytest.raises(ParameterError):
+            filtration_at(gen, orbit, 0, 4, spec, levels=0)
 
 
 class TestGrowthRate:

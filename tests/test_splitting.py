@@ -13,6 +13,7 @@ from oseledets.base import (
     generate_orbit,
     shift_view,
 )
+from oseledets import splitting
 from oseledets.cocycle import CocycleGenerator
 from oseledets.grassmann import Subspace, grassmann_distance
 from oseledets.spectrum import lyapunov_exponents
@@ -245,6 +246,13 @@ class TestUlamL1:
         for Y, Yr in zip(base.spaces, rot.spaces):
             assert grassmann_distance(Y, Yr) < 1e-8
 
+    def test_uniqueness_probe_with_levels(self):
+        # without levels the probe reaches the multiplicity-54 level and
+        # raises at the enumeration guard
+        gen, orbit, spec = _ulam_mixture(64, 256)
+        probe = uniqueness_probe(gen, orbit, spec, 256, norm="l1", levels=2)
+        assert math.isfinite(probe) and probe < 1e-6
+
     def test_wide_level_fails_before_work(self):
         # level 3 has multiplicity 54 in R^64: its l1 distances are past the
         # vertex enumeration guard
@@ -252,6 +260,28 @@ class TestUlamL1:
         assert spec.multiplicities[2] > 6
         with pytest.raises(ValueError, match="l1 ball of a dim-"):
             compute_splitting(gen, orbit, spec, 16, norm="l1")
+
+
+class TestRankCollapseRetry:
+    def test_retry_is_reported(self, monkeypatch):
+        real = splitting.pushforward_space
+        calls = []
+
+        def collapse_once(*args, **kwargs):
+            calls.append(args[3])
+            if len(calls) == 1:
+                raise RankCollapseError("forced collapse", n=args[3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(splitting, "pushforward_space", collapse_once)
+        gen = CocycleGenerator.constant(A_TRI)
+        orbit = _orbit()
+        spec = lyapunov_exponents(gen, orbit, 200)
+        res = compute_splitting(gen, orbit, spec, n_max=64)
+        retries = [w for w in res.warnings if "retried" in w]
+        assert len(retries) == 1
+        assert "level 1" in retries[0] and "depth 8" in retries[0]
+        assert res.converged
 
 
 class TestEquivarianceAcrossOffsets:
