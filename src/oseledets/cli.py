@@ -674,7 +674,12 @@ def main(argv=None):
             ok = True
             for i, entry in enumerate(experiments):
                 cfg = ExperimentConfig(entry)
-                rep = run(cfg, Path(args.out) / f"exp_{i:03d}")
+                try:
+                    rep = run(cfg, Path(args.out) / f"exp_{i:03d}")
+                except StageError as exc:
+                    ok = False
+                    print(f"exp_{i:03d} [{cfg.task}] error: {exc}")
+                    continue
                 ok = ok and rep["passed"]
                 print(f"exp_{i:03d} [{cfg.task}] passed={rep['passed']}")
             return 0 if ok else 1

@@ -2,15 +2,18 @@
 
 Branches are affine (exact rational arithmetic end to end) or affine plus
 a sinusoidal perturbation with certified derivative bounds.  Ulam
-matrices for affine maps are assembled with Fraction endpoint
-intersections, so row sums are exactly 1 and several downstream checks
-are exact rather than approximate.  Cocycle generators act on density
-vectors, i.e. they are transposes of the row-stochastic bin-transition
-matrices.
+matrices for affine maps are assembled by one exact integer sweep per
+branch over its cut points (grid points and preimages of grid points,
+all over one common denominator), so row sums are exactly 1 and several
+downstream checks are exact rather than approximate; the Fraction rows
+are built only when read.  Cocycle generators act on density vectors,
+i.e. they are transposes of the row-stochastic bin-transition matrices.
 """
 
 import bisect
+import functools
 import math
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -265,25 +268,70 @@ class RandomLYSystem:
 
 
 class UlamOperator:
-    """Row-stochastic bin-transition matrix at a fixed resolution."""
+    """Row-stochastic bin-transition matrix at a fixed resolution.
 
-    def __init__(self, n_bins, matrix, exact, exact_rows=None):
+    An affine map's operator holds its entries exactly, as integer
+    numerators over one common denominator: ``entries = (L, {(i, j):
+    num})`` with P[i, j] = num / L.  ``matrix`` and ``density_matrix()``
+    are filled from them on demand; int true division rounds correctly,
+    so every float is the double nearest the exact entry.  ``exact_rows``
+    (one ``{j: Fraction}`` dict per row) is built only when read.  Other
+    maps hold the float matrix alone.
+    """
+
+    def __init__(self, n_bins, matrix=None, entries=None):
         self.n_bins = n_bins
-        self.matrix = matrix
-        self.exact = exact
-        self.exact_rows = exact_rows
+        self._matrix = matrix
+        self.entries = entries
+
+    @property
+    def exact(self):
+        return self.entries is not None
+
+    @property
+    def matrix(self):
+        if self._matrix is None:
+            self._matrix = self._filled(transpose=False)
+        return self._matrix
+
+    @functools.cached_property
+    def exact_rows(self):
+        if self.entries is None:
+            return None
+        L, nums = self.entries
+        rows = [dict() for _ in range(self.n_bins)]
+        for (i, j), num in nums.items():
+            rows[i][j] = Fraction(num, L)
+        return rows
 
     def row_sums(self):
         return self.matrix.sum(axis=1)
 
     def exact_row_sums(self):
-        if self.exact_rows is None:
+        if self.entries is None:
             return None
-        return [sum(row.values(), Fraction(0)) for row in self.exact_rows]
+        L, nums = self.entries
+        sums = [0] * self.n_bins
+        for (i, _), num in nums.items():
+            sums[i] += num
+        return [Fraction(s, L) for s in sums]
 
     def density_matrix(self):
-        """Transpose acting on density column vectors."""
-        return self.matrix.T.copy()
+        """Transpose acting on density column vectors (a new array)."""
+        if self.entries is None:
+            return self._matrix.T.copy()
+        return self._filled(transpose=True)
+
+    def _filled(self, transpose):
+        L, nums = self.entries
+        M = np.zeros((self.n_bins, self.n_bins))
+        ij = np.array(list(nums), dtype=np.intp)
+        vals = [num / L for num in nums.values()]
+        if transpose:
+            M[ij[:, 1], ij[:, 0]] = vals
+        else:
+            M[ij[:, 0], ij[:, 1]] = vals
+        return M
 
     def __repr__(self):
         return f"UlamOperator(n_bins={self.n_bins}, exact={self.exact})"
@@ -296,40 +344,69 @@ def _bin_range(lo, hi, n):
     return max(j0, 0), min(j1, n)
 
 
+def _affine_entries(branches, n):
+    """Exact Ulam entries of affine branches: (L, {(i, j): num}).
+
+    Every cut point of a branch domain is an integer over the common
+    denominator L: the grid points i/n and the preimages of the grid
+    points j/n, two arithmetic progressions.  One two-pointer walk merges
+    them; the piece between consecutive cuts lies in one bin i, maps into
+    one bin j and adds n * (its length) to entry (i, j).  The walk is
+    clipped to [0, 1] and to the preimage of [0, 1].
+    """
+    L = n
+    for br in branches:
+        L = math.lcm(L, br.a.denominator, br.b.denominator,
+                     n * br.intercept.denominator * abs(br.slope.numerator))
+    G = L // n                      # grid spacing
+    nums = {}
+    for br in branches:
+        p, q = br.slope.numerator, br.slope.denominator
+        pc, qc = br.intercept.numerator, br.intercept.denominator
+        sgn = 1 if p > 0 else -1
+        # the preimage of k/n is X0 + sgn * k * H
+        H = qc * q * (L // (n * qc * abs(p)))
+        X0 = -sgn * n * pc * (H // qc)
+        Xn = X0 + sgn * n * H
+        lo = max(br.a.numerator * (L // br.a.denominator), 0, min(X0, Xn))
+        hi = min(br.b.numerator * (L // br.b.denominator), L, max(X0, Xn))
+        if hi <= lo:
+            continue
+        i = lo // G
+        grid = (i + 1) * G
+        if sgn > 0:                 # bin of T(lo+): floor(n T(lo))
+            j = (lo - X0) // H
+            pre = X0 + (j + 1) * H
+        else:                       # ceil(n T(lo)) - 1
+            j = -((lo - X0) // H) - 1
+            pre = X0 - j * H
+        x = lo
+        while x < hi:
+            cut = min(grid, pre, hi)
+            nums[i, j] = nums.get((i, j), 0) + cut - x
+            if cut == grid:
+                i += 1
+                grid += G
+            if cut == pre:
+                j += sgn
+                pre += H
+            x = cut
+    return L, {ij: n * v for ij, v in nums.items()}
+
+
 def ulam_matrix(T, n_bins):
     """P[i, j] = m(B_i meet T^{-1} B_j) / m(B_i) on the uniform n_bins grid.
 
-    Affine maps use exact interval intersections in Fraction arithmetic
-    (exactness flag set); sinusoidal branches use monotone root bracketing
-    with 1e-15 endpoints, well inside the 1e-10 documented tolerance.
+    Affine maps are assembled exactly by an integer sweep over each
+    branch's cut points (``_affine_entries``; exactness flag set).
+    Sinusoidal branches use monotone root bracketing with 1e-15
+    endpoints, well inside the 1e-10 documented tolerance.
     """
     if n_bins < 2:
         raise ParameterError("need n_bins >= 2")
     n = n_bins
     if T.is_affine:
-        rows = [dict() for _ in range(n)]
-        for br in T.branches:
-            c = br.slope
-            i_lo, i_hi = _bin_range(br.a, br.b, n)
-            for i in range(i_lo, i_hi):
-                lo = max(br.a, Fraction(i, n))
-                hi = min(br.b, Fraction(i + 1, n))
-                if hi <= lo:
-                    continue
-                u, v = br.value(lo), br.value(hi)
-                if u > v:
-                    u, v = v, u
-                j_lo, j_hi = _bin_range(u, v, n)
-                for j in range(j_lo, j_hi):
-                    ov = min(v, Fraction(j + 1, n)) - max(u, Fraction(j, n))
-                    if ov > 0:
-                        rows[i][j] = rows[i].get(j, Fraction(0)) + \
-                            ov / abs(c) * n
-        M = np.zeros((n, n))
-        for i, row in enumerate(rows):
-            for j, val in row.items():
-                M[i, j] = float(val)
-        return UlamOperator(n, M, exact=True, exact_rows=rows)
+        return UlamOperator(n, entries=_affine_entries(T.branches, n))
     M = np.zeros((n, n))
     for br in T.branches:
         af, bf = float(br.a), float(br.b)
@@ -354,20 +431,35 @@ def ulam_matrix(T, n_bins):
                 ov = min(x1, (i + 1) / n) - max(x0, i / n)
                 if ov > 0:
                     M[i, j] += ov * n
-    return UlamOperator(n, M, exact=False)
+    return UlamOperator(n, matrix=M)
+
+
+# bytes of density matrices a random_ulam_cocycle generator keeps; the
+# latest matrix stays even when it alone is larger
+_CACHE_BYTES = 32 * 2 ** 20
 
 
 def random_ulam_cocycle(system, n_bins):
-    """Generator of density-side Ulam matrices, cached per distinct state."""
-    cache = {}
+    """Generator of density-side Ulam matrices, cached per distinct state.
+
+    The cache evicts the least recently used matrix once it holds more
+    than ``_CACHE_BYTES``, keeping at least the latest.  Cached arrays are
+    read-only; an evicted state is assembled again, bit-identically.
+    """
+    cache = OrderedDict()
+    keep = max(1, _CACHE_BYTES // (8 * n_bins * n_bins))
 
     def evaluator(state):
         key = float(state)
         mat = cache.get(key)
-        if mat is None:
-            mat = ulam_matrix(system.map_at(state), n_bins).matrix.T.copy()
-            mat.setflags(write=False)
-            cache[key] = mat
+        if mat is not None:
+            cache.move_to_end(key)
+            return mat
+        mat = ulam_matrix(system.map_at(state), n_bins).density_matrix()
+        mat.setflags(write=False)
+        cache[key] = mat
+        if len(cache) > keep:
+            cache.popitem(last=False)
         return mat
 
     return CocycleGenerator(evaluator, n_bins,
@@ -381,7 +473,7 @@ def buzzi_swap_cocycle(n_bins):
     with D the density-side doubling Ulam matrix; the top exponent is 0
     with multiplicity 2.
     """
-    D = ulam_matrix(doubling_map(), n_bins).matrix.T
+    D = ulam_matrix(doubling_map(), n_bins).density_matrix()
     Z = np.zeros_like(D)
     L = np.block([[Z, D], [D, Z]])
     return CocycleGenerator.constant(L, name=f"buzzi_swap[{n_bins}]")

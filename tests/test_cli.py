@@ -33,6 +33,16 @@ def _write(tmp_path, name, payload):
     return str(path)
 
 
+@pytest.mark.parametrize("name", sorted(list_presets()))
+def test_every_preset_runs_and_passes(name, tmp_path, capsys):
+    task = list_presets()[name]["config"]["analysis"]["task"]
+    rc = main([task, "--preset", name, "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == 0
+    with open(tmp_path / "report.json") as fh:
+        assert json.load(fh)["passed"] is True
+
+
 class TestConfigValidation:
     def test_accepts_minimal_spectrum(self):
         cfg = ExperimentConfig(_spectrum_config())
@@ -409,6 +419,38 @@ class TestMain:
         assert "exp_001 [ulam] passed=True" in out
         assert (tmp_path / "out" / "exp_000" / "report.json").is_file()
         assert (tmp_path / "out" / "exp_001" / "report.json").is_file()
+
+    def test_batch_survives_failing_experiment(self, tmp_path, capsys):
+        # l1 splitting of a 64-bin Ulam mixture without "levels": the last
+        # level is too wide for the exact l1 sup and the stage fails
+        failing = {
+            "seed": 7,
+            "driver": {"kind": "bernoulli", "probs": [0.5, 0.5]},
+            "generator": {"kind": "ulam", "n_bins": 64,
+                          "maps": [{"kind": "affine_full_branch",
+                                    "breakpoints": ["0", "3/10", "1"]},
+                                   {"kind": "affine_full_branch",
+                                    "breakpoints": ["0", "2/5", "1"]}]},
+            "analysis": {"task": "splitting", "n_max": 64, "n": 128,
+                         "tol": 1e-6, "norm": "l1"},
+        }
+        ulam = {
+            "seed": 0,
+            "driver": {"kind": "finite_cycle", "period": 1},
+            "generator": {"kind": "ulam", "n_bins": 16,
+                          "maps": [{"kind": "doubling"}]},
+            "analysis": {"task": "ulam"},
+        }
+        path = _write(tmp_path, "batch.json",
+                      {"experiments": [failing, ulam]})
+        rc = main(["batch", "--config", path, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "exp_000 [splitting] error: stage 'splitting' failed" in out
+        assert "exp_001 [ulam] passed=True" in out
+        assert not (tmp_path / "out" / "exp_000").exists()
+        with open(tmp_path / "out" / "exp_001" / "report.json") as fh:
+            assert json.load(fh)["passed"] is True
 
     def test_batch_requires_config(self, capsys):
         assert main(["batch", "--out", "unused"]) == 2

@@ -1,12 +1,16 @@
 """Piecewise expanding maps, Ulam matrices, exact transfer images, and the
 Lasota-Yorke diagnostics."""
 
+import gc
 import math
+import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from oseledets import transfer
 from oseledets.base import BernoulliShift, FiniteCycle, ParameterError, \
     generate_orbit
 from oseledets.spectrum import lyapunov_exponents
@@ -207,6 +211,107 @@ class TestUlamMatrix:
             ulam_matrix(doubling_map(), 1)
 
 
+def _oracle_rows(T, n):
+    """Ulam rows of an affine map by per-bin interval intersection in
+    Fraction arithmetic, sharing no code with ``ulam_matrix``.
+
+    Bin ranges use exact floor and ceil: a float bin range drops the
+    slivers next to bin edges that breakpoints with large denominators
+    leave (see ``test_no_sliver_lost_at_large_denominators``).
+    """
+    def bins(lo, hi):
+        return max(math.floor(lo * n), 0), min(math.ceil(hi * n), n)
+
+    rows = [dict() for _ in range(n)]
+    for br in T.branches:
+        for i in range(*bins(br.a, br.b)):
+            lo = max(br.a, Fraction(i, n))
+            hi = min(br.b, Fraction(i + 1, n))
+            if hi <= lo:
+                continue
+            u, v = sorted((br.slope * lo + br.intercept,
+                           br.slope * hi + br.intercept))
+            for j in range(*bins(u, v)):
+                ov = min(v, Fraction(j + 1, n)) - max(u, Fraction(j, n))
+                if ov > 0:
+                    rows[i][j] = rows[i].get(j, 0) + ov / abs(br.slope) * n
+    return rows
+
+
+def _random_affine_map(rng):
+    """Three affine branches on rational breakpoints, each increasing or
+    decreasing, with images of random length and position."""
+    qs = sorted({Fraction(rng.randint(1, 96), 97),
+                 Fraction(rng.randint(1, 60), 61)})
+    pts = [Fraction(0)] + qs + [Fraction(1)]
+    branches = []
+    for a, b in zip(pts, pts[1:]):
+        ell = (b - a) + (1 - (b - a)) * Fraction(rng.randint(1, 100), 100)
+        lo = (1 - ell) * Fraction(rng.randint(0, 100), 100)
+        s = ell / (b - a)
+        if rng.random() < 0.5:
+            branches.append(Branch(a, b, s, lo - s * a))
+        else:
+            branches.append(Branch(a, b, -s, lo + ell + s * a))
+    return PiecewiseExpandingMap1D(branches)
+
+
+def _sweep_panel():
+    panel = [("doubling", doubling_map()), ("tripling", tripling_map()),
+             ("3/10", full_branch_affine([0, Fraction(3, 10), 1])),
+             ("2/5", full_branch_affine([0, Fraction(2, 5), 1])),
+             ("tent", PiecewiseExpandingMap1D([
+                 Branch(0, HALF, 2, 0), Branch(HALF, 1, -2, 2)])),
+             ("decreasing-nonfull", PiecewiseExpandingMap1D([
+                 Branch(0, Fraction(2, 5), -2, Fraction(9, 10)),
+                 Branch(Fraction(2, 5), 1, Fraction(3, 2),
+                        Fraction(-3, 5))]))]
+    # golden-rotation states as floats: breakpoint denominators near 2^54
+    for k in range(20):
+        theta = (0.1 + k * 0.6180339887498949) % 1.0
+        panel.append((f"continuum-{k}",
+                      perturbed_doubling(Fraction(theta) / 2)))
+    rng = random.Random(5)
+    for k in range(10):
+        panel.append((f"random-{k}", _random_affine_map(rng)))
+    return panel
+
+
+_PANEL = _sweep_panel()
+
+
+class TestUlamSweepOracle:
+    @pytest.mark.parametrize("T", [T for _, T in _PANEL],
+                             ids=[name for name, _ in _PANEL])
+    def test_matches_fraction_oracle(self, T):
+        for n in (2, 3, 4, 7, 16, 64, 128, 257):
+            rows = _oracle_rows(T, n)
+            op = ulam_matrix(T, n)
+            M = np.zeros((n, n))
+            for i, row in enumerate(rows):
+                for j, val in row.items():
+                    M[i, j] = float(val)
+            assert op.exact_rows == rows
+            assert np.array_equal(op.matrix, M)
+            assert np.array_equal(op.density_matrix(), M.T)
+
+    def test_no_sliver_lost_at_large_denominators(self):
+        # the breakpoint 1/(2 + 0.05) puts image endpoints within 1e-16 of
+        # the bin edges 41/64 and 23/64; float rounding there used to drop
+        # entries (19, 41) and (42, 23), 2.7e-17 each
+        op = ulam_matrix(perturbed_doubling(Fraction(0.1) / 2), 64)
+        assert all(s == 1 for s in op.exact_row_sums())
+        assert 0 < op.matrix[19, 41] < 1e-16
+        assert 0 < op.matrix[42, 23] < 1e-16
+
+    def test_entries_share_one_denominator(self):
+        op = ulam_matrix(perturbed_doubling(Fraction(1, 3)), 7)
+        L, nums = op.entries
+        assert all(isinstance(v, int) and v > 0 for v in nums.values())
+        assert op.exact_rows[0] == {j: Fraction(v, L)
+                                    for (i, j), v in nums.items() if i == 0}
+
+
 class TestRandomUlamCocycle:
     def test_constant_system_matches_density_matrix(self):
         sysm = RandomLYSystem(FiniteCycle(1), [doubling_map()])
@@ -222,6 +327,37 @@ class TestRandomUlamCocycle:
         a, b = gen(0), gen(0)
         assert a is b
         assert not a.flags.writeable
+
+    def test_cache_stays_within_byte_budget(self):
+        n = 1024
+        nbytes = 8 * n * n
+        held = transfer._CACHE_BYTES // nbytes
+        sysm = RandomLYSystem(
+            FiniteCycle(1), lambda th: perturbed_doubling(Fraction(th) / 2))
+        gen = random_ulam_cocycle(sysm, n)
+        states = [(0.3 + k * 0.6180339887498949) % 1.0
+                  for k in range(held + 3)]
+        first = gen(states[0]).copy()
+        refs = [weakref.ref(gen(s)) for s in states]
+        gc.collect()
+        alive = [r() is not None for r in refs]
+        assert sum(alive) * nbytes <= transfer._CACHE_BYTES
+        assert alive[-held:] == [True] * held
+        assert gen(states[-1]) is refs[-1]()
+        again = gen(states[0])       # evicted: assembled anew
+        assert again is not first and np.array_equal(again, first)
+        assert not again.flags.writeable
+
+    def test_latest_matrix_kept_past_budget(self, monkeypatch):
+        monkeypatch.setattr(transfer, "_CACHE_BYTES", 1)
+        sysm = RandomLYSystem(FiniteCycle(2),
+                              [doubling_map(), tripling_map()])
+        gen = random_ulam_cocycle(sysm, 16)
+        a = gen(0)
+        assert gen(0) is a
+        gen(1)
+        b = gen(0)
+        assert b is not a and np.array_equal(a, b)
 
     def test_two_state_cycle_alternates(self):
         sysm = RandomLYSystem(FiniteCycle(2),
