@@ -59,6 +59,6 @@ print("||f||_{1/2,2}   :", discrete_sobolev_norm(f, 0.5, 2.0))
 # with the map distance.
 perts = [perturbed_doubling(Fraction(1, 2 ** k)) for k in range(1, 9)]
 pairs = continuity_probe(doubling_map(), perts, PiecewisePolynomial.ramp(),
-                         p=2.0, t=0.5, method="exact", n_grid=256)
+                         p=2.0, t=0.5, n_grid=256)
 for k, (dist, err) in enumerate(pairs, start=1):
     print(f"delta 2^-{k}: map distance {dist:.3e}  image error {err:.3e}")

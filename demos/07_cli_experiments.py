@@ -39,7 +39,8 @@ for check in report["checks"]:
 print("files written   :", sorted(p.name for p in out.iterdir()))
 
 # The same run through the command line; exit code 0 means every check
-# passed, 1 means a check failed, 2 means the config was rejected.
+# passed, 1 means a check failed, 2 means the config was rejected or a
+# stage raised.
 cfg_path = out / "config.json"
 cfg_path.write_text(json.dumps(config))
 code = main(["spectrum", "--config", str(cfg_path), "--seed", "5",

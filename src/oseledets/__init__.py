@@ -12,10 +12,9 @@ Layout:
 - base: driving systems and two-sided orbit windows
 - grassmann: subspace geometry in l1/l2/linf (distances, nice bases,
   projections, good complements)
-- cocycle: matrix cocycle products with overflow-safe scaling and
-  block decompositions
-- spectrum: Lyapunov exponents, Oseledets filtrations, quasi-compactness
-  proxies
+- cocycle: matrix cocycle products with overflow-safe scaling
+- spectrum: Lyapunov exponents, Oseledets filtrations, Hennion's bound
+  on the index of compactness
 - splitting: the pushforward construction, convergence-rate fits,
   equivariance and temperedness checks
 - transfer: piecewise expanding interval maps, exact Ulam matrices,
@@ -26,18 +25,16 @@ Layout:
 from .base import (BernoulliShift, FiniteCycle, IrrationalRotation,
                    MarkovShift, OrbitWindow, ParameterError, RangeError,
                    birkhoff_average, generate_orbit, shift_view)
-from .cocycle import (BlockDecomposition, CocycleGenerator, ScaledMatrix,
-                      block_components, cocycle_norm_series, forward_product,
-                      pullback_product)
+from .cocycle import (CocycleGenerator, ScaledMatrix, cocycle_norm_series,
+                      forward_product)
 from .grassmann import (ComplementarityError, DegenerateSubspaceError,
                         DimensionMismatchError, FiltrationError,
                         NiceBasisError, Subspace, distance_point_subspace,
                         good_complement, grassmann_distance, is_eps_nice,
                         nice_basis, one_sided_hausdorff, operator_norm,
-                        principal_angles, projection, vector_norm)
+                        projection, vector_norm)
 from .spectrum import (FiltrationAt, LyapunovSpectrum, filtration_at,
-                       growth_rate, hennion_kappa_bound,
-                       index_of_compactness_proxy, lyapunov_exponents)
+                       growth_rate, hennion_kappa_bound, lyapunov_exponents)
 from .splitting import (ConvergenceReport, RankCollapseError, SplittingResult,
                         TemperednessVerdict, check_equivariance, check_growth,
                         compute_splitting, pushforward_space,

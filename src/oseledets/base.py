@@ -90,8 +90,6 @@ def _check_prob_vector(p, what):
 class FiniteCycle:
     """Deterministic cycle through k states; state is the integer 0..k-1."""
 
-    is_deterministic = True
-
     def __init__(self, period):
         if not isinstance(period, (int, np.integer)) or period < 1:
             raise ParameterError("FiniteCycle period must be an integer >= 1")
@@ -112,8 +110,6 @@ class IrrationalRotation:
     sample distinct orbits.
     """
 
-    is_deterministic = True
-
     def __init__(self, angle=GOLDEN_CONJUGATE, initial_point=None):
         angle = float(angle)
         if not (0.0 <= angle < 1.0):
@@ -133,8 +129,6 @@ class IrrationalRotation:
 
 class BernoulliShift:
     """I.i.d. symbols; the state at offset n is a pure function of (seed, n)."""
-
-    is_deterministic = False
 
     def __init__(self, probs):
         self.probs = _check_prob_vector(probs, "Bernoulli probability vector")
@@ -159,8 +153,6 @@ class MarkovShift:
     stationary chain.  Each transition consumes the PRF uniform of its own
     offset, so a window regenerates identically from (seed, sizes).
     """
-
-    is_deterministic = False
 
     def __init__(self, matrix, initial=None):
         P = np.asarray(matrix, dtype=float)

@@ -2,11 +2,17 @@
 
 A config is a JSON document with driver, generator and analysis blocks;
 numbers may be written as decimals or exact rationals "num/den" (the
-exact Ulam path keeps rational endpoints exact).  Each run writes
+exact Ulam path keeps rational endpoints exact).  ``ExperimentConfig``
+reads a config in one pass: it checks every field and builds the driver,
+the maps and any constant or tabulated matrices, reporting a rejected
+value as a ``ConfigError`` that names its field.  Each run writes
 report.json plus trace_*.csv files into the output directory and returns
-a report dict; the process exit status reflects the built-in checks.
+a report dict.
 
 Subcommands: spectrum, splitting, ulam, diagnose, sobolev, batch, presets.
+Exit status: 0 every check passed; 1 a check or a batch entry failed;
+2 a config or stage error.  ``batch`` reads every entry before it runs
+any, so a malformed entry stops it before any work.
 """
 
 import argparse
@@ -15,13 +21,14 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from .base import (BernoulliShift, FiniteCycle, IrrationalRotation,
-                   MarkovShift, generate_orbit, shift_view)
+                   MarkovShift, ParameterError, generate_orbit, shift_view)
 from .cocycle import CocycleGenerator
 from .grassmann import NORM_TAGS
 from .spectrum import hennion_kappa_bound, lyapunov_exponents
@@ -36,11 +43,16 @@ __all__ = ["ConfigError", "ExperimentConfig", "run", "list_presets", "main"]
 
 TASKS = ("spectrum", "splitting", "ulam", "diagnose", "sobolev")
 
+_EXIT_STATUS = ("exit status: 0 every check passed; 1 a check or a batch "
+                "entry failed; 2 a config or stage error.  batch reads every "
+                "entry before it runs any.")
+
 
 class ConfigError(ValueError):
     def __init__(self, path, message):
         super().__init__(f"config field {path!r}: {message}")
         self.path = path
+        self.message = message
 
 
 class StageError(RuntimeError):
@@ -50,10 +62,20 @@ class StageError(RuntimeError):
         self.cause = exc
 
 
+@contextmanager
+def _field(path):
+    """Report a constructor's ParameterError as a ConfigError at path."""
+    try:
+        yield
+    except ParameterError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
 def _get(d, key, path, default=None, required=False):
     if key not in d:
         if required:
-            raise ConfigError(f"{path}.{key}", "missing required field")
+            raise ConfigError(f"{path}.{key}" if path else key,
+                              "missing required field")
         return default
     return d[key]
 
@@ -72,35 +94,99 @@ def _number(value, path):
     raise ConfigError(path, f"expected a number, got {type(value).__name__}")
 
 
+def _numbers(value, path):
+    if not isinstance(value, list) or not value:
+        raise ConfigError(path, "expected a non-empty list of numbers")
+    return [_number(x, path) for x in value]
+
+
+def _matrix(value, path):
+    """A list of equal-length rows of numbers, as a float array."""
+    if not isinstance(value, list):
+        raise ConfigError(path, "expected a list of rows")
+    rows = [[float(x) for x in _numbers(row, path)] for row in value]
+    if len({len(row) for row in rows}) > 1:
+        raise ConfigError(path, "rows differ in length")
+    return np.array(rows, dtype=float)
+
+
 def _positive_int(value, path, minimum=1):
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ConfigError(path, f"expected an integer >= {minimum}")
     return value
 
 
-def _build_map(spec, path):
-    if not isinstance(spec, dict):
-        raise ConfigError(path, "map spec must be an object")
+def _object(value, path):
+    if not isinstance(value, dict):
+        raise ConfigError(path, "expected an object")
+    return value
+
+
+def _parse_map(spec, path):
+    spec = _object(spec, path)
     kind = _get(spec, "kind", path, required=True)
     if kind == "doubling":
         return doubling_map()
     if kind == "tripling":
         return tripling_map()
     if kind == "affine_full_branch":
-        pts = _get(spec, "breakpoints", path, required=True)
-        return full_branch_affine([_number(q, f"{path}.breakpoints")
-                                   for q in pts])
+        field = f"{path}.breakpoints"
+        pts = _numbers(_get(spec, "breakpoints", path, required=True), field)
+        with _field(field):
+            return full_branch_affine(pts)
     if kind == "perturbed_doubling":
-        return perturbed_doubling(_number(
-            _get(spec, "delta", path, required=True), f"{path}.delta"))
+        field = f"{path}.delta"
+        delta = _number(_get(spec, "delta", path, required=True), field)
+        with _field(field):
+            return perturbed_doubling(delta)
     if kind == "sin_doubling":
-        return sin_doubling(float(_number(
-            _get(spec, "rho", path, required=True), f"{path}.rho")))
+        field = f"{path}.rho"
+        rho = float(_number(_get(spec, "rho", path, required=True), field))
+        with _field(field):
+            return sin_doubling(rho)
     raise ConfigError(f"{path}.kind", f"unknown map kind {kind!r}")
 
 
+def _parse_driver(spec):
+    spec = _object(spec, "driver")
+    kind = _get(spec, "kind", "driver", required=True)
+    if kind == "finite_cycle":
+        return FiniteCycle(_positive_int(
+            _get(spec, "period", "driver", required=True), "driver.period"))
+    if kind == "bernoulli":
+        probs = _numbers(_get(spec, "probs", "driver", required=True),
+                         "driver.probs")
+        with _field("driver.probs"):
+            return BernoulliShift([float(p) for p in probs])
+    if kind == "markov":
+        M = _matrix(_get(spec, "matrix", "driver", required=True),
+                    "driver.matrix")
+        with _field("driver.matrix"):
+            driver = MarkovShift(M)
+        if spec.get("initial") is not None:
+            initial = [float(p) for p in
+                       _numbers(spec["initial"], "driver.initial")]
+            with _field("driver.initial"):
+                driver = MarkovShift(M, initial=initial)
+        return driver
+    if kind == "rotation":
+        angle = spec.get("angle")
+        if angle is None or angle == "golden":
+            return IrrationalRotation()
+        with _field("driver.angle"):
+            return IrrationalRotation(float(_number(angle, "driver.angle")))
+    raise ConfigError("driver.kind", f"unknown driver kind {kind!r}")
+
+
 class ExperimentConfig:
-    """Validated experiment description; carries the raw dict for echoing."""
+    """One experiment, read in a single pass; carries the raw dict for
+    echoing.
+
+    Every field is checked here and the stateless objects are built: the
+    driver, the map list with its ``RandomLYSystem``, and the generator of
+    a constant or tabulated cocycle.  ``run`` builds only the Ulam
+    generators, whose matrix caches hold per-run state.
+    """
 
     def __init__(self, raw):
         if not isinstance(raw, dict):
@@ -111,74 +197,63 @@ class ExperimentConfig:
                 or self.seed < 0:
             raise ConfigError("seed", "expected a non-negative integer")
         self.out = raw.get("out")
-        self.analysis = self._validate_analysis(raw.get("analysis"))
+        self.analysis = self._parse_analysis(
+            _get(raw, "analysis", "", required=True))
         self.task = self.analysis["task"]
-        self.driver_spec = raw.get("driver")
-        self.generator_spec = raw.get("generator")
-        if self.task != "sobolev":
-            if self.driver_spec is None:
-                raise ConfigError("driver", "missing required field")
-            if self.generator_spec is None:
-                raise ConfigError("generator", "missing required field")
-            self._validate_driver(self.driver_spec)
-            self._validate_generator(self.generator_spec)
-        if self.task == "diagnose" and \
-                self.generator_spec.get("kind") != "ulam":
+        self.driver = self.generator = self.system = None
+        self.generator_kind = self.maps = self.n_bins = None
+        if self.task == "sobolev":
+            return
+        self.driver = _parse_driver(_get(raw, "driver", "", required=True))
+        self._parse_generator(_get(raw, "generator", "", required=True))
+        if self.task in ("ulam", "diagnose") and self.generator_kind != "ulam":
             raise ConfigError("generator.kind",
-                              "diagnose requires an 'ulam' generator")
+                              f"{self.task} requires an 'ulam' generator")
 
-    @classmethod
-    def from_file(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError("", f"invalid JSON: {exc}") from None
-        return cls(raw)
-
-    # -- validation ------------------------------------------------------
-
-    def _validate_driver(self, spec):
-        kind = _get(spec, "kind", "driver", required=True)
-        if kind == "finite_cycle":
-            _positive_int(_get(spec, "period", "driver", required=True),
-                          "driver.period")
-        elif kind == "bernoulli":
-            probs = _get(spec, "probs", "driver", required=True)
-            if not isinstance(probs, list) or not probs:
-                raise ConfigError("driver.probs", "expected a probability list")
-        elif kind == "markov":
-            if not isinstance(_get(spec, "matrix", "driver", required=True),
-                              list):
-                raise ConfigError("driver.matrix", "expected a matrix")
-        elif kind == "rotation":
-            pass
-        else:
-            raise ConfigError("driver.kind", f"unknown driver kind {kind!r}")
-
-    def _validate_generator(self, spec):
-        kind = _get(spec, "kind", "generator", required=True)
-        if kind in ("tabulated", "constant"):
-            key = "matrices" if kind == "tabulated" else "matrix"
-            _get(spec, key, "generator", required=True)
-        elif kind == "ulam":
-            maps = _get(spec, "maps", "generator", required=True)
-            if not isinstance(maps, list) or not maps:
-                raise ConfigError("generator.maps", "expected a map list")
-            for i, m in enumerate(maps):
-                _build_map(m, f"generator.maps[{i}]")
-            _positive_int(_get(spec, "n_bins", "generator", required=True),
-                          "generator.n_bins", minimum=2)
-        elif kind == "buzzi_swap":
-            _positive_int(_get(spec, "n_bins", "generator", required=True),
-                          "generator.n_bins", minimum=2)
+    def _parse_generator(self, spec):
+        spec = _object(spec, "generator")
+        kind = self.generator_kind = _get(spec, "kind", "generator",
+                                          required=True)
+        if kind == "constant":
+            M = _matrix(_get(spec, "matrix", "generator", required=True),
+                        "generator.matrix")
+            with _field("generator.matrix"):
+                self.generator = CocycleGenerator.constant(M)
+        elif kind == "tabulated":
+            mats = _get(spec, "matrices", "generator", required=True)
+            if isinstance(mats, dict):
+                if not all(k.isdigit() for k in mats):
+                    raise ConfigError("generator.matrices",
+                                      "state keys must be integers >= 0")
+                mats = {int(k): _matrix(v, f"generator.matrices.{k}")
+                        for k, v in mats.items()}
+            elif isinstance(mats, list) and mats:
+                mats = [_matrix(m, f"generator.matrices[{i}]")
+                        for i, m in enumerate(mats)]
+            else:
+                raise ConfigError("generator.matrices",
+                                  "expected a non-empty list or object")
+            with _field("generator.matrices"):
+                self.generator = CocycleGenerator.from_table(mats)
+        elif kind in ("ulam", "buzzi_swap"):
+            self.n_bins = _positive_int(
+                _get(spec, "n_bins", "generator", required=True),
+                "generator.n_bins", minimum=2)
+            if kind == "ulam":
+                maps = _get(spec, "maps", "generator", required=True)
+                if not isinstance(maps, list) or not maps:
+                    raise ConfigError("generator.maps", "expected a map list")
+                self.maps = [_parse_map(m, f"generator.maps[{i}]")
+                             for i, m in enumerate(maps)]
+                with _field("generator.maps"):
+                    self.system = RandomLYSystem(self.driver, self.maps)
         else:
             raise ConfigError("generator.kind",
                               f"unknown generator kind {kind!r}")
 
-    def _validate_analysis(self, spec):
-        if spec is None:
-            raise ConfigError("analysis", "missing required field")
+    @staticmethod
+    def _parse_analysis(spec):
+        spec = _object(spec, "analysis")
         task = _get(spec, "task", "analysis", required=True)
         if task not in TASKS:
             raise ConfigError("analysis.task",
@@ -209,8 +284,6 @@ class ExperimentConfig:
             if spec.get("levels") is not None:
                 out["levels"] = _positive_int(spec["levels"],
                                               "analysis.levels")
-        if task == "ulam":
-            pass
         if task in ("diagnose", "sobolev"):
             p = _number(_get(spec, "p", "analysis", required=True),
                         "analysis.p")
@@ -243,54 +316,6 @@ class ExperimentConfig:
                                          "analysis.k_max")
         return out
 
-    # -- construction ----------------------------------------------------
-
-    def build_driver(self):
-        spec = self.driver_spec
-        kind = spec["kind"]
-        if kind == "finite_cycle":
-            return FiniteCycle(spec["period"])
-        if kind == "bernoulli":
-            return BernoulliShift([float(_number(p, "driver.probs"))
-                                   for p in spec["probs"]])
-        if kind == "markov":
-            M = [[float(_number(x, "driver.matrix")) for x in row]
-                 for row in spec["matrix"]]
-            return MarkovShift(M, initial=spec.get("initial"))
-        if kind == "rotation":
-            angle = spec.get("angle")
-            if angle is None or angle == "golden":
-                return IrrationalRotation()
-            return IrrationalRotation(float(_number(angle, "driver.angle")))
-        raise ConfigError("driver.kind", f"unknown driver kind {kind!r}")
-
-    def build_generator(self, driver):
-        spec = self.generator_spec
-        kind = spec["kind"]
-        ctx = {"system": None, "n_bins": None}
-        if kind == "constant":
-            gen = CocycleGenerator.constant(
-                np.array(spec["matrix"], dtype=float))
-        elif kind == "tabulated":
-            mats = spec["matrices"]
-            if isinstance(mats, dict):
-                mats = {int(k): np.array(v, dtype=float)
-                        for k, v in mats.items()}
-            gen = CocycleGenerator.from_table(mats)
-        elif kind == "ulam":
-            maps = [_build_map(m, f"generator.maps[{i}]")
-                    for i, m in enumerate(spec["maps"])]
-            system = RandomLYSystem(driver, maps)
-            ctx["system"] = system
-            ctx["n_bins"] = spec["n_bins"]
-            gen = random_ulam_cocycle(system, spec["n_bins"])
-        elif kind == "buzzi_swap":
-            ctx["n_bins"] = spec["n_bins"]
-            gen = buzzi_swap_cocycle(spec["n_bins"])
-        else:
-            raise ConfigError("generator.kind", f"unknown kind {kind!r}")
-        return gen, ctx
-
 
 # ---------------------------------------------------------------------------
 # runner
@@ -311,17 +336,17 @@ def _write_csv(path, header, rows):
             w.writerow([repr(x) if isinstance(x, float) else x for x in row])
 
 
-def _run_spectrum(cfg, gen, ctx, timings):
+def _run_spectrum(cfg, gen, timings):
     a = cfg.analysis
     t0 = time.perf_counter()
-    orbit = generate_orbit(cfg.build_driver(), cfg.seed, 0, a["n"] + 1)
+    orbit = generate_orbit(cfg.driver, cfg.seed, 0, a["n"] + 1)
     spec = lyapunov_exponents(gen, orbit, a["n"],
                               gap_threshold=a["gap_threshold"],
                               norm=a["norm"])
     timings["spectrum_s"] = time.perf_counter() - t0
     checks = [_check("mle_agreement", spec.mle_agreement <= a["gap_threshold"],
                      float(spec.mle_agreement), a["gap_threshold"])]
-    if cfg.generator_spec["kind"] in ("ulam", "buzzi_swap"):
+    if cfg.generator_kind in ("ulam", "buzzi_swap"):
         lam1 = spec.exponents[0] if spec.exponents else math.inf
         checks.append(_check("ulam_top_exponent_zero", abs(lam1) <= 1e-6,
                              float(lam1), 1e-6))
@@ -333,12 +358,11 @@ def _run_spectrum(cfg, gen, ctx, timings):
     return {"spectrum": spec.to_dict()}, checks, traces
 
 
-def _run_splitting(cfg, gen, ctx, timings):
+def _run_splitting(cfg, gen, timings):
     a = cfg.analysis
-    driver = cfg.build_driver()
     n_orbit = max(a["n"], 2 * a["n_max"])
     t0 = time.perf_counter()
-    orbit = generate_orbit(driver, cfg.seed, a["n_max"] + 1, n_orbit + 2)
+    orbit = generate_orbit(cfg.driver, cfg.seed, a["n_max"] + 1, n_orbit + 2)
     spec = lyapunov_exponents(gen, orbit, a["n"],
                               gap_threshold=a["gap_threshold"],
                               norm=a["norm"])
@@ -373,14 +397,9 @@ def _run_splitting(cfg, gen, ctx, timings):
     return results, checks, traces
 
 
-def _run_ulam(cfg, gen, ctx, timings):
-    if ctx["system"] is None:
-        raise ConfigError("generator.kind",
-                          "ulam task requires an 'ulam' generator")
+def _run_ulam(cfg, gen, timings):
     t0 = time.perf_counter()
-    maps_spec = cfg.generator_spec["maps"]
-    ops = [ulam_matrix(_build_map(m, f"generator.maps[{i}]"),
-                       ctx["n_bins"]) for i, m in enumerate(maps_spec)]
+    ops = [ulam_matrix(T, cfg.n_bins) for T in cfg.maps]
     timings["ulam_s"] = time.perf_counter() - t0
     checks = []
     traces = {}
@@ -402,13 +421,12 @@ def _run_ulam(cfg, gen, ctx, timings):
     return results, checks, traces
 
 
-def _run_diagnose(cfg, gen, ctx, timings):
+def _run_diagnose(cfg, gen, timings):
     a = cfg.analysis
-    system = ctx["system"]
-    driver = cfg.build_driver()
+    system = cfg.system
     n_spec = 400
     t0 = time.perf_counter()
-    orbit = generate_orbit(driver, cfg.seed, 0, max(a["n"], n_spec) + 2)
+    orbit = generate_orbit(cfg.driver, cfg.seed, 0, max(a["n"], n_spec) + 2)
     b_vals, k_vals = [], []
     for k in range(1, a["n"] + 1):
         b_vals.append(ly_bound_B(system, orbit, k, a["p"], a["t"], a["C_R"]))
@@ -439,15 +457,14 @@ def _run_diagnose(cfg, gen, ctx, timings):
     return results, checks, traces
 
 
-def _run_sobolev(cfg, gen, ctx, timings):
+def _run_sobolev(cfg, gen, timings):
     a = cfg.analysis
     T = doubling_map()
     perturbs = [perturbed_doubling(Fraction(1, 2 ** k))
                 for k in range(1, a["k_max"] + 1)]
     f = PiecewisePolynomial.ramp()
     t0 = time.perf_counter()
-    pairs = continuity_probe(T, perturbs, f, a["p"], a["t"],
-                             method="exact", n_grid=a["grid"])
+    pairs = continuity_probe(T, perturbs, f, a["p"], a["t"], n_grid=a["grid"])
     timings["probe_s"] = time.perf_counter() - t0
     norms = [nrm for _, nrm in pairs]
     decreasing = all(u > v for u, v in zip(norms, norms[1:]))
@@ -473,24 +490,23 @@ _RUNNERS = {"spectrum": _run_spectrum, "splitting": _run_splitting,
 
 
 def run(config, out_dir=None):
-    """Execute one validated config; returns the report dict.
+    """Execute one parsed config; returns the report dict.
 
+    Builds the Ulam generator, whose matrix cache is per-run state, then
+    runs the task; any failure is raised as a ``StageError``.
     Deterministic given the seed: rerunning produces a byte-identical
     report.json apart from the "timings" object.
     """
     timings = {}
-    if config.task == "sobolev":
-        gen, ctx = None, {"system": None, "n_bins": None}
-    else:
-        t0 = time.perf_counter()
-        driver = config.build_driver()
-        gen, ctx = config.build_generator(driver)
-        timings["setup_s"] = time.perf_counter() - t0
-    runner = _RUNNERS[config.task]
     try:
-        results, checks, traces = runner(config, gen, ctx, timings)
-    except ConfigError:
-        raise
+        t0 = time.perf_counter()
+        gen = config.generator
+        if config.generator_kind == "ulam":
+            gen = random_ulam_cocycle(config.system, config.n_bins)
+        elif config.generator_kind == "buzzi_swap":
+            gen = buzzi_swap_cocycle(config.n_bins)
+        timings["setup_s"] = time.perf_counter() - t0
+        results, checks, traces = _RUNNERS[config.task](config, gen, timings)
     except Exception as exc:
         raise StageError(config.task, exc) from exc
     report = {
@@ -612,6 +628,16 @@ def list_presets():
 # command line
 
 
+def _load_json(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError("", f"cannot read {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError("", f"invalid JSON: {exc}") from None
+
+
 def _load_config(args):
     if args.preset is not None:
         cat = list_presets()
@@ -620,16 +646,28 @@ def _load_config(args):
                               f"unknown preset {args.preset!r}; see 'presets'")
         raw = json.loads(json.dumps(cat[args.preset]["config"]))
     elif args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError("", f"invalid JSON: {exc}") from None
+        raw = _load_json(args.config)
     else:
         raise ConfigError("", "provide --config or --preset")
-    if args.seed is not None:
+    if args.seed is not None and isinstance(raw, dict):
         raw["seed"] = args.seed
     return ExperimentConfig(raw)
+
+
+def _load_batch(path):
+    """Every entry of a batch file, parsed before any of them runs."""
+    raw = _load_json(path)
+    experiments = raw.get("experiments") if isinstance(raw, dict) else None
+    if not isinstance(experiments, list) or not experiments:
+        raise ConfigError("experiments", "expected a non-empty list")
+    configs = []
+    for i, entry in enumerate(experiments):
+        try:
+            configs.append(ExperimentConfig(entry))
+        except ConfigError as exc:
+            path = f"experiments[{i}]" + (f".{exc.path}" if exc.path else "")
+            raise ConfigError(path, exc.message) from None
+    return configs
 
 
 def _add_common(sub):
@@ -644,7 +682,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="oseledets",
         description="Cocycle spectrum/splitting experiments and "
-                    "transfer-operator diagnostics.")
+                    "transfer-operator diagnostics.",
+        epilog=_EXIT_STATUS)
     subs = parser.add_subparsers(dest="command", required=True)
     for name in TASKS:
         sub = subs.add_parser(name, help=f"run a {name} experiment")
@@ -663,17 +702,8 @@ def main(argv=None):
         if args.command == "batch":
             if args.config is None:
                 raise ConfigError("", "batch requires --config")
-            with open(args.config, "r", encoding="utf-8") as fh:
-                try:
-                    raw = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise ConfigError("", f"invalid JSON: {exc}") from None
-            experiments = raw.get("experiments")
-            if not isinstance(experiments, list) or not experiments:
-                raise ConfigError("experiments", "expected a non-empty list")
             ok = True
-            for i, entry in enumerate(experiments):
-                cfg = ExperimentConfig(entry)
+            for i, cfg in enumerate(_load_batch(args.config)):
                 try:
                     rep = run(cfg, Path(args.out) / f"exp_{i:03d}")
                 except StageError as exc:

@@ -335,6 +335,10 @@ def _dist_batch(X, B, norm):
     out = _l1_dist_batch(X, B) if norm == "l1" else _linf_dist_batch(X, B)
     if out is not None:
         return out
+    warnings.warn(
+        f"{norm} distance to a dim-{B.shape[1]} subspace of R^{B.shape[0]} "
+        "is past the enumeration guard; solving one linprog per point",
+        RuntimeWarning, stacklevel=2)
     dists = np.empty(X.shape[0])
     coefs = np.empty((X.shape[0], B.shape[1]))
     for i, x in enumerate(X):
@@ -478,15 +482,6 @@ def grassmann_distance(Y, Yp):
     if Y.norm != Yp.norm:
         raise DimensionMismatchError("norm tags differ")
     return max(one_sided_hausdorff(Y, Yp), one_sided_hausdorff(Yp, Y))
-
-
-def principal_angles(Y, Yp):
-    """Sines of the principal angles (l2 oracle; largest first)."""
-    QY = Y.orthonormal_basis() if isinstance(Y, Subspace) else _orthonormalize(Y)[0]
-    QP = Yp.orthonormal_basis() if isinstance(Yp, Subspace) else _orthonormalize(Yp)[0]
-    s = np.linalg.svd(QY.T @ QP, compute_uv=False)
-    s = np.clip(s, -1.0, 1.0)
-    return np.sqrt(np.maximum(0.0, 1.0 - s * s))[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ __all__ = [
     "filtration_at",
     "growth_rate",
     "hennion_kappa_bound",
-    "index_of_compactness_proxy",
 ]
 
 DEFAULT_GAP_THRESHOLD = 0.05
@@ -317,23 +316,3 @@ def hennion_kappa_bound(B_series, orbit, n):
             raise ParameterError(f"B must be positive, got {b} at offset {k}")
         total += math.log(b)
     return total / n
-
-
-def index_of_compactness_proxy(gen, orbit, n, rank_cut):
-    """(1/n) log of the (rank_cut+1)-th singular value of the n-step product.
-
-    A finite-rank truncation proxy: decreasing in rank_cut, -inf once the
-    product's rank drops to rank_cut or below.
-    """
-    if not 0 <= rank_cut < gen.dim:
-        raise ParameterError("rank_cut must satisfy 0 <= rank_cut < dim")
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    acc = ScaledMatrix.identity(gen.dim)
-    for k in range(n):
-        acc = acc.left_multiplied(gen.matrix_at(orbit, k))
-    sv = np.linalg.svd(acc.matrix, compute_uv=False)
-    s = sv[rank_cut]
-    if s <= 0.0:
-        return -math.inf
-    return (math.log(s) + acc.log_scale) / n

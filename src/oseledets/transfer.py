@@ -831,33 +831,20 @@ def discrete_sobolev_norm(samples, t, p):
     return float((np.abs(g) ** p).mean() ** (1.0 / p))
 
 
-def continuity_probe(T, perturbations, f, p, t, method="exact", n_grid=256):
+def continuity_probe(T, perturbations, f, p, t, n_grid=256):
     """Norms ||L_S f - L_T f|| for a family S -> T, paired with the map
     distances.
 
-    method "exact": f is a PiecewisePolynomial, the transfer images are
-    computed exactly and compared on the midpoint grid.  method "ulam":
-    f is a density vector on the n_grid bins and the probe compares the
-    density-side Ulam images.  Returns a list of (distance, norm) pairs.
+    f is a PiecewisePolynomial; the transfer images are computed exactly
+    and compared on the n_grid midpoint grid.  Returns a list of
+    (distance, norm) pairs.
     """
+    if not isinstance(f, PiecewisePolynomial):
+        raise ParameterError("the probe needs a PiecewisePolynomial f")
+    base = transfer_apply_exact(T, f).sample_midpoints(n_grid)
     out = []
-    if method == "exact":
-        if not isinstance(f, PiecewisePolynomial):
-            raise ParameterError("exact probe needs a PiecewisePolynomial f")
-        base = transfer_apply_exact(T, f).sample_midpoints(n_grid)
-        for S in perturbations:
-            img = transfer_apply_exact(S, f).sample_midpoints(n_grid)
-            out.append((ly_distance(S, T),
-                        discrete_sobolev_norm(img - base, t, p)))
-        return out
-    if method == "ulam":
-        fv = np.asarray(f, dtype=float)
-        if fv.shape[0] != n_grid:
-            raise ParameterError("density vector length must equal n_grid")
-        base = ulam_matrix(T, n_grid).density_matrix() @ fv
-        for S in perturbations:
-            img = ulam_matrix(S, n_grid).density_matrix() @ fv
-            out.append((ly_distance(S, T),
-                        discrete_sobolev_norm(img - base, t, p)))
-        return out
-    raise ParameterError(f"unknown probe method {method!r}")
+    for S in perturbations:
+        img = transfer_apply_exact(S, f).sample_midpoints(n_grid)
+        out.append((ly_distance(S, T),
+                    discrete_sobolev_norm(img - base, t, p)))
+    return out

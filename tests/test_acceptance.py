@@ -224,7 +224,7 @@ def test_09_transfer_continuity_probe_vanishes(capsys):
     perts = [perturbed_doubling(Fraction(1, 2 ** k)) for k in range(1, 11)]
     pairs = continuity_probe(doubling_map(), perts,
                              PiecewisePolynomial.ramp(), p=2.0, t=0.5,
-                             method="exact", n_grid=256)
+                             n_grid=256)
     norms = [nrm for _, nrm in pairs]
     decreasing = all(a > b for a, b in zip(norms, norms[1:]))
     vanished = norms[-1] < 1e-3 * norms[0]

@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,51 @@ def _spectrum_config(**analysis):
         "generator": {"kind": "constant", "matrix": [[2.0, 0.0], [0.0, 0.5]]},
         "analysis": a,
     }
+
+
+def _ulam_config(**generator):
+    g = {"kind": "ulam", "n_bins": 16, "maps": [{"kind": "doubling"}]}
+    g.update(generator)
+    return {
+        "seed": 0,
+        "driver": {"kind": "finite_cycle", "period": 1},
+        "generator": g,
+        "analysis": {"task": "ulam"},
+    }
+
+
+def _malformed(field, value):
+    """An ulam config with one field replaced; field is a dotted path."""
+    raw = _ulam_config(maps=[{"kind": "doubling"}, {"kind": "tripling"}])
+    *parents, key = field.split(".")
+    node = raw
+    for part in parents:
+        node = node[part]
+    node[key] = value
+    return raw
+
+
+# each value is rejected by the constructor it is passed to, which the
+# config parse reports under the field's path
+MALFORMED = {
+    "driver.probs": ("driver", {"kind": "bernoulli", "probs": [0.3, 0.3]}),
+    "driver.angle": ("driver", {"kind": "rotation", "angle": 1.5}),
+    "generator.maps[0].rho": ("generator.maps",
+                              [{"kind": "sin_doubling", "rho": 0.5}]),
+    "generator.maps[0].breakpoints": (
+        "generator.maps", [{"kind": "affine_full_branch",
+                            "breakpoints": ["0", "1", "1/2"]}]),
+    "driver.matrix": ("driver", {"kind": "markov",
+                                 "matrix": [[0.5, 0.4], [0.5, 0.5]]}),
+    "generator.matrices": ("generator", {"kind": "tabulated",
+                                         "matrices": [[[2.0, 0.0], [0.0, 1.0]],
+                                                      [[1.0, 0.0]]]}),
+    "generator.matrices[1]": ("generator", {
+        "kind": "tabulated",
+        "matrices": [[[2.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0]]]}),
+    "generator.matrix": ("generator", {"kind": "constant",
+                                       "matrix": [[1.0, 2.0]]}),
+}
 
 
 def _write(tmp_path, name, payload):
@@ -452,6 +501,34 @@ class TestMain:
         with open(tmp_path / "out" / "exp_001" / "report.json") as fh:
             assert json.load(fh)["passed"] is True
 
+    @pytest.mark.parametrize("path", sorted(MALFORMED))
+    def test_constructor_rejection_is_config_error(self, path, tmp_path,
+                                                   capsys):
+        cfg = _write(tmp_path, "cfg.json", _malformed(*MALFORMED[path]))
+        rc = main(["ulam", "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"config field {path!r}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bad, path", [
+        (_malformed("generator.maps", [{"kind": "quadrupling"}]),
+         "experiments[1].generator.maps[0].kind"),
+        (_malformed(*MALFORMED["driver.probs"]),
+         "experiments[1].driver.probs"),
+    ], ids=["unknown-map-kind", "bad-probs"])
+    def test_batch_rejects_bad_entry_before_any_work(self, bad, path,
+                                                     tmp_path, capsys):
+        cfg = _write(tmp_path, "batch.json",
+                     {"experiments": [_ulam_config(), bad, _ulam_config()]})
+        rc = main(["batch", "--config", cfg, "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert f"config field {path!r}" in err
+        assert "Traceback" not in err and not out
+        assert not list(tmp_path.glob("out/exp_*"))
+
     def test_batch_requires_config(self, capsys):
         assert main(["batch", "--out", "unused"]) == 2
         capsys.readouterr()
@@ -461,3 +538,29 @@ class TestMain:
         assert main(["batch", "--config", path,
                      "--out", str(tmp_path / "out")]) == 2
         capsys.readouterr()
+
+
+class TestProcess:
+    """The command line as a separate process, as a user runs it."""
+
+    @staticmethod
+    def _cli(*args):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        return subprocess.run([sys.executable, "-m", "oseledets.cli", *args],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    def test_presets(self):
+        proc = self._cli("presets")
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.strip().splitlines()) == 7
+
+    def test_malformed_config_exits_two(self, tmp_path):
+        cfg = _write(tmp_path, "cfg.json",
+                     _malformed(*MALFORMED["driver.probs"]))
+        proc = self._cli("ulam", "--config", cfg, "--out",
+                         str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert "config field 'driver.probs'" in proc.stderr
+        assert "Traceback" not in proc.stderr

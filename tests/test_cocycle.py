@@ -1,4 +1,4 @@
-"""Matrix cocycles: generators, products, scaling, block components."""
+"""Matrix cocycles: generators, products, scaling."""
 
 import math
 
@@ -7,18 +7,13 @@ import pytest
 
 from oseledets.base import FiniteCycle, ParameterError, generate_orbit
 from oseledets.cocycle import (
-    BlockDecomposition,
     CocycleGenerator,
     ScaledMatrix,
-    block_components,
     cocycle_norm_series,
     forward_product,
-    l10_identity_residual,
-    log_plus_norm_average,
-    pullback_product,
     scaled_forward_product,
 )
-from oseledets.grassmann import Subspace, operator_norm
+from oseledets.grassmann import operator_norm
 
 A2 = np.array([[2.0, 1.0], [0.0, 0.5]])
 
@@ -57,9 +52,16 @@ class TestGenerators:
             CocycleGenerator.from_table([np.ones((2, 3))])
 
     def test_callable_shape_check(self):
-        gen = CocycleGenerator.from_callable(lambda s: np.ones((3, 3)), dim=2)
+        gen = CocycleGenerator(lambda s: np.ones((3, 3)), dim=2)
         with pytest.raises(ParameterError):
             gen(0)
+
+    @pytest.mark.parametrize("bad", [[[1.0, 2.0]], [1.0, 2.0], 3.0],
+                             ids=["row", "vector", "scalar"])
+    def test_constant_rejects_non_square(self, bad):
+        # rejected when built, not at the first evaluation
+        with pytest.raises(ParameterError, match="square"):
+            CocycleGenerator.constant(bad)
 
     def test_state_function_bitwise(self):
         gen = CocycleGenerator.from_table([A2, A2.T])
@@ -77,12 +79,13 @@ class TestProducts:
         assert np.allclose(got, A2 @ A2 @ A2, rtol=0, atol=1e-14)
 
     def test_pullback_order_alternating(self):
-        # base point is state 0; the 2-step pullback multiplies the matrix at
-        # offset -1 (state 1) on the LEFT of the matrix at offset -2 (state 0)
+        # base point is state 0; the 2-step product from offset -2 (the
+        # order pushforward_space relies on) multiplies the matrix at offset
+        # -1 (state 1) on the LEFT of the matrix at offset -2 (state 0)
         A = np.array([[1.0, 1.0], [0.0, 1.0]])
         B = np.array([[2.0, 0.0], [0.0, 3.0]])
         gen = CocycleGenerator.from_table([A, B])
-        got = pullback_product(gen, _orbit(), 2)
+        got = forward_product(gen, _orbit(), -2, 2)
         assert np.allclose(got, B @ A, atol=1e-14)
         assert not np.allclose(got, A @ B)
 
@@ -143,89 +146,6 @@ class TestScaledMatrix:
     def test_zero_matrix_log_norm(self):
         assert ScaledMatrix(np.zeros((2, 2))).log_norm() == -math.inf
 
-    def test_apply(self):
-        sm = ScaledMatrix(np.eye(2) * 0.5, log_scale=2.0)
-        w, ls = sm.apply([1.0, 0.0])
-        assert np.allclose(w, [0.5, 0.0]) and ls == 2.0
-
-
-class TestBlockComponents:
-    def test_triangular_example(self):
-        gen = CocycleGenerator.constant(A2)
-        orbit = _orbit()
-        V_plus = Subspace(np.eye(2)[:, 1:])   # slow direction candidate
-        U = Subspace(np.eye(2)[:, :1])
-        dec = block_components(gen, orbit, 0, V_plus, U)
-        assert np.allclose(dec.L00, [[0.0, 0.0], [0.0, 0.5]])
-        assert np.allclose(dec.L01, [[0.0, 1.0], [0.0, 0.0]])
-        assert np.allclose(dec.L10, np.zeros((2, 2)))
-        assert np.allclose(dec.L11, [[2.0, 0.0], [0.0, 0.0]])
-        assert not dec.l01_vanishes()
-        assert isinstance(dec, BlockDecomposition)
-
-    def test_equivariant_fast_space_kills_l01(self):
-        # span(e1) is invariant for the upper-triangular matrix
-        gen = CocycleGenerator.constant(A2)
-        dec = block_components(gen, _orbit(), 0,
-                               Subspace(np.eye(2)[:, :1]),
-                               Subspace(np.eye(2)[:, 1:]))
-        assert dec.l01_vanishes()
-
-    def test_block_diagonal_has_no_coupling(self):
-        gen = CocycleGenerator.constant(np.diag([3.0, 0.2]))
-        dec = block_components(gen, _orbit(), 0,
-                               Subspace(np.eye(2)[:, 1:]),
-                               Subspace(np.eye(2)[:, :1]))
-        assert np.allclose(dec.L01, 0.0) and np.allclose(dec.L10, 0.0)
-
-    def test_blocks_sum_to_matrix(self):
-        # for a complementary two-part frame the four blocks resolve L
-        rng = np.random.default_rng(6)
-        M = rng.standard_normal((4, 4))
-        gen = CocycleGenerator.constant(M)
-        V = Subspace(rng.standard_normal((4, 2)))
-        U = Subspace(rng.standard_normal((4, 2)))
-        dec = block_components(gen, _orbit(), 0, V, U)
-        assert np.allclose(dec.L00 + dec.L01 + dec.L10 + dec.L11, M, atol=1e-9)
-
-
-class TestL10Identity:
-    @staticmethod
-    def _frames(offset):
-        V = Subspace(np.eye(4)[:, 2:])
-        U = Subspace(np.eye(4)[:, :2])
-        return (V, U)
-
-    def test_single_step_always_exact(self):
-        rng = np.random.default_rng(7)
-        gen = CocycleGenerator.constant(rng.standard_normal((4, 4)))
-        res = l10_identity_residual(gen, _orbit(), self._frames, 1)
-        assert res < 1e-12
-
-    def test_invariant_fast_space(self):
-        # zero coupling from V_plus back into U makes the identity exact
-        rng = np.random.default_rng(8)
-        mats = []
-        for _ in range(2):
-            M = rng.standard_normal((4, 4))
-            M[:2, 2:] = 0.0
-            mats.append(M)
-        gen = CocycleGenerator.from_table(mats)
-        for n in (2, 3, 5, 8):
-            res = l10_identity_residual(gen, _orbit(), self._frames, n)
-            assert res < 1e-10, (n, res)
-
-    def test_generic_matrix_breaks_identity(self):
-        rng = np.random.default_rng(9)
-        gen = CocycleGenerator.constant(rng.standard_normal((4, 4)))
-        res = l10_identity_residual(gen, _orbit(), self._frames, 4)
-        assert res > 1e-6
-
-    def test_n_validation(self):
-        gen = CocycleGenerator.constant(np.eye(4))
-        with pytest.raises(ParameterError):
-            l10_identity_residual(gen, _orbit(), self._frames, 0)
-
 
 class TestNormSeries:
     def test_identity_is_zero(self):
@@ -248,18 +168,3 @@ class TestNormSeries:
         gen = CocycleGenerator.constant(M)
         s = cocycle_norm_series(gen, _orbit(), 1, norm="linf")
         assert s[0] == pytest.approx(math.log(operator_norm(M, "linf")))
-
-
-class TestLogPlusAverage:
-    def test_expanding_constant(self):
-        gen = CocycleGenerator.constant(np.diag([3.0, 1.0]))
-        assert log_plus_norm_average(gen, _orbit(), 7) == pytest.approx(math.log(3.0))
-
-    def test_contracting_clips_to_zero(self):
-        gen = CocycleGenerator.constant(np.diag([1 / 3.0, 1 / 5.0]))
-        assert log_plus_norm_average(gen, _orbit(), 7) == 0.0
-
-    def test_n_validation(self):
-        gen = CocycleGenerator.constant(np.eye(2))
-        with pytest.raises(ParameterError):
-            log_plus_norm_average(gen, _orbit(), 0)

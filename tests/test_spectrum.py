@@ -22,7 +22,6 @@ from oseledets.spectrum import (
     filtration_at,
     growth_rate,
     hennion_kappa_bound,
-    index_of_compactness_proxy,
     lyapunov_exponents,
 )
 from oseledets.transfer import (RandomLYSystem, full_branch_affine,
@@ -330,40 +329,3 @@ class TestHennionKappa:
             hennion_kappa_bound(lambda k: 0.0, orbit, 4)
         with pytest.raises(ParameterError):
             hennion_kappa_bound(lambda k: 1.0, orbit, 0)
-
-
-class TestCompactnessProxy:
-    def test_diagonal_singular_values(self):
-        gen = CocycleGenerator.constant(np.diag([3.0, 2.0, 1.0]))
-        orbit = _cycle_orbit()
-        for cut, val in ((0, math.log(3)), (1, math.log(2)), (2, 0.0)):
-            assert index_of_compactness_proxy(gen, orbit, 20, cut) == \
-                pytest.approx(val, abs=1e-10)
-
-    def test_decreasing_in_rank_cut(self):
-        rng = np.random.default_rng(4)
-        gen = CocycleGenerator.from_table([rng.standard_normal((4, 4))
-                                           for _ in range(2)])
-        orbit = _cycle_orbit()
-        vals = [index_of_compactness_proxy(gen, orbit, 16, c) for c in range(4)]
-        assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
-
-    def test_rank_deficient_goes_to_minus_inf(self):
-        gen = CocycleGenerator.constant(np.diag([1.0, 0.0]))
-        orbit = _cycle_orbit()
-        assert index_of_compactness_proxy(gen, orbit, 3, 1) == -math.inf
-
-    def test_below_top_exponent(self):
-        gen, expected = _period2_pair()
-        orbit = _cycle_orbit()
-        spec = lyapunov_exponents(gen, orbit, 200)
-        proxy = index_of_compactness_proxy(gen, orbit, 100, 1)
-        assert proxy <= spec.exponents[0] + 1e-9
-
-    def test_validation(self):
-        gen = CocycleGenerator.constant(np.eye(2))
-        orbit = _cycle_orbit()
-        with pytest.raises(ParameterError):
-            index_of_compactness_proxy(gen, orbit, 5, 2)
-        with pytest.raises(ParameterError):
-            index_of_compactness_proxy(gen, orbit, 0, 0)

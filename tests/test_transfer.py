@@ -698,12 +698,6 @@ class TestContinuityProbe:
                                PiecewisePolynomial.ramp(), p=2.0, t=0.25)
         assert out == [(0.0, 0.0)]
 
-    def test_ulam_probe_at_base_point(self):
-        out = continuity_probe(doubling_map(), [doubling_map()],
-                               np.ones(64), p=2.0, t=0.25,
-                               method="ulam", n_grid=64)
-        assert out == [(0.0, 0.0)]
-
     def test_breakpoint_ladder_norms_shrink(self):
         perts = [perturbed_doubling(Fraction(1, 2 ** k)) for k in (2, 4, 6)]
         out = continuity_probe(doubling_map(), perts,
@@ -723,11 +717,4 @@ class TestContinuityProbe:
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            continuity_probe(doubling_map(), [], np.ones(64),
-                             p=2.0, t=0.25, method="exact")
-        with pytest.raises(ParameterError):
-            continuity_probe(doubling_map(), [doubling_map()], np.ones(32),
-                             p=2.0, t=0.25, method="ulam", n_grid=64)
-        with pytest.raises(ParameterError):
-            continuity_probe(doubling_map(), [], PiecewisePolynomial.ramp(),
-                             p=2.0, t=0.25, method="spectral")
+            continuity_probe(doubling_map(), [], np.ones(64), p=2.0, t=0.25)
