@@ -3,12 +3,15 @@
 A generator maps base states to d x d matrices (not necessarily
 invertible).  Products are accumulated newest-factor-on-the-left; long
 products are renormalized through a log-scale accumulator so only the
-scale, never the entries, can overflow.
+scale, never the entries, can overflow.  ``_QRStepper`` runs the stepped
+QR loops of the spectrum, the filtrations and the pushforwards through
+one LAPACK workspace.
 """
 
 import math
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .base import OrbitWindow, ParameterError
 from .grassmann import operator_norm
@@ -116,6 +119,44 @@ class ScaledMatrix:
 
     def __repr__(self):
         return f"ScaledMatrix(log_scale={self.log_scale:.6g})"
+
+
+class _QRStepper:
+    """Thin QR steps Q, R = qr(A @ Q) of m x n products through one
+    LAPACK workspace.
+
+    ``step`` forms the product exactly as ``np.linalg.qr(A @ Q)`` would see
+    it and runs the same ``dgeqrf``/``dorgqr`` pair from numpy's bundled
+    LAPACK, with a workspace at least as large as either routine's query
+    asks for (so both take the blocked path ``np.linalg.qr`` takes); its Q
+    and |diag R| are bitwise those of ``np.linalg.qr``.  The
+    Fortran-ordered buffers are allocated once, not once per step.  Q is returned C-contiguous because the next product
+    ``A @ Q`` rounds differently for a Fortran-ordered Q.  Requires
+    m >= n >= 1.
+    """
+
+    def __init__(self, m, n):
+        self.m, self.n = int(m), int(n)
+        # C-ordered n x m is column-major m x n, the layout LAPACK reads
+        self._a = np.empty((n, m))
+        self._tau = np.empty(n)
+        query = np.empty(1)
+        lapack_lite.dgeqrf(m, n, self._a, m, self._tau, query, -1, 0)
+        lwork = int(query[0])
+        lapack_lite.dorgqr(m, n, n, self._a, m, self._tau, query, -1, 0)
+        self._lwork = max(1, lwork, int(query[0]))
+        self._work = np.empty(self._lwork)
+
+    def step(self, A, Q):
+        """(Q', |diag R|) of the QR factorization of A @ Q."""
+        a = self._a.T
+        a[...] = A @ Q
+        lapack_lite.dgeqrf(self.m, self.n, self._a, self.m, self._tau,
+                           self._work, self._lwork, 0)
+        diag = np.abs(a.diagonal())
+        lapack_lite.dorgqr(self.m, self.n, self.n, self._a, self.m,
+                           self._tau, self._work, self._lwork, 0)
+        return np.ascontiguousarray(a), diag
 
 
 def scaled_forward_product(gen, orbit, start, n):

@@ -9,6 +9,11 @@ makes the estimate geometrically exact for constant and periodic
 cocycles.  The top cluster is reconciled with an independent windowed
 estimate of the maximal exponent from operator norms of the full
 product; for column-stochastic generators in l1 that estimate is exact.
+The norms are taken in a second pass over the orbit, after the QR pass:
+for nonnegative generators in l1, ||P||_1 is the largest entry of the row
+1^T P, so one backward sweep of two log-scaled rows gives both window
+ends without forming the d x d product; every other case forms the
+product forward.  Either way the generator is evaluated twice per step.
 """
 
 import math
@@ -16,7 +21,7 @@ import math
 import numpy as np
 
 from .base import ParameterError
-from .cocycle import ScaledMatrix
+from .cocycle import ScaledMatrix, _QRStepper
 from .grassmann import Subspace
 
 __all__ = [
@@ -137,6 +142,36 @@ def _cluster(values, threshold):
     return clusters
 
 
+def _log_norm_ends(gen, orbit, n_half, n_eff, norm, sweep):
+    """log ||P_k|| at k = n_half and k = n_eff, where P_k is the product of
+    the factors at offsets 0..k-1.
+
+    ``sweep`` says the norm is l1 and every factor is nonnegative; then
+    ||P_k||_1 is the largest entry of 1^T P_k = 1^T A_k ... A_1, so one
+    backward sweep from step n_eff down to step 1 carries the two rows
+    (the second starts at step n_half) as log-scaled columns P_k^T 1, whose
+    linf norm is that entry.  Otherwise the ScaledMatrix product is formed
+    forward.
+    """
+    if sweep:
+        ones = np.ones((gen.dim, 1))
+        full, half = ScaledMatrix(ones), None
+        for k in range(n_eff, 0, -1):
+            if k == n_half:
+                half = ScaledMatrix(ones)
+            At = gen.matrix_at(orbit, k - 1).T
+            full = full.left_multiplied(At)
+            if half is not None:
+                half = half.left_multiplied(At)
+        return half.log_norm("linf"), full.log_norm("linf")
+    acc = ScaledMatrix.identity(gen.dim)
+    for k in range(1, n_eff + 1):
+        acc = acc.left_multiplied(gen.matrix_at(orbit, k - 1))
+        if k == n_half:
+            log_half = acc.log_norm(norm)
+    return log_half, acc.log_norm(norm)
+
+
 def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
                        norm="l2", floor=DEFAULT_FLOOR):
     """Estimate the Lyapunov spectrum over offsets 0..n-1.
@@ -145,6 +180,12 @@ def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
     QR slopes; the top cluster is replaced by the operator-norm slope when
     the two agree within gap_threshold (they estimate the same limit, and
     the norm-based value is exact for norm-preserving cocycles).
+
+    The norm slope comes from a second pass after the QR pass, which
+    evaluates the generator again at every step (generators give
+    bitwise-equal matrices for equal states).  In l1 with every factor
+    nonnegative it is a backward sweep of two vectors, O(d^2) per step;
+    otherwise it is the d x d product, O(d^3) per step.
     """
     if n < 10:
         raise ParameterError("need n >= 10 for a spectrum estimate")
@@ -158,18 +199,19 @@ def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
         n_half = max(1, n_eff // 2)
     window = n_eff - n_half
 
+    stepper = _QRStepper(d, d)
     Q = np.eye(d)
     S = np.zeros(d)
     S_half = None
-    acc = ScaledMatrix.identity(d)
-    mle_half = None
+    sweep = norm == "l1"
     dead = np.zeros(d, dtype=bool)
     hist_stride = max(1, n_eff // 64)
     hist_n, hist_vals = [], []
     for k in range(1, n_eff + 1):
         A = gen.matrix_at(orbit, k - 1)
-        Q, R = np.linalg.qr(A @ Q)
-        diag = np.abs(np.diag(R))
+        if sweep:
+            sweep = A.min() >= 0
+        Q, diag = stepper.step(A, Q)
         with np.errstate(divide="ignore"):
             S = S + np.log(diag)
         # a collapse inside the measurement window marks the position dead:
@@ -180,10 +222,8 @@ def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
         # slope is windowed rather than cumulative).
         if k > n_half:
             dead |= diag <= _DEATH_REL * max(float(diag.max()), 1e-300)
-        acc = acc.left_multiplied(A)
         if k == n_half:
             S_half = S.copy()
-            mle_half = acc.log_norm(norm)
         if k % hist_stride == 0 or k == n_eff:
             hist_n.append(k)
             hist_vals.append(S / k)
@@ -191,7 +231,8 @@ def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
     with np.errstate(invalid="ignore"):
         raw = (S - S_half) / window
     raw = np.where(np.isnan(raw) | dead, -math.inf, raw)
-    mle_full = acc.log_norm(norm)
+    mle_half, mle_full = _log_norm_ends(gen, orbit, n_half, n_eff, norm,
+                                        sweep)
     if math.isfinite(mle_full) and math.isfinite(mle_half):
         mle = (mle_full - mle_half) / window
     else:
@@ -258,12 +299,13 @@ def filtration_at(gen, orbit, offset, n, spectrum, norm="l2", levels=None):
     # level more than sixteen digits below the top.  The first w columns
     # of a QR depend only on the first w input columns, so the trailing
     # ones are never formed
+    stepper = _QRStepper(d, w)
     Q = np.eye(d, w)
     log_diag = np.zeros(w)
     for k in range(n):
-        Q, R = np.linalg.qr(gen.matrix_at(orbit, offset + n - 1 - k).T @ Q)
+        Q, diag = stepper.step(gen.matrix_at(orbit, offset + n - 1 - k).T, Q)
         with np.errstate(divide="ignore"):
-            log_diag += np.log(np.abs(np.diag(R)))
+            log_diag += np.log(diag)
     rates = log_diag / n
     if w < d:
         Q, _ = np.linalg.qr(Q, mode="complete")

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from .base import ParameterError
+from .cocycle import _QRStepper
 from .grassmann import (ComplementarityError, DegenerateSubspaceError,
                         Subspace, _check_vertex_enumeration, good_complement,
                         grassmann_distance, nice_basis, operator_norm,
@@ -136,15 +137,13 @@ def pushforward_space(gen, orbit, U, n, base_offset=0):
     if n == 0 or U.dim == 0:
         return Subspace(U.basis.copy(), U.norm)
     B = U.orthonormal_basis()
+    stepper = _QRStepper(*B.shape)
     for k in range(base_offset - n, base_offset):
-        B = gen.matrix_at(orbit, k) @ B
-        Q, R = np.linalg.qr(B)
-        diag = np.abs(np.diag(R))
+        B, diag = stepper.step(gen.matrix_at(orbit, k), B)
         if diag.min() <= 1e-13 * max(diag.max(), 1e-300):
             raise RankCollapseError(
                 f"pushforward of a dim-{U.dim} space lost rank at n={n}",
                 n=n)
-        B = Q
     return Subspace(np.column_stack(nice_basis(Subspace(B, U.norm))), U.norm)
 
 

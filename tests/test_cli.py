@@ -42,20 +42,30 @@ def _ulam_config(**generator):
     }
 
 
-def _malformed(field, value):
-    """An ulam config with one field replaced; field is a dotted path."""
+def _malformed(*replacements):
+    """An ulam config with fields replaced; replacements alternate a
+    dotted field path and its value."""
     raw = _ulam_config(maps=[{"kind": "doubling"}, {"kind": "tripling"}])
-    *parents, key = field.split(".")
-    node = raw
-    for part in parents:
-        node = node[part]
-    node[key] = value
+    for field, value in zip(replacements[::2], replacements[1::2]):
+        *parents, key = field.split(".")
+        node = raw
+        for part in parents:
+            node = node[part]
+        node[key] = value
     return raw
 
 
-# each value is rejected by the constructor it is passed to, which the
-# config parse reports under the field's path
+# each value is rejected by the constructor it is passed to, or selects a
+# state the map list or matrix table does not cover, which the config
+# parse reports under the field's path
 MALFORMED = {
+    "generator.maps[2]": ("driver", {"kind": "bernoulli",
+                                     "probs": ["1/3", "1/3", "1/3"]}),
+    "generator.matrices[2]": (
+        "driver.period", 3,
+        "generator", {"kind": "tabulated",
+                      "matrices": [[[2.0, 0.0], [0.0, 1.0]],
+                                   [[1.0, 0.0], [0.0, 2.0]]]}),
     "driver.probs": ("driver", {"kind": "bernoulli", "probs": [0.3, 0.3]}),
     "driver.angle": ("driver", {"kind": "rotation", "angle": 1.5}),
     "generator.maps[0].rho": ("generator.maps",
@@ -138,6 +148,20 @@ class TestConfigValidation:
         raw["generator"] = {"kind": "random"}
         with pytest.raises(ConfigError, match="generator.kind"):
             ExperimentConfig(raw)
+
+    @pytest.mark.parametrize("driver, generator, field", [
+        ({"kind": "rotation"},
+         {"kind": "tabulated", "matrices": {"0": [[1.0]], "2": [[2.0]]}},
+         "generator.matrices.1"),
+        ({"kind": "markov", "matrix": [[0.5, 0.5], [0.5, 0.5]]},
+         {"kind": "ulam", "n_bins": 8, "maps": [{"kind": "doubling"}]},
+         "generator.maps[1]"),
+    ], ids=["rotation-dict-table", "markov-one-map"])
+    def test_alphabet_names_missing_entry(self, driver, generator, field):
+        raw = dict(_spectrum_config(), driver=driver, generator=generator)
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(raw)
+        assert exc.value.path == field
 
     def test_rejects_small_ulam_grid(self):
         raw = _spectrum_config()
@@ -406,6 +430,27 @@ class TestMain:
         capsys.readouterr()
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["config"]["seed"] == 5
+
+    def test_out_defaults_to_config_field(self, tmp_path, monkeypatch,
+                                          capsys):
+        monkeypatch.chdir(tmp_path)
+        raw = dict(_spectrum_config(), out="from_config")
+        path = _write(tmp_path, "cfg.json", raw)
+        assert main(["spectrum", "--config", path]) == 0
+        assert (tmp_path / "from_config" / "report.json").exists()
+        assert not (tmp_path / "out").exists()
+        assert main(["spectrum", "--config", path, "--out", "explicit"]) == 0
+        assert (tmp_path / "explicit" / "report.json").exists()
+        path = _write(tmp_path, "plain.json", _spectrum_config())
+        assert main(["spectrum", "--config", path]) == 0
+        assert (tmp_path / "out" / "report.json").exists()
+        capsys.readouterr()
+
+    def test_out_must_be_a_path(self, tmp_path, capsys):
+        path = _write(tmp_path, "cfg.json", dict(_spectrum_config(), out=3))
+        assert main(["spectrum", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "config field 'out'" in capsys.readouterr().err
 
     def test_ulam_task_writes_matrix_trace(self, tmp_path, capsys):
         raw = {

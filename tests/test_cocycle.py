@@ -9,6 +9,7 @@ from oseledets.base import FiniteCycle, ParameterError, generate_orbit
 from oseledets.cocycle import (
     CocycleGenerator,
     ScaledMatrix,
+    _QRStepper,
     cocycle_norm_series,
     forward_product,
     scaled_forward_product,
@@ -168,3 +169,54 @@ class TestNormSeries:
         gen = CocycleGenerator.constant(M)
         s = cocycle_norm_series(gen, _orbit(), 1, norm="linf")
         assert s[0] == pytest.approx(math.log(operator_norm(M, "linf")))
+
+
+def _numpy_qr_steps(factors, Q):
+    """Reference loop: the per-step np.linalg.qr the stepper replaces."""
+    out = []
+    for A in factors:
+        Q, R = np.linalg.qr(A @ Q)
+        out.append((Q, np.abs(np.diag(R))))
+    return out
+
+
+class TestQRStepper:
+    """One LAPACK workspace reproduces a np.linalg.qr stepping loop bit for
+    bit."""
+
+    @staticmethod
+    def _assert_bitwise(factors, Q0):
+        stepper = _QRStepper(*Q0.shape)
+        Q = Q0
+        for A, (Q_ref, diag_ref) in zip(factors,
+                                        _numpy_qr_steps(factors, Q0)):
+            Q, diag = stepper.step(A, Q)
+            assert Q.flags.c_contiguous
+            assert np.array_equal(Q, Q_ref)
+            assert np.array_equal(diag, diag_ref)
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (3, 1), (32, 32),
+                                      (128, 3), (256, 256)])
+    def test_matches_numpy_loop(self, m, n):
+        rng = np.random.default_rng(m * 1000 + n)
+        factors = [rng.standard_normal((m, m)) for _ in range(4)]
+        self._assert_bitwise(factors, np.eye(m, n))
+
+    def test_dead_column(self):
+        # a zero column of the product gives |diag R| = 0 at that position
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((6, 6))
+        A[:, 2] = 0.0
+        factors = [A, rng.standard_normal((6, 6)), A]
+        self._assert_bitwise(factors, np.eye(6))
+        _, diag = _QRStepper(6, 6).step(A, np.eye(6))
+        assert diag[2] == 0.0
+
+    def test_read_only_and_transposed_factors(self):
+        rng = np.random.default_rng(6)
+        mats = [rng.standard_normal((40, 40)) for _ in range(3)]
+        for M in mats:
+            M.setflags(write=False)
+        self._assert_bitwise(mats, np.eye(40, 3))
+        self._assert_bitwise([M.T for M in mats], np.eye(40, 3))
+        self._assert_bitwise([M.T for M in mats], np.eye(40))

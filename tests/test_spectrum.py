@@ -9,13 +9,15 @@ import pytest
 from oseledets.base import (
     BernoulliShift,
     FiniteCycle,
+    IrrationalRotation,
     ParameterError,
     birkhoff_average,
     generate_orbit,
     shift_view,
 )
-from oseledets import spectrum as spectrum_module
-from oseledets.cocycle import CocycleGenerator, forward_product
+from oseledets import transfer
+from oseledets.cocycle import (CocycleGenerator, _QRStepper, forward_product,
+                               scaled_forward_product)
 from oseledets.grassmann import Subspace, grassmann_distance, one_sided_hausdorff
 from oseledets.spectrum import (
     FiltrationAt,
@@ -25,7 +27,7 @@ from oseledets.spectrum import (
     lyapunov_exponents,
 )
 from oseledets.transfer import (RandomLYSystem, full_branch_affine,
-                                random_ulam_cocycle)
+                                perturbed_doubling, random_ulam_cocycle)
 
 
 def _cycle_orbit(period=2, n=2000):
@@ -150,6 +152,153 @@ class TestLyapunovExponents:
             lyapunov_exponents(gen, _cycle_orbit(), 9)
 
 
+def _mixture(n_bins, seed=7, n=400, scale=1.0):
+    """The 3/10, 2/5 full-branch affine Bernoulli mixture at n_bins."""
+    driver = BernoulliShift([0.5, 0.5])
+    system = RandomLYSystem(driver, [full_branch_affine([0, q, 1])
+                                     for q in (Fraction(3, 10),
+                                               Fraction(2, 5))])
+    gen = random_ulam_cocycle(system, n_bins)
+    if scale != 1.0:
+        gen = CocycleGenerator.from_table([scale * gen(0), scale * gen(1)])
+    return gen, generate_orbit(driver, seed, 0, n + 1)
+
+
+def _signed_table():
+    rng = np.random.default_rng(3)
+    gen = CocycleGenerator.from_table(
+        [rng.standard_normal((5, 5)) for _ in range(3)])
+    driver = BernoulliShift([0.5, 0.25, 0.25])
+    return gen, generate_orbit(driver, 11, 0, 401)
+
+
+def _rank_one_pair():
+    gen = CocycleGenerator.from_table([[[1.0, 1.0], [0.0, 0.0]],
+                                       [[1.0, 0.0], [1.0, 0.0]]])
+    return gen, _cycle_orbit()
+
+
+def _reference_qr_pass(gen, orbit, n_eff, n_half):
+    """The QR pass as a per-step np.linalg.qr loop: raw windowed slopes and
+    the history, with the same dead-column rule."""
+    d = gen.dim
+    Q, S, S_half = np.eye(d), np.zeros(d), None
+    dead = np.zeros(d, dtype=bool)
+    stride = max(1, n_eff // 64)
+    hist_n, hist_vals = [], []
+    for k in range(1, n_eff + 1):
+        Q, R = np.linalg.qr(gen.matrix_at(orbit, k - 1) @ Q)
+        diag = np.abs(np.diag(R))
+        with np.errstate(divide="ignore"):
+            S = S + np.log(diag)
+        if k > n_half:
+            dead |= diag <= 1e-8 * max(float(diag.max()), 1e-300)
+        if k == n_half:
+            S_half = S.copy()
+        if k % stride == 0 or k == n_eff:
+            hist_n.append(k)
+            hist_vals.append(S / k)
+    with np.errstate(invalid="ignore"):
+        raw = (S - S_half) / (n_eff - n_half)
+    return np.where(np.isnan(raw) | dead, -math.inf, raw), hist_n, hist_vals
+
+
+def _reference_slope(gen, orbit, spec, norm):
+    """Windowed slope of log ||P_k|| from the ScaledMatrix product."""
+    n_half = spec.n_used - spec.window
+    full = scaled_forward_product(gen, orbit, 0, spec.n_used).log_norm(norm)
+    half = scaled_forward_product(gen, orbit, 0, n_half).log_norm(norm)
+    return (full - half) / spec.window
+
+
+class TestSteppedSpectra:
+    """The QR pass through one LAPACK workspace gives the exponents of a
+    per-step np.linalg.qr loop bit for bit."""
+
+    CASES = {
+        "mixture-32": (lambda: _mixture(32), 200, "l1"),
+        "mixture-128": (lambda: _mixture(128), 100, "l1"),
+        "mixture-256": (lambda: _mixture(256), 40, "l1"),
+        "signed-5x5": (_signed_table, 300, "l2"),
+        "rank-one-pair": (_rank_one_pair, 100, "l2"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_numpy_qr_loop(self, case):
+        build, n, norm = self.CASES[case]
+        gen, orbit = build()
+        spec = lyapunov_exponents(gen, orbit, n, norm=norm)
+        raw, hist_n, hist_vals = _reference_qr_pass(
+            gen, orbit, spec.n_used, spec.n_used - spec.window)
+        assert np.array_equal(spec.raw_exponents, raw)
+        assert spec.convergence_history[0] == hist_n
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(spec.convergence_history[1], hist_vals, strict=True))
+        finite = np.sort(raw)[::-1]
+        finite = finite[finite > spec.floor]
+        assert spec.n_infinite == raw.size - finite.size
+        cuts = np.flatnonzero(-np.diff(finite) > spec.gap_threshold) + 1
+        assert spec.multiplicities == \
+            np.diff(np.r_[0, cuts, finite.size]).tolist()
+        if case == "rank-one-pair":
+            assert spec.n_infinite == 1
+
+
+class TestNormSlope:
+    """The operator-norm slope: a backward vector sweep for nonnegative l1
+    cocycles, the ScaledMatrix product otherwise."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: _mixture(64, scale=3.0),
+        lambda: (CocycleGenerator.from_table(
+            [np.random.default_rng(1).uniform(0.1, 2.0, (4, 4)),
+             np.random.default_rng(2).uniform(0.1, 2.0, (4, 4))]),
+            generate_orbit(BernoulliShift([0.5, 0.5]), 5, 0, 401)),
+    ], ids=["mixture-64-times-3", "positive-4x4"])
+    def test_sweep_matches_product_on_nonnegative(self, build):
+        gen, orbit = build()
+        spec = lyapunov_exponents(gen, orbit, 400, norm="l1")
+        assert spec.mle_estimate > 0.5
+        assert abs(spec.mle_estimate
+                   - _reference_slope(gen, orbit, spec, "l1")) < 1e-12
+
+    @pytest.mark.parametrize("build, norm", [
+        (_signed_table, "l1"), (_signed_table, "l2"),
+        (lambda: _mixture(32), "l2"), (_rank_one_pair, "l2"),
+    ], ids=["signed-l1", "signed-l2", "mixture-l2", "rank-one-l2"])
+    def test_product_slope_unchanged(self, build, norm):
+        gen, orbit = build()
+        spec = lyapunov_exponents(gen, orbit, 200, norm=norm)
+        assert spec.mle_estimate == _reference_slope(gen, orbit, spec, norm)
+
+    def test_sweep_reevaluates_evicted_states(self, monkeypatch):
+        # a continuum of states, so every step is a new matrix; a cache of
+        # 8 matrices makes the sweep assemble evicted states again
+        driver = IrrationalRotation()
+        system = RandomLYSystem(
+            driver, lambda th: perturbed_doubling(Fraction(float(th)) / 2))
+        orbit = generate_orbit(driver, 3, 0, 401)
+        n_bins = 32
+        calls = []
+        ulam_matrix = transfer.ulam_matrix
+
+        def counted(T, n):
+            calls.append(1)
+            return ulam_matrix(T, n)
+
+        monkeypatch.setattr(transfer, "ulam_matrix", counted)
+        spectra = []
+        for budget in (8 * 8 * n_bins ** 2, 2 ** 40):
+            monkeypatch.setattr(transfer, "_CACHE_BYTES", budget)
+            calls.clear()
+            gen = random_ulam_cocycle(system, n_bins)
+            spectra.append(lyapunov_exponents(gen, orbit, 400, norm="l1"))
+            # the backward sweep finds only the last 8 states still cached
+            assert len(calls) == (800 - 8 if budget < 2 ** 40 else 400)
+        assert spectra[0].to_dict() == spectra[1].to_dict()
+        assert np.isfinite(spectra[0].mle_estimate)
+
+
 class TestFiltration:
     def test_constant_diagonal_slow_space(self):
         gen = CocycleGenerator.constant(np.diag([2.0, 0.5]))
@@ -260,15 +409,15 @@ class TestTruncatedFiltration:
     def test_qr_sees_only_tracked_columns(self, mixture, monkeypatch):
         gen, orbit, spec = mixture
         shapes = []
-        qr = np.linalg.qr
+        step = _QRStepper.step
 
-        def spy(a, *args, **kwargs):
-            shapes.append(a.shape)
-            return qr(a, *args, **kwargs)
+        def spy(self, A, Q):
+            shapes.append((A @ Q).shape)
+            return step(self, A, Q)
 
-        monkeypatch.setattr(spectrum_module.np.linalg, "qr", spy)
+        monkeypatch.setattr(_QRStepper, "step", spy)
         filtration_at(gen, orbit, -16, 16, spec, levels=2)
-        assert len(shapes) == 17
+        assert len(shapes) == 16
         assert set(shapes) == {(128, 3)}
 
     def test_levels_validation(self, mixture):
