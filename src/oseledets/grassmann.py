@@ -38,6 +38,7 @@ NORM_TAGS = ("l1", "l2", "linf")
 
 RANK_SV_CUTOFF = 1e-10      # smallest singular value of an orthonormalized basis
 COMPLEMENT_CONDITION = 1e12  # condition-number cutoff for oblique projections
+IDEMPOTENCY_TOL = 1e-8      # relative ||Pi^2 - Pi|| cutoff for oblique projections
 
 # enumeration guard: beyond this many index subsets, or beyond the entries
 # of that many 4 x 4 systems, point distances fall back to linprog and
@@ -577,6 +578,18 @@ class ProjectionPair:
                 f"norm={self.norm_value:.6g})")
 
 
+def _check_condition(condition):
+    if not np.isfinite(condition) or condition > COMPLEMENT_CONDITION:
+        raise ComplementarityError(
+            f"Y and Z are not numerically complementary (condition {condition:.3e})")
+
+
+def _check_idempotency(error):
+    if error > IDEMPOTENCY_TOL:
+        raise ComplementarityError(
+            f"projection failed idempotency check ({error:.3e})")
+
+
 def projection(Y, Z):
     """Matrix Pi with Pi y = y on Y and Pi z = 0 on Z (dim Y + dim Z = d)."""
     if Y.ambient_dim != Z.ambient_dim:
@@ -587,16 +600,61 @@ def projection(Y, Z):
             f"dim(Y)+dim(Z) = {Y.dim}+{Z.dim} != ambient {d}")
     B = np.column_stack([Y.basis, Z.basis])
     condition = np.linalg.cond(B)
-    if not np.isfinite(condition) or condition > COMPLEMENT_CONDITION:
-        raise ComplementarityError(
-            f"Y and Z are not numerically complementary (condition {condition:.3e})")
+    _check_condition(condition)
     target = np.column_stack([Y.basis, np.zeros((d, Z.dim))])
     Pi = target @ np.linalg.inv(B)
     pair = ProjectionPair(Y, Z, Pi, condition)
-    if pair.idempotency_error > 1e-8:
-        raise ComplementarityError(
-            f"projection failed idempotency check ({pair.idempotency_error:.3e})")
+    _check_idempotency(pair.idempotency_error)
     return pair
+
+
+class _CoframeProjection:
+    """The projection onto span(Y) along Z = F^perp, for F with orthonormal
+    columns and Y with as many: Pi = A F^T with A = Y (F^T Y)^-1, kept as
+    its d x k factors so that nothing d x d is decomposed.
+
+    It refuses on the two checks of projection.  Complementarity: in the
+    orthonormal basis [F, Q_Z], [Y, Q_Z] is [[F^T Y, 0], [Q_Z^T Y, I]], and
+    Q_Z^T Y has the Gram matrix T^T T of the R factor T of (I - F F^T) Y,
+    so its singular values are those of the 2k x 2k block
+    [[F^T Y, 0], [T, I]] plus ones; the block maps (0, e) to itself, so the
+    ones lie between its extremes and cond([Y, Q_Z]) is the block's.
+    Idempotency: Pi^2 - Pi = A (F^T A - I) F^T.  That residual carries the
+    rounding of the k x k inverse of F^T Y only, not of the d x d inverse
+    of [Y, Z] that projection forms, so near the condition cutoff this
+    form accepts some pairs that projection refuses as not idempotent.
+    """
+
+    def __init__(self, Y, F, norm):
+        k = Y.shape[1]
+        G = F.T @ Y
+        T = np.linalg.qr(Y - F @ G, mode="r")
+        self.condition = np.linalg.cond(
+            np.block([[G, np.zeros((k, k))], [T, np.eye(k)]]))
+        _check_condition(self.condition)
+        self.A = Y @ np.linalg.inv(G)
+        self.F = F
+        self.norm = norm
+        self.norm_value = self._norm(self.A)
+        resid = self._norm(self.A @ (F.T @ self.A - np.eye(k)))
+        _check_idempotency(resid / max(self.norm_value, 1e-300))
+
+    def _norm(self, L):
+        """Operator norm of L F^T; in l2 that is ||L||_2, F^T being a
+        co-isometry."""
+        if self.norm == "l2":
+            return operator_norm(L, "l2")
+        return operator_norm(L @ self.F.T, self.norm)
+
+    def complement_norm(self):
+        """||I - Pi||; in l2 it equals ||Pi|| (Pi is neither 0 nor I)."""
+        if self.norm == "l2":
+            return self.norm_value
+        return operator_norm(
+            np.eye(self.F.shape[0]) - self.A @ self.F.T, self.norm)
+
+    def __call__(self, X):
+        return self.A @ (self.F.T @ X)
 
 
 # ---------------------------------------------------------------------------

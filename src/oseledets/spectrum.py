@@ -16,6 +16,7 @@ ends without forming the d x d product; every other case forms the
 product forward.  Either way the generator is evaluated twice per step.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -106,23 +107,44 @@ class LyapunovSpectrum:
 
 
 class FiltrationAt:
-    """Nested subspaces V_1 (whole space) > V_2 > ... at a given base offset."""
+    """Nested subspaces V_1 (whole space) > V_2 > ... at a given base offset,
+    carried as co-frames.
 
-    def __init__(self, offset, subspaces, rates, warnings=()):
+    `frame` is the orthonormal d x w frame that filtration_at steps, its
+    columns ordered from the fastest direction down; `cuts` are the
+    codimensions 0 = c_0 < c_1 < ... of the levels kept, c_j = m_1 + ... +
+    m_j, and V_{j+1} is the orthogonal complement of frame[:, :c_j].  Only
+    cuts below d are kept, so len() counts V_1 .. V_{len}.  `subspaces`
+    (also reached by indexing) completes the frame to an orthonormal basis
+    of R^d and builds each V_{j+1} as a d x (d - c_j) Subspace on first
+    read; nothing that reads only the frame and the cuts pays for that.
+    """
+
+    def __init__(self, offset, frame, cuts, rates, norm="l2", warnings=()):
         self.offset = int(offset)
-        self.subspaces = list(subspaces)
+        self.frame = frame
+        self.cuts = [int(c) for c in cuts]
         self.rates = np.asarray(rates)
+        self.norm = norm
         self.warnings = list(warnings)
 
+    @functools.cached_property
+    def subspaces(self):
+        d, w = self.frame.shape
+        Q = self.frame
+        if w < d:
+            Q, _ = np.linalg.qr(Q, mode="complete")
+        return [Subspace(np.eye(d), self.norm)] + [
+            Subspace(Q[:, c:].copy(), self.norm) for c in self.cuts[1:]]
+
     def __len__(self):
-        return len(self.subspaces)
+        return len(self.cuts)
 
     def __getitem__(self, j):
         return self.subspaces[j]
 
     def codimensions(self):
-        d = self.subspaces[0].ambient_dim
-        return [d - V.dim for V in self.subspaces]
+        return list(self.cuts)
 
 
 def _aligned(k, period):
@@ -202,6 +224,7 @@ def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
     stepper = _QRStepper(d, d)
     Q = np.eye(d)
     S = np.zeros(d)
+    logs = np.empty(d)    # log diag R, -inf where R has a zero pivot
     S_half = None
     sweep = norm == "l1"
     dead = np.zeros(d, dtype=bool)
@@ -212,8 +235,8 @@ def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
         if sweep:
             sweep = A.min() >= 0
         Q, diag = stepper.step(A, Q)
-        with np.errstate(divide="ignore"):
-            S = S + np.log(diag)
+        logs.fill(-np.inf)
+        S = S + np.log(diag, out=logs, where=diag != 0)
         # a collapse inside the measurement window marks the position dead:
         # its column is recycled float noise whose later slope is a ghost,
         # not an exponent.  Collapses before the window are left alone; the
@@ -278,9 +301,12 @@ def filtration_at(gen, orbit, offset, n, spectrum, norm="l2", levels=None):
     `levels` caps the flag at V_{levels+1} (default: every resolved
     level).  Only the leading w = min(d, m_1 + ... + m_levels + 1)
     directions are carried through the n backward steps, one more than
-    the deepest cut so that the boundary check can read its rate; the
-    frame is completed once at the end.  FiltrationAt.rates therefore
-    has w entries, the rates of those directions.
+    the deepest cut so that the boundary check can read its rate.  The
+    result holds that d x w orthonormal frame and the cuts c_j = m_1 + ...
+    + m_j below d: V_{j+1} is the orthogonal complement of the first c_j
+    frame columns.  FiltrationAt.rates has w entries, the rates of those
+    directions.  The frame is completed to R^d (one d x d QR) only when
+    FiltrationAt.subspaces is read.
     """
     d = gen.dim
     lam = spectrum.exponents
@@ -302,27 +328,25 @@ def filtration_at(gen, orbit, offset, n, spectrum, norm="l2", levels=None):
     stepper = _QRStepper(d, w)
     Q = np.eye(d, w)
     log_diag = np.zeros(w)
+    logs = np.empty(w)
     for k in range(n):
         Q, diag = stepper.step(gen.matrix_at(orbit, offset + n - 1 - k).T, Q)
-        with np.errstate(divide="ignore"):
-            log_diag += np.log(diag)
+        logs.fill(-np.inf)
+        log_diag += np.log(diag, out=logs, where=diag != 0)
     rates = log_diag / n
-    if w < d:
-        Q, _ = np.linalg.qr(Q, mode="complete")
-    subspaces = [Subspace(np.eye(d), norm)]
     warnings = list(spectrum.warnings)
     midpoints = [(a + b) / 2.0 for a, b in zip(lam, lam[1:])]
-    cut = 0
+    cuts = [0]
     for j, m in enumerate(mult):
-        cut += m
+        cut = cuts[-1] + m
         if cut >= d:
             break
         if j < len(midpoints) and rates[cut] > midpoints[j]:
             warnings.append(
                 f"level {j + 2} boundary blurred: rate {rates[cut]:.4f} "
                 f"above midpoint {midpoints[j]:.4f}")
-        subspaces.append(Subspace(Q[:, cut:].copy(), norm))
-    return FiltrationAt(offset, subspaces, rates, warnings)
+        cuts.append(cut)
+    return FiltrationAt(offset, Q, cuts, rates, norm, warnings)
 
 
 def growth_rate(gen, orbit, v, n, offset=0):

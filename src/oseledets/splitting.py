@@ -5,8 +5,19 @@ where U is a good complement of the slow filtration at the pulled-back
 point.  The schedule doubles n until consecutive pushforwards are Cauchy
 within tolerance; the reports keep the full distance traces, fitted decay
 rates and transversality diagnostics.
+
+Every filtration level is a co-frame: V_{j+1} is the orthogonal complement
+of the leading m_1 + ... + m_j columns F of the orthonormal frame that
+filtration_at steps.  The orthogonal complements U_j are slices of that
+frame, and principal vectors, separations and the oblique projections
+onto the fast hulls along V_{j+1} are taken through F^T products: a
+splitting with levels=k decomposes nothing larger than d x (m_1 + ... +
+m_k + 1) arrays and 2k x 2k blocks.  Rotated complements (rotation_seed)
+and the slow remainder, read on demand, still build the d x (d - cut)
+filtration subspaces.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -14,9 +25,9 @@ import numpy as np
 from .base import ParameterError
 from .cocycle import _QRStepper
 from .grassmann import (ComplementarityError, DegenerateSubspaceError,
-                        Subspace, _check_vertex_enumeration, good_complement,
-                        grassmann_distance, nice_basis, operator_norm,
-                        projection)
+                        Subspace, _check_vertex_enumeration,
+                        _CoframeProjection, good_complement,
+                        grassmann_distance, nice_basis, operator_norm)
 from .spectrum import filtration_at, growth_rate
 
 __all__ = [
@@ -87,16 +98,34 @@ class ConvergenceReport:
 
 
 class SplittingResult:
-    def __init__(self, offset, spaces, remainder, spectrum, projection_norms,
-                 convergence, transversality_floor, warnings=()):
+    """Fast spaces Y_1..Y_l at sigma^offset w with their diagnostics.
+
+    The slow remainder is V_{l+1} of the final filtration (a FiltrationAt),
+    the orthogonal complement of its top m_1 + ... + m_l frame directions.
+    `remainder` builds it as a d x remainder_dim Subspace on first read;
+    `to_dict` reports only remainder_dim, read off the cut.
+    """
+
+    def __init__(self, offset, spaces, filtration, spectrum,
+                 projection_norms, convergence, transversality_floor,
+                 warnings=()):
         self.offset = int(offset)
         self.spaces = list(spaces)
-        self.remainder = remainder
+        self._filtration = filtration
+        self.remainder_dim = filtration.frame.shape[0] - _cut(
+            filtration, len(self.spaces))
         self.spectrum = spectrum
         self.projection_norms = list(projection_norms)
         self.convergence = list(convergence)
         self.transversality_floor = transversality_floor
         self.warnings = list(warnings)
+
+    @functools.cached_property
+    def remainder(self):
+        filt, l = self._filtration, len(self.spaces)
+        if l < len(filt):
+            return filt.subspaces[l]
+        return Subspace(np.zeros((filt.frame.shape[0], 0)), filt.norm)
 
     @property
     def converged(self):
@@ -114,7 +143,7 @@ class SplittingResult:
         return {
             "offset": self.offset,
             "dims": [Y.dim for Y in self.spaces],
-            "remainder_dim": self.remainder.dim,
+            "remainder_dim": self.remainder_dim,
             "converged": self.converged,
             "projection_norms": self.projection_norms,
             "transversality_floor": self.transversality_floor,
@@ -147,86 +176,60 @@ def pushforward_space(gen, orbit, U, n, base_offset=0):
     return Subspace(np.column_stack(nice_basis(Subspace(B, U.norm))), U.norm)
 
 
-def _l2_separation(Y, V):
-    """Smallest l2 distance from a unit vector of Y to V (transversality)."""
-    if V.dim == 0:
+def _cut(filt, j):
+    """Codimension of V_{j+1} in `filt`; d once the levels exhaust R^d
+    (filtration_at keeps only the cuts below d)."""
+    return filt.cuts[j] if j < len(filt.cuts) else filt.frame.shape[0]
+
+
+def _l2_separation(Y, F):
+    """Smallest l2 distance from a unit vector of Y to V = F^perp
+    (transversality): the smallest singular value of F^T Q_Y."""
+    if F.shape[1] == F.shape[0]:
         return 1.0
-    QY = Y.orthonormal_basis()
-    QV = V.orthonormal_basis()
-    M = QY - QV @ (QV.T @ QY)
-    s = np.linalg.svd(M, compute_uv=False)
+    s = np.linalg.svd(F.T @ Y.orthonormal_basis(), compute_uv=False)
     return float(s[-1])
 
 
-def _near_intersection(H, V, m, norm, n):
-    """The m most-aligned directions of V with H (a numerical intersection).
+def _near_intersection(H, F, m, norm, n):
+    """The m most-aligned directions of V = F^perp with H (a numerical
+    intersection).
 
     The fast hull through a level and the filtration space of that level
     overlap exactly in the level's Oseledets space in the limit; at finite
-    depth the overlap is read off the top principal cosines.  The V-side
-    principal vectors are returned because the forward filtration is the
-    sharper of the two frames.
+    depth the overlap is read off the top principal cosines, the singular
+    values of the projection Q_H - F F^T Q_H of H onto V.  Its left
+    singular vectors are the V-side principal vectors, returned because the
+    forward filtration is the sharper of the two frames.
     """
     QH = H.orthonormal_basis()
-    QV = V.orthonormal_basis()
-    M = QH.T @ QV
-    if m > min(M.shape):
+    avail = min(QH.shape[1], F.shape[0] - F.shape[1])
+    if m > avail:
         raise RankCollapseError(
-            f"expected a dim-{m} overlap, frames allow only {min(M.shape)}",
-            n=n)
-    _, s, Wt = np.linalg.svd(M)
+            f"expected a dim-{m} overlap, frames allow only {avail}", n=n)
+    U, s, _ = np.linalg.svd(QH - F @ (F.T @ QH), full_matrices=False)
     if s[m - 1] < 0.5:
         raise RankCollapseError(
             f"principal cosine {s[m - 1]:.3f} too small for a dim-{m} "
             "overlap", n=n)
-    return Subspace(QV @ Wt[:m].T, norm)
+    return Subspace(U[:, :m], norm)
 
 
-def _orthogonal_complements(flag):
-    """Orthogonal complement of V_{j+1} in V_j, one subspace per level.
+def _g_ratio(Y, pi):
+    """Max over unit y in Y of |Pi_V y| / |Pi_U y| for the (V, U) frame of
+    the projection pi onto U along V.
 
-    Any complement family with a uniform transversality floor feeds the
-    same hull construction (the pushforward sees only the span), and the
-    orthogonal choice has the best possible separation, so the greedy
-    max-distance selection is reserved for rotated uniqueness probes where
-    varying the complement is the point.
+    With Q_Y orthonormal, u = pi(Q_Y) = W S Z^T (thin SVD) and v = Q_Y - u,
+    the ratio is ||v pinv(u)||_2 = ||v Z S^-1||_2.  The sup of this ratio
+    over the schedule is the measured analogue of the proof's M(w);
+    1/(1+M) lower-bounds the U-component of unit vectors.
     """
-    norm = flag[0].norm
-    out = []
-    for V, Vn in zip(flag, flag[1:]):
-        m = V.dim - Vn.dim
-        QJ = V.orthonormal_basis()
-        if Vn.dim == 0:
-            out.append(Subspace(QJ, norm))
-            continue
-        QN = Vn.orthonormal_basis()
-        M = QJ - QN @ (QN.T @ QJ)
-        U, s, _ = np.linalg.svd(M, full_matrices=False)
-        if m > 0 and s[m - 1] <= 1e-10:
-            raise RankCollapseError(
-                f"adjacent filtration levels nearly coincide "
-                f"(singular value {s[m - 1]:.3e})")
-        out.append(Subspace(U[:, :m], norm))
-    return out
-
-
-def _g_ratio(Y, V, U):
-    """Max over unit y in Y of |Pi_V y| / |Pi_U y| for the (V, U) frame.
-
-    The sup of this ratio over the schedule is the measured analogue of the
-    proof's M(w); 1/(1+M) lower-bounds the U-component of unit vectors.
-    """
-    try:
-        Pi = projection(U, V)
-    except ComplementarityError:
-        return math.inf
     QY = Y.orthonormal_basis()
-    u_part = Pi.matrix @ QY
-    v_part = QY - u_part
-    su = np.linalg.svd(u_part, compute_uv=False)
-    if su.size == 0 or su[-1] < 1e-14:
+    u_part = pi(QY)
+    _, su, zt = np.linalg.svd(u_part, full_matrices=False)
+    if su[-1] < 1e-14:
         return math.inf
-    return float(operator_norm(v_part @ np.linalg.pinv(u_part), "l2"))
+    return float(operator_norm(((QY - u_part) @ zt.T) / su, "l2"))
 
 
 def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
@@ -250,7 +253,12 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
     high-dimensional subspaces in the l1/linf norms are combinatorial,
     and interior levels can dominate the cost.  The filtrations then
     track only the leading m_1 + ... + m_levels + 1 directions through
-    their backward QR steps (see filtration_at).
+    their backward QR steps (see filtration_at).  Without rotation_seed
+    the complements are slices of the filtration frame and every level is
+    handled through its co-frame (see the module docstring): no d x d
+    array is decomposed, and only the l1/linf projection norms form the
+    d x d projection, in O(d^2 k).  SplittingResult.remainder is built
+    only when read.
 
     In l1/linf the Cauchy test takes exact distances between level spaces by
     enumerating ball vertices, so a level of multiplicity m in R^d raises
@@ -298,39 +306,44 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
         H = pushforward_space(gen, orbit, hull, depth, base_offset=offset)
         if j == 0:
             return H
-        if j >= len(filt_fwd.subspaces):
+        if j >= len(filt_fwd):
             raise RankCollapseError(
                 f"forward filtration too shallow for level {j + 1}",
                 n=depth)
-        return _near_intersection(H, filt_fwd.subspaces[j], mult[j], norm,
-                                  depth)
+        return _near_intersection(H, filt_fwd.frame[:, :filt_fwd.cuts[j]],
+                                  mult[j], norm, depth)
 
     def spaces_at(depth):
         filt = filtration_at(gen, orbit, offset - depth, depth, spectrum,
                              norm=norm, levels=l_use)
-        if len(filt.subspaces) < min(l, l_use + 1):
+        if len(filt) < min(l, l_use + 1):
             raise RankCollapseError(
                 f"filtration at depth {depth} resolved only "
-                f"{len(filt.subspaces)} levels", n=depth)
-        flag = list(filt.subspaces)
-        if len(flag) == l:
-            # exhaustive spectrum: the slow end of the flag is {0}, so the
-            # deepest complement is all of V_l
-            flag.append(Subspace(np.zeros((d, 0)), norm))
+                f"{len(filt)} levels", n=depth)
         if rotation_seed is None:
-            comps = _orthogonal_complements(flag[:l_use + 1])
+            # the orthogonal complement of V_{j+2} in V_{j+1} is a slice of
+            # the frame (with an exhaustive spectrum the slow end of the
+            # flag is {0}, and the last slice runs to d).  Any complement
+            # family with a uniform transversality floor feeds the same
+            # hull construction (the pushforward sees only the span), and
+            # the orthogonal choice has the best possible separation, so
+            # the greedy max-distance selection is reserved for rotated
+            # uniqueness probes where varying the complement is the point
+            comps = [filt.frame[:, _cut(filt, j):_cut(filt, j + 1)]
+                     for j in range(l_use)]
         else:
-            comps = [U for U, _ in good_complement(
+            flag = list(filt.subspaces)
+            if len(flag) == l:
+                flag.append(Subspace(np.zeros((d, 0)), norm))
+            comps = [U.basis for U, _ in good_complement(
                 flag[:l_use + 1], rotation_seed=rotation_seed)]
         avail_fwd = orbit.n_future - offset - 1
         m_fwd = min(2 * depth, max(depth, avail_fwd))
         filt_fwd = filtration_at(gen, orbit, offset, m_fwd, spectrum,
                                  norm=norm, levels=l_use)
         out = []
-        cols = []
-        for j, U in enumerate(comps[:l_use]):
-            cols.append(U.basis)
-            hull = Subspace(np.column_stack(cols), norm)
+        for j in range(l_use):
+            hull = Subspace(np.column_stack(comps[:j + 1]), norm)
             try:
                 out.append(level_space(j, hull, depth, filt_fwd))
             except RankCollapseError as exc:
@@ -343,17 +356,15 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
                     hull.basis.shape)
                 out.append(level_space(j, Subspace(pert, norm), depth,
                                        filt_fwd))
-        return out, filt
+        return out
 
     history = []          # list of (depth, [Y_1..Y_l])
     dists = [[] for _ in range(l_use)]
-    seps = [[] for _ in range(l_use)]
-    gs = [[] for _ in range(l_use)]
     converged_at = [None] * l_use
 
     final_spaces = None
     for idx, depth in enumerate(schedule):
-        spaces, _ = spaces_at(depth)
+        spaces = spaces_at(depth)
         history.append((depth, spaces))
         if idx > 0:
             prev = history[-2][1]
@@ -369,65 +380,51 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
     n_final = history[-1][0]
     filt_final = filtration_at(gen, orbit, offset, n_final, spectrum,
                                norm=norm, levels=l_use)
-    if len(filt_final.subspaces) > l_use:
-        remainder = filt_final.subspaces[l_use]
-    else:
-        remainder = Subspace(np.zeros((d, 0)), norm)
-
-    # transversality of the approach trajectory: decompose each approximant
-    # against the frame (final fast hull, final slow filtration); sup of the
-    # slow/fast component ratio is the measured analogue of the proof's
-    # constant, and early depths carry the honest nonzero entries
-    hull_cols = []
     for j in range(l_use):
-        hull_cols.append(final_spaces[j].basis)
-        hull_final = Subspace(np.column_stack(hull_cols), norm)
-        Vj1 = filt_final.subspaces[j + 1] if j + 1 < len(filt_final.subspaces) \
-            else Subspace(np.zeros((d, 0)), norm)
-        for _depth, spaces in history:
-            seps[j].append(_l2_separation(spaces[j], Vj1))
-            if Vj1.dim and hull_final.dim + Vj1.dim == d:
-                gs[j].append(_g_ratio(spaces[j], Vj1, hull_final))
-
-    reports = []
-    for j in range(l_use):
-        ns_pairs = [h[0] for h in history[:-1]]
-        reports.append(ConvergenceReport(
-            ns_pairs, dists[j],
-            converged_at[j] if converged_at[j] is not None else n_final,
-            converged_at[j] is not None,
-            separations=seps[j], g_series=gs[j]))
         if converged_at[j] is None:
             warnings.append(
                 f"level {j + 1} not Cauchy within tol={tol} at n_max={n_max}")
 
-    # projection norms of Pi_{Ytilde || V_{j+1}} and its complement, per level
-    projection_norms = []
-    acc_cols = []
+    # transversality of the approach trajectory: decompose each approximant
+    # against the frame (final fast hull, final slow filtration); sup of the
+    # slow/fast component ratio is the measured analogue of the proof's
+    # constant, and early depths carry the honest nonzero entries.  The
+    # same projection Pi_{Ytilde || V_{j+1}} and its complement give the
+    # per-level projection norms
+    ns_pairs = [h[0] for h in history[:-1]]
+    reports, projection_norms = [], []
     for j in range(l_use):
-        acc_cols.append(final_spaces[j].basis)
-        Ytilde = Subspace(np.column_stack(acc_cols), norm)
-        Vj1 = filt_final.subspaces[j + 1] if j + 1 < len(filt_final.subspaces) \
-            else Subspace(np.zeros((d, 0)), norm)
-        entry = {"level": j + 1, "pi_fast": None, "pi_slow": None}
-        if Ytilde.dim + Vj1.dim == d and Vj1.dim > 0:
-            try:
-                pair = projection(Ytilde, Vj1)
-                entry["pi_fast"] = pair.norm_value
-                entry["pi_slow"] = operator_norm(
-                    np.eye(d) - pair.matrix, norm)
-            except ComplementarityError:
-                warnings.append(f"level {j + 1}: fast/slow complementarity "
-                                "failed at the final depth")
-        elif Vj1.dim == 0:
+        approach = [spaces[j] for _depth, spaces in history]
+        hull = np.column_stack([Y.basis for Y in final_spaces[:j + 1]])
+        cut = _cut(filt_final, j + 1)
+        F = filt_final.frame[:, :cut]
+        g, entry = [], {"level": j + 1, "pi_fast": None, "pi_slow": None}
+        if cut == d:
             entry["pi_fast"] = 1.0
             entry["pi_slow"] = 0.0
+        elif hull.shape[1] == cut:
+            try:
+                pi = _CoframeProjection(hull, F, norm)
+            except ComplementarityError:
+                g = [math.inf] * len(approach)
+                warnings.append(f"level {j + 1}: fast/slow complementarity "
+                                "failed at the final depth")
+            else:
+                g = [_g_ratio(Y, pi) for Y in approach]
+                entry["pi_fast"] = pi.norm_value
+                entry["pi_slow"] = pi.complement_norm()
         projection_norms.append(entry)
+        reports.append(ConvergenceReport(
+            ns_pairs, dists[j],
+            converged_at[j] if converged_at[j] is not None else n_final,
+            converged_at[j] is not None,
+            separations=[_l2_separation(Y, F) for Y in approach],
+            g_series=g))
 
-    m_hat = max((g for series in gs for g in series if math.isfinite(g)),
-                default=0.0)
+    m_hat = max((g for rep in reports for g in rep.g_series
+                 if math.isfinite(g)), default=0.0)
     floor = 1.0 / (1.0 + m_hat) if math.isfinite(m_hat) else 0.0
-    return SplittingResult(offset, final_spaces, remainder, spectrum,
+    return SplittingResult(offset, final_spaces, filt_final, spectrum,
                            projection_norms, reports, floor, warnings)
 
 

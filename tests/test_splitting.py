@@ -15,8 +15,10 @@ from oseledets.base import (
 )
 from oseledets import splitting
 from oseledets.cocycle import CocycleGenerator
-from oseledets.grassmann import Subspace, grassmann_distance
-from oseledets.spectrum import lyapunov_exponents
+from oseledets.grassmann import (ComplementarityError, Subspace,
+                                 _CoframeProjection, grassmann_distance,
+                                 operator_norm, projection)
+from oseledets.spectrum import FiltrationAt, lyapunov_exponents
 from oseledets.transfer import (RandomLYSystem, full_branch_affine,
                                 random_ulam_cocycle)
 from oseledets.splitting import (
@@ -360,3 +362,296 @@ class TestTemperedness:
             fwd = abs(v.forward_slope)
             bwd = abs(v.backward_slope)
             assert fwd == pytest.approx(bwd, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# co-frame formulas against the d x d forms they replace
+#
+# The references below are the helpers compute_splitting used when every
+# filtration level was a d x (d - cut) Subspace: complements, principal
+# vectors and separations by d x d SVDs, and the oblique projection by
+# grassmann.projection, which inverts the d x d matrix [Y, V].
+
+
+def _ref_orthogonal_complements(flag):
+    norm = flag[0].norm
+    out = []
+    for V, Vn in zip(flag, flag[1:]):
+        m = V.dim - Vn.dim
+        QJ = V.orthonormal_basis()
+        if Vn.dim == 0:
+            out.append(Subspace(QJ, norm))
+            continue
+        QN = Vn.orthonormal_basis()
+        U, _, _ = np.linalg.svd(QJ - QN @ (QN.T @ QJ), full_matrices=False)
+        out.append(Subspace(U[:, :m], norm))
+    return out
+
+
+def _ref_near_intersection(H, V, m, norm, n):
+    QH = H.orthonormal_basis()
+    QV = V.orthonormal_basis()
+    M = QH.T @ QV
+    if m > min(M.shape):
+        raise RankCollapseError("frames too small", n=n)
+    _, s, Wt = np.linalg.svd(M)
+    if s[m - 1] < 0.5:
+        raise RankCollapseError("principal cosine too small", n=n)
+    return Subspace(QV @ Wt[:m].T, norm)
+
+
+def _ref_l2_separation(Y, V):
+    if V.dim == 0:
+        return 1.0
+    QY = Y.orthonormal_basis()
+    QV = V.orthonormal_basis()
+    return float(np.linalg.svd(QY - QV @ (QV.T @ QY), compute_uv=False)[-1])
+
+
+def _ref_g_ratio(Y, V, U):
+    try:
+        Pi = projection(U, V)
+    except ComplementarityError:
+        return math.inf
+    QY = Y.orthonormal_basis()
+    u_part = Pi.matrix @ QY
+    su = np.linalg.svd(u_part, compute_uv=False)
+    if su[-1] < 1e-14:
+        return math.inf
+    return operator_norm((QY - u_part) @ np.linalg.pinv(u_part), "l2")
+
+
+def _random_filtration(seed, norm="l2", exhaustive=False):
+    """A FiltrationAt on a random orthonormal frame: d in 4..40, total
+    codimension k in 1..3 split into levels (exhaustive: d = 4, the levels
+    fill R^4)."""
+    rng = np.random.default_rng(seed)
+    if exhaustive:
+        d, mult = 4, [1, 1, 2]
+    else:
+        d, k = int(rng.integers(4, 41)), int(rng.integers(1, 4))
+        mult = [1] * k if rng.random() < 0.5 else [k]
+    w = min(d, sum(mult) + 1)
+    frame, _ = np.linalg.qr(rng.standard_normal((d, w)))
+    cuts = [0] + [c for c in np.cumsum(mult).tolist() if c < d]
+    return FiltrationAt(0, frame, cuts, np.zeros(w), norm), mult, rng
+
+
+def _span_gap(A, B):
+    return grassmann_distance(Subspace(A), Subspace(B))
+
+
+SEEDS = range(40)
+
+
+class TestCoframeOracle:
+    """Frame slices, principal vectors, separations, g-ratios and oblique
+    projections from the co-frame agree with the d x d forms within 1e-12
+    on 40 random frames each."""
+
+    @staticmethod
+    def _cases(norm="l2"):
+        for seed in SEEDS:
+            yield (seed, *_random_filtration(seed, norm))
+        yield ("exhaustive", *_random_filtration(0, norm, exhaustive=True))
+
+    def test_complements_are_frame_slices(self):
+        for seed, filt, mult, _ in self._cases():
+            d = filt.frame.shape[0]
+            flag = list(filt.subspaces)
+            if seed == "exhaustive":
+                flag.append(Subspace(np.zeros((d, 0))))
+            refs = _ref_orthogonal_complements(flag)
+            assert len(refs) == len(mult), seed
+            for j, U in enumerate(refs):
+                B = filt.frame[:, splitting._cut(filt, j):
+                               splitting._cut(filt, j + 1)]
+                assert B.shape[1] == U.dim == mult[j], seed
+                assert _span_gap(B, U.basis) < 1e-12, seed
+
+    def test_near_intersection(self):
+        for seed, filt, mult, rng in self._cases():
+            if seed == "exhaustive":
+                continue
+            j = len(filt) - 1
+            F, V = filt.frame[:, :filt.cuts[j]], filt.subspaces[j]
+            QV = V.orthonormal_basis()
+            m = int(rng.integers(1, min(3, V.dim) + 1))
+            extra = int(rng.integers(0, min(F.shape[1], 3 - m) + 1))
+            near = QV @ rng.standard_normal((V.dim, m)) \
+                + 0.1 * F @ rng.standard_normal((F.shape[1], m))
+            R, _ = np.linalg.qr(rng.standard_normal((F.shape[1], extra)))
+            far = F @ R + 0.1 * QV @ rng.standard_normal((V.dim, extra))
+            H = Subspace(np.column_stack([near, far]))
+            got = splitting._near_intersection(H, F, m, "l2", 8)
+            ref = _ref_near_intersection(H, V, m, "l2", 8)
+            assert got.dim == ref.dim == m, seed
+            assert grassmann_distance(got, ref) < 1e-12, seed
+            # nearly orthogonal to V, and wider than H: both refuse
+            Hfar = Subspace(F[:, :1] + 1e-3 * QV[:, :1])
+            for mm in (1, 2):
+                with pytest.raises(RankCollapseError):
+                    _ref_near_intersection(Hfar, V, mm, "l2", 8)
+                with pytest.raises(RankCollapseError):
+                    splitting._near_intersection(Hfar, F, mm, "l2", 8)
+
+    def test_l2_separation(self):
+        for seed, filt, mult, rng in self._cases():
+            d = filt.frame.shape[0]
+            for j in range(1, len(mult) + 1):
+                cut = splitting._cut(filt, j)
+                V = (filt.subspaces[j] if j < len(filt)
+                     else Subspace(np.zeros((d, 0))))
+                Y = Subspace(rng.standard_normal((d, min(cut, 3))))
+                got = splitting._l2_separation(Y, filt.frame[:, :cut])
+                assert abs(got - _ref_l2_separation(Y, V)) < 1e-12, seed
+
+    @pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+    def test_projection_and_g_ratio(self, norm):
+        for seed, filt, mult, rng in self._cases(norm):
+            if seed == "exhaustive":
+                continue
+            d, cut = filt.frame.shape[0], filt.cuts[-1]
+            F, V = filt.frame[:, :cut], filt.subspaces[-1]
+            QV = V.orthonormal_basis()
+            U = Subspace(F @ rng.standard_normal((cut, cut))
+                         + 0.3 * QV @ rng.standard_normal((d - cut, cut)),
+                         norm)
+            pi = _CoframeProjection(U.basis, F, norm)
+            ref = projection(U, V)
+            assert pi.condition == pytest.approx(ref.condition, rel=1e-9)
+            assert abs(pi.norm_value - ref.norm_value) < 1e-12, seed
+            assert abs(pi.complement_norm() - operator_norm(
+                np.eye(d) - ref.matrix, norm)) < 1e-12, seed
+            for m in range(1, cut + 1):
+                Y = Subspace(U.basis @ rng.standard_normal((cut, m))
+                             + 0.1 * QV @ rng.standard_normal((d - cut, m)),
+                             norm)
+                assert abs(splitting._g_ratio(Y, pi)
+                           - _ref_g_ratio(Y, V, U)) < 1e-12, seed
+
+    @staticmethod
+    def _tilted(filt, rng, tilt):
+        """A Y whose last column is a unit vector of V moved by `tilt`
+        toward the frame."""
+        d, cut = filt.frame.shape[0], filt.cuts[-1]
+        F, V = filt.frame[:, :cut], filt.subspaces[-1]
+        v = V.orthonormal_basis() @ rng.standard_normal(d - cut)
+        y = v / np.linalg.norm(v) + tilt * F @ rng.standard_normal(cut)
+        Y = np.column_stack([F[:, 1:] + rng.standard_normal((d, cut - 1)), y])
+        return Y, F, V
+
+    def test_tilted_pair_is_not_complementary(self):
+        for seed, filt, mult, rng in self._cases():
+            if seed == "exhaustive":
+                continue
+            Y, F, V = self._tilted(filt, rng, 1e-13)
+            with pytest.raises(ComplementarityError, match="complementary"):
+                projection(Subspace(Y), V)
+            with pytest.raises(ComplementarityError, match="complementary"):
+                _CoframeProjection(Y, F, "l2")
+
+    @pytest.mark.parametrize("tilt", [1e-8, 1e-9])
+    def test_idempotency_checks_differ_below_the_condition_cutoff(self,
+                                                                   tilt):
+        # condition numbers near 1 / tilt pass the 1e12 cutoff in both
+        # forms, so every refusal here is an idempotency one.  The co-frame
+        # residual carries the rounding of a k x k inverse, projection's
+        # that of the d x d inverse of [Y, V], so the co-frame form refuses
+        # a strict subset: on these 40 frames it refused 11 and 33 where
+        # projection refused 17 and 40
+        coframe, full = set(), set()
+        for seed, filt, mult, rng in self._cases():
+            if seed == "exhaustive":
+                continue
+            Y, F, V = self._tilted(filt, rng, tilt)
+            try:
+                _CoframeProjection(Y, F, "l2")
+            except ComplementarityError as exc:
+                assert "idempotency" in str(exc), seed
+                coframe.add(seed)
+            try:
+                projection(Subspace(Y), V)
+            except ComplementarityError as exc:
+                assert "idempotency" in str(exc), seed
+                full.add(seed)
+        assert coframe
+        assert coframe < full
+
+    def test_compute_splitting_warns_when_not_complementary(
+            self, monkeypatch):
+        # at n_max = 8 the final filtration is the one at (offset 0, n 8);
+        # tilt its frame so that V_2 lies within 1e-13 of the final Y_1
+        gen = CocycleGenerator.constant(A_TRI)
+        orbit = _orbit()
+        spec = lyapunov_exponents(gen, orbit, 200)
+        y = compute_splitting(gen, orbit, spec, n_max=8).spaces[0].basis[:, 0]
+        y = y / np.linalg.norm(y)
+        y_perp = np.array([-y[1], y[0]])
+        frame, _ = np.linalg.qr(np.column_stack([y_perp + 1e-13 * y, y]))
+        real = splitting.filtration_at
+
+        def tilted(gen, orbit, offset, n, *args, **kwargs):
+            filt = real(gen, orbit, offset, n, *args, **kwargs)
+            if (offset, n) == (0, 8):
+                filt = FiltrationAt(offset, frame, filt.cuts, filt.rates,
+                                    filt.norm, filt.warnings)
+            return filt
+
+        monkeypatch.setattr(splitting, "filtration_at", tilted)
+        res = compute_splitting(gen, orbit, spec, n_max=8)
+        assert "level 1: fast/slow complementarity failed at the final " \
+               "depth" in res.warnings
+        assert res.projection_norms[0] == {"level": 1, "pi_fast": None,
+                                           "pi_slow": None}
+        assert res.convergence[0].g_series == [math.inf]
+        assert res.transversality_floor == 1.0
+
+
+def _spy_linalg(monkeypatch, limit):
+    """Wrap every numpy.linalg function and LAPACK routine; record each
+    array argument whose two trailing dimensions both exceed `limit`, and
+    each complete QR."""
+    seen = []
+
+    def wrap(name, fn):
+        def spy(*args, **kwargs):
+            for a in list(args) + list(kwargs.values()):
+                if isinstance(a, np.ndarray) and a.ndim >= 2 \
+                        and min(a.shape[-2:]) > limit:
+                    seen.append((name, a.shape))
+            if kwargs.get("mode") == "complete":
+                seen.append((name, "complete"))
+            return fn(*args, **kwargs)
+        return spy
+
+    for module in (np.linalg, np.linalg.lapack_lite):
+        for name in dir(module):
+            fn = getattr(module, name)
+            if callable(fn) and not isinstance(fn, type) \
+                    and not name.startswith("_"):
+                monkeypatch.setattr(module, name, wrap(name, fn))
+    return seen
+
+
+class TestCoframeScaling:
+    def test_levels_split_without_d_by_d_linear_algebra(self, monkeypatch):
+        # levels=2 on the 128-bin mixture tracks w = 3 frame columns; no
+        # np.linalg call may see an array with both trailing dimensions
+        # above 2w, and neither the d x (d - cut) filtration subspaces nor
+        # the remainder may be built
+        gen, orbit, spec = _ulam_mixture(128, 64)
+        assert spec.multiplicities[:2] == [1, 1]
+        built = []
+        for cls, attr in ((FiltrationAt, "subspaces"),
+                          (SplittingResult, "remainder")):
+            monkeypatch.setattr(cls, attr, property(
+                lambda self, attr=attr: built.append(attr)))
+        seen = _spy_linalg(monkeypatch, 6)
+        for offset in (0, 1):
+            res = compute_splitting(gen, orbit, spec, 64, norm="l1",
+                                    levels=2, offset=offset)
+            out = res.to_dict()
+            assert out["dims"] == [1, 1] and out["remainder_dim"] == 126
+        assert seen == []
+        assert built == []
