@@ -41,9 +41,11 @@ print("random exponents   :", [round(x, 4) for x in spec2.exponents])
 
 # The slow filtration at a base point: directions that grow no faster than
 # each exponent.  V_1 is the whole plane; for the constant triangular matrix
-# the slow line V_2 is the second eigenvector, span (1, -1.5).
+# the slow line V_2 is the second eigenvector, span (1, -1.5).  The
+# filtration is a co-frame: V_2 is orthogonal to the first frame column,
+# so in the plane it is spanned by the second.
 filt = filtration_at(gen, orbit, 0, 400, spec)
-slow = filt.subspaces[1].basis.ravel()
+slow = filt.frame[:, 1]
 print("slow direction     :", np.round(slow / slow[0], 6))
 
 # growth_rate measures a single vector; a generic vector sees the top rate,

@@ -10,7 +10,9 @@ and a ball-constrained LP where the unconstrained minimizer leaves the ball.
 
 Also provides nice bases (unit vectors each at distance exactly 1 from the
 span of the previous ones), oblique projections, and good complements of
-nested filtrations.
+nested filtrations given as lists of Subspace bases.  projection inverts
+the d x d matrix [Y, Z]; the private _CoframeProjection takes Z as F^perp
+for an orthonormal co-frame F, as the splitting layer holds filtrations.
 """
 
 import itertools
@@ -690,7 +692,7 @@ def _argmax_distance_unit(V_basis, K_basis, W_basis, norm):
     return _sign_fix(cand[int(np.argmax(_dist_batch(cand, W_basis, norm)[0]))])
 
 
-def good_complement(filtration, eps=0.9, rotation_seed=None):
+def good_complement(filtration, eps=0.9):
     """Complements U_j with V_{j+1} + U_j = V_j, built one unit vector at a
     time by picking the most-distant unit vector from W = V_{j+1} + U_{<j}
     (plus the vectors already chosen) inside V_j.
@@ -700,10 +702,6 @@ def good_complement(filtration, eps=0.9, rotation_seed=None):
     filtration : list of Subspace, nested V_1 > V_2 > ... > V_{l+1}
     eps : float
         Acceptance floor: every chosen vector must satisfy d(u, W) > 1-eps.
-    rotation_seed : int or None
-        If set, each greedy choice is blended with a seeded random direction
-        of V_j (largest blend keeping the floor), giving a different
-        deterministic valid selection for uniqueness probes.
 
     Returns a list of (U_j, diagnostics) pairs; diagnostics carry the
     measured distances and the projection norm of Pi_{U_j || V_{j+1}+U_{<j}}
@@ -713,6 +711,10 @@ def good_complement(filtration, eps=0.9, rotation_seed=None):
     m-1 vectors of a level j >= 2 of multiplicity m >= 2 in l1/linf: they
     enumerate the ball vertices of V_j, and raise ValueError past the guard
     of _check_vertex_enumeration.
+
+    compute_splitting does not call it: the construction accepts any
+    complement with a uniform transversality floor, and it takes slices of
+    the filtration co-frame, which need no d x (d - c_j) basis of V_{j+1}.
     """
     if len(filtration) < 1:
         raise FiltrationError("empty filtration")
@@ -728,7 +730,6 @@ def good_complement(filtration, eps=0.9, rotation_seed=None):
             if gap > 1e-8:
                 raise FiltrationError(
                     f"nesting violation: l2 one-sided sup {gap:.3e} > 1e-8")
-    rng = np.random.default_rng(rotation_seed)
     out = []
     chosen_prior = []   # all U_i basis vectors with i < current level
     for j in range(len(filtration) - 1):
@@ -743,8 +744,6 @@ def good_complement(filtration, eps=0.9, rotation_seed=None):
             K = np.column_stack([Vn.basis] + [v[:, None] for v in level_vecs])
             W = np.column_stack([K] + [v[:, None] for v in chosen_prior])
             u = _argmax_distance_unit(Vj.basis, K, W, norm)
-            if rotation_seed is not None:
-                u = _blend_direction(u, Vj, W, norm, rng, eps)
             du = distance_point_subspace(u, Subspace(W, norm)) if W.shape[1] else 1.0
             if du <= 1.0 - eps:
                 raise FiltrationError(
@@ -768,21 +767,3 @@ def good_complement(filtration, eps=0.9, rotation_seed=None):
         chosen_prior.extend(level_vecs)
     return out
 
-
-def _blend_direction(u, Vj, W, norm, rng, eps):
-    """Blend the greedy direction with a seeded one, keeping the floor."""
-    g = rng.standard_normal(Vj.dim)
-    w = Vj.basis @ g
-    w = w - u * float(u @ w) / max(float(u @ u), 1e-300)
-    nw = vector_norm(w, norm)
-    if nw < 1e-12:
-        return u
-    w = w / nw
-    Wsub = Subspace(W, norm) if W.shape[1] else None
-    for theta in (0.45, 0.3, 0.15, 0.05, 0.0):
-        v = math.cos(theta) * u + math.sin(theta) * w
-        v = v / vector_norm(v, norm)
-        dv = distance_point_subspace(v, Wsub) if Wsub is not None else 1.0
-        if dv > 1.0 - eps:
-            return _sign_fix(v)
-    return u

@@ -14,16 +14,18 @@ for nonnegative generators in l1, ||P||_1 is the largest entry of the row
 1^T P, so one backward sweep of two log-scaled rows gives both window
 ends without forming the d x d product; every other case forms the
 product forward.  Either way the generator is evaluated twice per step.
+
+Filtrations come back as co-frames (FiltrationAt): the leading
+directions of the backward QR steps, V_{j+1} being the orthogonal
+complement of the first c_j = m_1 + ... + m_j of them.
 """
 
-import functools
 import math
 
 import numpy as np
 
 from .base import ParameterError
 from .cocycle import ScaledMatrix, _QRStepper
-from .grassmann import Subspace
 
 __all__ = [
     "LyapunovSpectrum",
@@ -114,10 +116,9 @@ class FiltrationAt:
     columns ordered from the fastest direction down; `cuts` are the
     codimensions 0 = c_0 < c_1 < ... of the levels kept, c_j = m_1 + ... +
     m_j, and V_{j+1} is the orthogonal complement of frame[:, :c_j].  Only
-    cuts below d are kept, so len() counts V_1 .. V_{len}.  `subspaces`
-    (also reached by indexing) completes the frame to an orthonormal basis
-    of R^d and builds each V_{j+1} as a d x (d - c_j) Subspace on first
-    read; nothing that reads only the frame and the cuts pays for that.
+    cuts below d are kept, so len() counts V_1 .. V_{len}.  No level is
+    ever formed as a d x (d - c_j) basis: a vector g is moved into V_{j+1}
+    as g - F (F^T g) with F = frame[:, :c_j].
     """
 
     def __init__(self, offset, frame, cuts, rates, norm="l2", warnings=()):
@@ -128,23 +129,8 @@ class FiltrationAt:
         self.norm = norm
         self.warnings = list(warnings)
 
-    @functools.cached_property
-    def subspaces(self):
-        d, w = self.frame.shape
-        Q = self.frame
-        if w < d:
-            Q, _ = np.linalg.qr(Q, mode="complete")
-        return [Subspace(np.eye(d), self.norm)] + [
-            Subspace(Q[:, c:].copy(), self.norm) for c in self.cuts[1:]]
-
     def __len__(self):
         return len(self.cuts)
-
-    def __getitem__(self, j):
-        return self.subspaces[j]
-
-    def codimensions(self):
-        return list(self.cuts)
 
 
 def _aligned(k, period):
@@ -305,8 +291,7 @@ def filtration_at(gen, orbit, offset, n, spectrum, norm="l2", levels=None):
     result holds that d x w orthonormal frame and the cuts c_j = m_1 + ...
     + m_j below d: V_{j+1} is the orthogonal complement of the first c_j
     frame columns.  FiltrationAt.rates has w entries, the rates of those
-    directions.  The frame is completed to R^d (one d x d QR) only when
-    FiltrationAt.subspaces is read.
+    directions.  The frame is never completed to R^d.
     """
     d = gen.dim
     lam = spectrum.exponents

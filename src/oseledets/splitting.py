@@ -8,16 +8,15 @@ rates and transversality diagnostics.
 
 Every filtration level is a co-frame: V_{j+1} is the orthogonal complement
 of the leading m_1 + ... + m_j columns F of the orthonormal frame that
-filtration_at steps.  The orthogonal complements U_j are slices of that
-frame, and principal vectors, separations and the oblique projections
-onto the fast hulls along V_{j+1} are taken through F^T products: a
-splitting with levels=k decomposes nothing larger than d x (m_1 + ... +
-m_k + 1) arrays and 2k x 2k blocks.  Rotated complements (rotation_seed)
-and the slow remainder, read on demand, still build the d x (d - cut)
-filtration subspaces.
+filtration_at steps.  The complements U_j are slices of that frame,
+turned by a fixed angle toward a seeded direction of V_{j+1} when a
+uniqueness probe asks for a second choice; principal vectors,
+separations and the oblique projections onto the fast hulls along
+V_{j+1} are taken through F^T products, and the slow remainder is F^perp
+itself.  A splitting with levels=k decomposes nothing larger than
+d x (m_1 + ... + m_k + 1) arrays and 2k x 2k blocks.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -26,8 +25,8 @@ from .base import ParameterError
 from .cocycle import _QRStepper
 from .grassmann import (ComplementarityError, DegenerateSubspaceError,
                         Subspace, _check_vertex_enumeration,
-                        _CoframeProjection, good_complement,
-                        grassmann_distance, nice_basis, operator_norm)
+                        _CoframeProjection, grassmann_distance, nice_basis,
+                        operator_norm)
 from .spectrum import filtration_at, growth_rate
 
 __all__ = [
@@ -48,6 +47,10 @@ TEMPERED_SLOPE_THRESHOLD = 0.02
 
 # distances at double-precision saturation are excluded from rate fits
 _FIT_FLOOR = 1e-13
+
+# angle by which rotated complements leave the orthogonal ones; their l2
+# separation from V_{j+1} is then cos(0.45) = 0.90
+_ROTATION_ANGLE = 0.45
 
 
 class RankCollapseError(RuntimeError):
@@ -101,9 +104,8 @@ class SplittingResult:
     """Fast spaces Y_1..Y_l at sigma^offset w with their diagnostics.
 
     The slow remainder is V_{l+1} of the final filtration (a FiltrationAt),
-    the orthogonal complement of its top m_1 + ... + m_l frame directions.
-    `remainder` builds it as a d x remainder_dim Subspace on first read;
-    `to_dict` reports only remainder_dim, read off the cut.
+    the orthogonal complement of `coframe`, its top m_1 + ... + m_l
+    orthonormal frame directions; remainder_dim = d - m_1 - ... - m_l.
     """
 
     def __init__(self, offset, spaces, filtration, spectrum,
@@ -111,21 +113,13 @@ class SplittingResult:
                  warnings=()):
         self.offset = int(offset)
         self.spaces = list(spaces)
-        self._filtration = filtration
-        self.remainder_dim = filtration.frame.shape[0] - _cut(
-            filtration, len(self.spaces))
+        self.coframe = filtration.frame[:, :_cut(filtration, len(spaces))]
+        self.remainder_dim = self.coframe.shape[0] - self.coframe.shape[1]
         self.spectrum = spectrum
         self.projection_norms = list(projection_norms)
         self.convergence = list(convergence)
         self.transversality_floor = transversality_floor
         self.warnings = list(warnings)
-
-    @functools.cached_property
-    def remainder(self):
-        filt, l = self._filtration, len(self.spaces)
-        if l < len(filt):
-            return filt.subspaces[l]
-        return Subspace(np.zeros((filt.frame.shape[0], 0)), filt.norm)
 
     @property
     def converged(self):
@@ -180,6 +174,38 @@ def _cut(filt, j):
     """Codimension of V_{j+1} in `filt`; d once the levels exhaust R^d
     (filtration_at keeps only the cuts below d)."""
     return filt.cuts[j] if j < len(filt.cuts) else filt.frame.shape[0]
+
+
+def _complements(filt, l, rotation_seed=None):
+    """Complements U_1..U_l of V_{j+1} in V_j, read off the co-frame.
+
+    U_j is the frame slice C_j between the cuts c_j and c_{j+1} (with an
+    exhaustive spectrum the last slice runs to d).  With a rotation_seed
+    the first r = min(m_j, d - c_{j+1}) columns of C_j are turned by
+    _ROTATION_ANGLE toward R_j, the orthonormalized projection
+    (I - F F^T) G of a seeded Gaussian d x r block G onto
+    V_{j+1} = F^perp, F = frame[:, :c_{j+1}].  R_j is orthogonal to F,
+    which holds C_j, so U_j keeps orthonormal columns, lies in V_j, and its
+    l2 separation from V_{j+1} is cos(_ROTATION_ANGLE) exactly (1 where
+    r = 0 and nothing turns).
+    """
+    d = filt.frame.shape[0]
+    rng = None if rotation_seed is None else np.random.default_rng(
+        rotation_seed)
+    out = []
+    for j in range(l):
+        lo, hi = _cut(filt, j), _cut(filt, j + 1)
+        U = filt.frame[:, lo:hi]
+        r = min(hi - lo, d - hi)
+        if rng is not None and r:
+            F = filt.frame[:, :hi]
+            G = rng.standard_normal((d, r))
+            R, _ = np.linalg.qr(G - F @ (F.T @ G))
+            U = U.copy()
+            U[:, :r] = (math.cos(_ROTATION_ANGLE) * U[:, :r]
+                        + math.sin(_ROTATION_ANGLE) * R)
+        out.append(U)
+    return out
 
 
 def _l2_separation(Y, F):
@@ -253,12 +279,13 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
     high-dimensional subspaces in the l1/linf norms are combinatorial,
     and interior levels can dominate the cost.  The filtrations then
     track only the leading m_1 + ... + m_levels + 1 directions through
-    their backward QR steps (see filtration_at).  Without rotation_seed
-    the complements are slices of the filtration frame and every level is
-    handled through its co-frame (see the module docstring): no d x d
-    array is decomposed, and only the l1/linf projection norms form the
-    d x d projection, in O(d^2 k).  SplittingResult.remainder is built
-    only when read.
+    their backward QR steps (see filtration_at).  Every level is handled
+    through its co-frame (see the module docstring): no d x d array is
+    decomposed, and only the l1/linf projection norms form the d x d
+    projection, in O(d^2 k).  The complements are frame slices; a
+    rotation_seed turns them by a fixed angle toward seeded directions of
+    the next filtration space (see _complements), which changes the
+    approximants but not their limit.
 
     In l1/linf the Cauchy test takes exact distances between level spaces by
     enumerating ball vertices, so a level of multiplicity m in R^d raises
@@ -266,9 +293,7 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
     from d = 201 (m = 3), 51 (m = 4), 26 (m = 5), 19 (m = 6); linf from
     d = 142 (m = 2), 33 (m = 3), 18 (m = 4), 13 (m = 5).  Multiplicity-1
     levels, and l1 with m = 2, stay exact below d = 20,001.  check_equivariance
-    and uniqueness_probe take the same distances.  With rotation_seed,
-    good_complement also enumerates V_j for each level j >= 2 of
-    multiplicity >= 2 (see its docstring).
+    and uniqueness_probe take the same distances.
     """
     lam = spectrum.exponents
     l = len(lam)
@@ -313,6 +338,16 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
         return _near_intersection(H, filt_fwd.frame[:, :filt_fwd.cuts[j]],
                                   mult[j], norm, depth)
 
+    # forward filtrations at sigma^offset w by length; the final one is
+    # usually among them
+    forward = {}
+
+    def forward_filtration(n):
+        if n not in forward:
+            forward[n] = filtration_at(gen, orbit, offset, n, spectrum,
+                                       norm=norm, levels=l_use)
+        return forward[n]
+
     def spaces_at(depth):
         filt = filtration_at(gen, orbit, offset - depth, depth, spectrum,
                              norm=norm, levels=l_use)
@@ -320,27 +355,13 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
             raise RankCollapseError(
                 f"filtration at depth {depth} resolved only "
                 f"{len(filt)} levels", n=depth)
-        if rotation_seed is None:
-            # the orthogonal complement of V_{j+2} in V_{j+1} is a slice of
-            # the frame (with an exhaustive spectrum the slow end of the
-            # flag is {0}, and the last slice runs to d).  Any complement
-            # family with a uniform transversality floor feeds the same
-            # hull construction (the pushforward sees only the span), and
-            # the orthogonal choice has the best possible separation, so
-            # the greedy max-distance selection is reserved for rotated
-            # uniqueness probes where varying the complement is the point
-            comps = [filt.frame[:, _cut(filt, j):_cut(filt, j + 1)]
-                     for j in range(l_use)]
-        else:
-            flag = list(filt.subspaces)
-            if len(flag) == l:
-                flag.append(Subspace(np.zeros((d, 0)), norm))
-            comps = [U.basis for U, _ in good_complement(
-                flag[:l_use + 1], rotation_seed=rotation_seed)]
+        # any complement family with a uniform transversality floor feeds
+        # the same hull construction (the pushforward sees only the span);
+        # the orthogonal one has the best separation, and a rotated one is
+        # the second choice a uniqueness probe compares against
+        comps = _complements(filt, l_use, rotation_seed)
         avail_fwd = orbit.n_future - offset - 1
-        m_fwd = min(2 * depth, max(depth, avail_fwd))
-        filt_fwd = filtration_at(gen, orbit, offset, m_fwd, spectrum,
-                                 norm=norm, levels=l_use)
+        filt_fwd = forward_filtration(min(2 * depth, max(depth, avail_fwd)))
         out = []
         for j in range(l_use):
             hull = Subspace(np.column_stack(comps[:j + 1]), norm)
@@ -378,8 +399,7 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
             break
 
     n_final = history[-1][0]
-    filt_final = filtration_at(gen, orbit, offset, n_final, spectrum,
-                               norm=norm, levels=l_use)
+    filt_final = forward_filtration(n_final)
     for j in range(l_use):
         if converged_at[j] is None:
             warnings.append(
@@ -463,14 +483,15 @@ def check_growth(result, gen, orbit, n_check, slack=0.1, seed=0):
                        "max_deviation": dev})
     v_rates = []
     kappa = result.spectrum.kappa_bound
-    if result.remainder.dim > 0:
+    if result.remainder_dim > 0:
+        # g - F F^T g for Gaussian g is uniform in direction on the
+        # remainder F^perp; growth_rate normalizes it
         rng = np.random.default_rng(seed)
-        Q = result.remainder.orthonormal_basis()
-        for _ in range(min(3, result.remainder.dim)):
-            a = rng.standard_normal(result.remainder.dim)
-            v = Q @ (a / np.linalg.norm(a))
-            v_rates.append(growth_rate(gen, orbit, v, n_check,
-                                       offset=result.offset))
+        F = result.coframe
+        for _ in range(min(3, result.remainder_dim)):
+            g = rng.standard_normal(F.shape[0])
+            v_rates.append(growth_rate(gen, orbit, g - F @ (F.T @ g),
+                                       n_check, offset=result.offset))
     passed = all(lv["max_deviation"] <= slack for lv in levels)
     if kappa is not None and v_rates:
         passed = passed and all(r <= kappa + slack for r in v_rates)
@@ -481,9 +502,13 @@ def check_growth(result, gen, orbit, n_check, slack=0.1, seed=0):
 def uniqueness_probe(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
                      alternative_complement_seed=1, offset=0, norm="l2",
                      levels=None):
-    """Max over levels of d(Y_j, Y_j') for two different good-complement
-    selections; inf sentinel when either run fails to converge.  `levels`
-    caps the levels compared, as in compute_splitting."""
+    """Max over levels of d(Y_j, Y_j') between the splitting pushed forward
+    from the orthogonal complements and the one pushed forward from
+    complements rotated with alternative_complement_seed (see
+    compute_splitting); the limit does not depend on the choice, so the
+    value is small when both converge.  inf sentinel when either run fails
+    to converge.  `levels` caps the levels compared, as in
+    compute_splitting."""
     base = compute_splitting(gen, orbit, spectrum, n_max, tol, offset=offset,
                              norm=norm, levels=levels)
     alt = compute_splitting(gen, orbit, spectrum, n_max, tol, offset=offset,

@@ -520,13 +520,11 @@ class TestGoodComplement:
             filt = [Subspace(G[:, :m], norm) for m in (d, d - 1, d - 2)]
             fallback = (rf"^{norm} distance to a dim-({d - 2}|{d - 1}) "
                         rf"subspace of R\^{d} ")
-            for seed in (None, 3):
-                with pytest.warns(RuntimeWarning, match=fallback):
-                    out = good_complement(filt, rotation_seed=seed)
-                assert [U.dim for U, _ in out] == [1, 1]
-                if seed is None:
-                    assert out[0][1]["distances"][0] == pytest.approx(1.0)
-                assert min(diag["distances"][0] for _, diag in out) > 0.1
+            with pytest.warns(RuntimeWarning, match=fallback):
+                out = good_complement(filt)
+            assert [U.dim for U, _ in out] == [1, 1]
+            assert out[0][1]["distances"][0] == pytest.approx(1.0)
+            assert min(diag["distances"][0] for _, diag in out) > 0.1
 
     def test_wide_lower_level_past_guard_raises(self):
         # level 2 of multiplicity 2 enumerates the vertices of V_2 in R^20
@@ -534,15 +532,3 @@ class TestGoodComplement:
         filt = [Subspace(G[:, :m], "linf") for m in (20, 19, 17)]
         with pytest.raises(ValueError, match="dim-19 subspace of R\\^20"):
             good_complement(filt)
-
-    def test_rotation_seed_changes_choice(self):
-        rng = np.random.default_rng(13)
-        B = rng.standard_normal((3, 3))
-        filt = [Subspace(B), Subspace(B[:, :1]), Subspace(np.zeros((3, 0)))]
-        base = good_complement(filt)
-        rot = good_complement(filt, rotation_seed=7)
-        d = grassmann_distance(base[0][0], rot[0][0])
-        assert base[0][0].dim == rot[0][0].dim == 2
-        assert d >= 0.0   # both valid; distances reported finite
-        for _, diag in rot:
-            assert min(diag["distances"]) > 0.1

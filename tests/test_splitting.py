@@ -1,6 +1,7 @@
 """Equivariant splittings: pushforwards, convergence, checks, temperedness."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +32,7 @@ from oseledets.splitting import (
     temperedness_test,
     uniqueness_probe,
 )
+from test_spectrum import _ref_flag
 
 A_TRI = np.array([[2.0, 1.0], [0.0, 0.5]])
 
@@ -91,7 +93,7 @@ class TestComputeSplitting:
         res = compute_splitting(gen, orbit, spec, n_max=256)
         assert res.converged
         assert [Y.dim for Y in res.spaces] == [1, 1]
-        assert res.remainder.dim == 0
+        assert res.remainder_dim == 0
         assert grassmann_distance(res.spaces[0], Subspace(np.eye(2)[:, :1])) < 1e-8
         assert grassmann_distance(res.spaces[1],
                                   Subspace(np.array([[2.0], [-3.0]]))) < 1e-8
@@ -103,7 +105,7 @@ class TestComputeSplitting:
         res = compute_splitting(gen, orbit, spec, n_max=32)
         assert res.converged
         assert len(res.spaces) == 1 and res.spaces[0].dim == 3
-        assert res.remainder.dim == 0
+        assert res.remainder_dim == 0
 
     def test_period_two_fast_spaces(self):
         gen = _alt_pair()
@@ -146,7 +148,7 @@ class TestComputeSplitting:
         spec = lyapunov_exponents(gen, orbit, 400)
         res = compute_splitting(gen, orbit, spec, n_max=256, levels=1)
         assert len(res.spaces) == 1
-        assert res.remainder.dim == 1
+        assert res.remainder_dim == 1
         full = compute_splitting(gen, orbit, spec, n_max=256)
         assert grassmann_distance(res.spaces[0], full.spaces[0]) < 1e-6
         with pytest.raises(ParameterError):
@@ -175,6 +177,23 @@ class TestComputeSplitting:
             assert entry["pi_fast"] >= 1.0 - 1e-9
             assert entry["pi_slow"] >= -1e-12
         assert [e["level"] for e in res.projection_norms] == [1, 2]
+
+    def test_no_filtration_computed_twice(self, monkeypatch):
+        # with room ahead, the forward filtration of the last depth has the
+        # final filtration's offset and length, and is reused for it
+        gen, orbit, spec = _ulam_mixture(32, 256)
+        real = splitting.filtration_at
+        calls = []
+
+        def counted(gen, orbit, offset, n, *args, **kwargs):
+            calls.append((offset, n))
+            return real(gen, orbit, offset, n, *args, **kwargs)
+
+        monkeypatch.setattr(splitting, "filtration_at", counted)
+        res = compute_splitting(gen, orbit, spec, 256, norm="l1", levels=2)
+        n_final = max(rep.stopping_n for rep in res.convergence)
+        assert (0, n_final) in calls
+        assert len(calls) == len(set(calls))
 
 
 class TestChecks:
@@ -458,14 +477,13 @@ class TestCoframeOracle:
     def test_complements_are_frame_slices(self):
         for seed, filt, mult, _ in self._cases():
             d = filt.frame.shape[0]
-            flag = list(filt.subspaces)
+            flag = _ref_flag(filt)
             if seed == "exhaustive":
                 flag.append(Subspace(np.zeros((d, 0))))
             refs = _ref_orthogonal_complements(flag)
             assert len(refs) == len(mult), seed
-            for j, U in enumerate(refs):
-                B = filt.frame[:, splitting._cut(filt, j):
-                               splitting._cut(filt, j + 1)]
+            comps = splitting._complements(filt, len(mult))
+            for j, (U, B) in enumerate(zip(refs, comps)):
                 assert B.shape[1] == U.dim == mult[j], seed
                 assert _span_gap(B, U.basis) < 1e-12, seed
 
@@ -474,7 +492,7 @@ class TestCoframeOracle:
             if seed == "exhaustive":
                 continue
             j = len(filt) - 1
-            F, V = filt.frame[:, :filt.cuts[j]], filt.subspaces[j]
+            F, V = filt.frame[:, :filt.cuts[j]], _ref_flag(filt)[j]
             QV = V.orthonormal_basis()
             m = int(rng.integers(1, min(3, V.dim) + 1))
             extra = int(rng.integers(0, min(F.shape[1], 3 - m) + 1))
@@ -497,11 +515,10 @@ class TestCoframeOracle:
 
     def test_l2_separation(self):
         for seed, filt, mult, rng in self._cases():
-            d = filt.frame.shape[0]
+            d, flag = filt.frame.shape[0], _ref_flag(filt)
             for j in range(1, len(mult) + 1):
                 cut = splitting._cut(filt, j)
-                V = (filt.subspaces[j] if j < len(filt)
-                     else Subspace(np.zeros((d, 0))))
+                V = flag[j] if j < len(filt) else Subspace(np.zeros((d, 0)))
                 Y = Subspace(rng.standard_normal((d, min(cut, 3))))
                 got = splitting._l2_separation(Y, filt.frame[:, :cut])
                 assert abs(got - _ref_l2_separation(Y, V)) < 1e-12, seed
@@ -512,7 +529,7 @@ class TestCoframeOracle:
             if seed == "exhaustive":
                 continue
             d, cut = filt.frame.shape[0], filt.cuts[-1]
-            F, V = filt.frame[:, :cut], filt.subspaces[-1]
+            F, V = filt.frame[:, :cut], _ref_flag(filt)[-1]
             QV = V.orthonormal_basis()
             U = Subspace(F @ rng.standard_normal((cut, cut))
                          + 0.3 * QV @ rng.standard_normal((d - cut, cut)),
@@ -530,12 +547,34 @@ class TestCoframeOracle:
                 assert abs(splitting._g_ratio(Y, pi)
                            - _ref_g_ratio(Y, V, U)) < 1e-12, seed
 
+    def test_rotated_complements(self):
+        # a rotated complement stays in V_j, leaves V_{j+1} at l2
+        # separation cos(theta) (1 where the levels exhaust R^d and nothing
+        # turns), and is a function of its seed.  A line V_{j+1} leaves the
+        # seed only the sign of its direction, which the QR fixes
+        cos = math.cos(splitting._ROTATION_ANGLE)
+        for seed, filt, mult, _ in self._cases():
+            d = filt.frame.shape[0]
+            rot, again, other = (splitting._complements(filt, len(mult), s)
+                                 for s in (1, 1, 2))
+            for j, U in enumerate(rot):
+                lo = splitting._cut(filt, j)
+                hi = splitting._cut(filt, j + 1)
+                assert U.shape == (d, mult[j]), seed
+                assert np.linalg.norm(filt.frame[:, :lo].T @ U) < 1e-12, seed
+                sep = splitting._l2_separation(Subspace(U),
+                                               filt.frame[:, :hi])
+                assert abs(sep - (1.0 if hi == d else cos)) < 1e-12, seed
+                assert np.array_equal(U, again[j]), seed
+                if d - hi > 1:
+                    assert _span_gap(U, other[j]) > 1e-3, seed
+
     @staticmethod
     def _tilted(filt, rng, tilt):
         """A Y whose last column is a unit vector of V moved by `tilt`
         toward the frame."""
         d, cut = filt.frame.shape[0], filt.cuts[-1]
-        F, V = filt.frame[:, :cut], filt.subspaces[-1]
+        F, V = filt.frame[:, :cut], _ref_flag(filt)[-1]
         v = V.orthonormal_basis() @ rng.standard_normal(d - cut)
         y = v / np.linalg.norm(v) + tilt * F @ rng.standard_normal(cut)
         Y = np.column_stack([F[:, 1:] + rng.standard_normal((d, cut - 1)), y])
@@ -638,15 +677,9 @@ class TestCoframeScaling:
     def test_levels_split_without_d_by_d_linear_algebra(self, monkeypatch):
         # levels=2 on the 128-bin mixture tracks w = 3 frame columns; no
         # np.linalg call may see an array with both trailing dimensions
-        # above 2w, and neither the d x (d - cut) filtration subspaces nor
-        # the remainder may be built
+        # above 2w, and no frame is completed to R^d
         gen, orbit, spec = _ulam_mixture(128, 64)
         assert spec.multiplicities[:2] == [1, 1]
-        built = []
-        for cls, attr in ((FiltrationAt, "subspaces"),
-                          (SplittingResult, "remainder")):
-            monkeypatch.setattr(cls, attr, property(
-                lambda self, attr=attr: built.append(attr)))
         seen = _spy_linalg(monkeypatch, 6)
         for offset in (0, 1):
             res = compute_splitting(gen, orbit, spec, 64, norm="l1",
@@ -654,4 +687,21 @@ class TestCoframeScaling:
             out = res.to_dict()
             assert out["dims"] == [1, 1] and out["remainder_dim"] == 126
         assert seen == []
-        assert built == []
+
+    def test_probe_and_growth_without_d_by_d_linear_algebra(self,
+                                                             monkeypatch):
+        # the rotated complements of the probe and the remainder vectors of
+        # check_growth come from the co-frame as well: nothing large is
+        # decomposed, and no distance falls back to a warning linprog
+        gen, orbit, spec = _ulam_mixture(128, 256)
+        seen = _spy_linalg(monkeypatch, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            probe = uniqueness_probe(gen, orbit, spec, 256, norm="l1",
+                                     levels=2)
+            res = compute_splitting(gen, orbit, spec, 256, norm="l1",
+                                    levels=2)
+            growth = check_growth(res, gen, orbit, n_check=18)
+        assert seen == []
+        assert probe < 1e-6
+        assert growth["passed"] and len(growth["remainder_rates"]) == 3
