@@ -184,10 +184,13 @@ def _complements(filt, l, rotation_seed=None):
     the first r = min(m_j, d - c_{j+1}) columns of C_j are turned by
     _ROTATION_ANGLE toward R_j, the orthonormalized projection
     (I - F F^T) G of a seeded Gaussian d x r block G onto
-    V_{j+1} = F^perp, F = frame[:, :c_{j+1}].  R_j is orthogonal to F,
+    V_{j+1} = F^perp, F = frame[:, :c_{j+1}], with each column keeping the
+    sign of the seeded direction it comes from.  R_j is orthogonal to F,
     which holds C_j, so U_j keeps orthonormal columns, lies in V_j, and its
     l2 separation from V_{j+1} is cos(_ROTATION_ANGLE) exactly (1 where
-    r = 0 and nothing turns).
+    r = 0 and nothing turns).  Where V_{j+1} is a line, R_j is plus or
+    minus its direction, so that level admits only two rotated
+    complements; the seed picks one of them.
     """
     d = filt.frame.shape[0]
     rng = None if rotation_seed is None else np.random.default_rng(
@@ -200,7 +203,9 @@ def _complements(filt, l, rotation_seed=None):
         if rng is not None and r:
             F = filt.frame[:, :hi]
             G = rng.standard_normal((d, r))
-            R, _ = np.linalg.qr(G - F @ (F.T @ G))
+            R, T = np.linalg.qr(G - F @ (F.T @ G))
+            # the thin QR's sign convention would drop the seed's sign
+            R *= np.where(np.diag(T) < 0, -1.0, 1.0)
             U = U.copy()
             U[:, :r] = (math.cos(_ROTATION_ANGLE) * U[:, :r]
                         + math.sin(_ROTATION_ANGLE) * R)
@@ -260,7 +265,7 @@ def _g_ratio(Y, pi):
 
 def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
                       offset=0, n_start=8, rotation_seed=None, norm="l2",
-                      levels=None):
+                      levels=None, _filtrations=None):
     """Fast spaces Y_1..Y_l at sigma^offset w plus the slow remainder.
 
     Doubles the pullback depth until d(Y_j^(n), Y_j^(2n)) < tol for every
@@ -294,6 +299,10 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
     d = 142 (m = 2), 33 (m = 3), 18 (m = 4), 13 (m = 5).  Multiplicity-1
     levels, and l1 with m = 2, stay exact below d = 20,001.  check_equivariance
     and uniqueness_probe take the same distances.
+
+    `_filtrations` is a memo of the filtrations made, keyed by (offset,
+    length); runs that share one must share gen, orbit, spectrum, norm and
+    levels.
     """
     lam = spectrum.exponents
     l = len(lam)
@@ -338,19 +347,18 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
         return _near_intersection(H, filt_fwd.frame[:, :filt_fwd.cuts[j]],
                                   mult[j], norm, depth)
 
-    # forward filtrations at sigma^offset w by length; the final one is
-    # usually among them
-    forward = {}
+    # filtrations by (offset, length): the final forward one is usually
+    # among the forward ones made for the hulls
+    memo = {} if _filtrations is None else _filtrations
 
-    def forward_filtration(n):
-        if n not in forward:
-            forward[n] = filtration_at(gen, orbit, offset, n, spectrum,
-                                       norm=norm, levels=l_use)
-        return forward[n]
+    def filtration(start, n):
+        if (start, n) not in memo:
+            memo[start, n] = filtration_at(gen, orbit, start, n, spectrum,
+                                           norm=norm, levels=l_use)
+        return memo[start, n]
 
     def spaces_at(depth):
-        filt = filtration_at(gen, orbit, offset - depth, depth, spectrum,
-                             norm=norm, levels=l_use)
+        filt = filtration(offset - depth, depth)
         if len(filt) < min(l, l_use + 1):
             raise RankCollapseError(
                 f"filtration at depth {depth} resolved only "
@@ -361,7 +369,7 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
         # the second choice a uniqueness probe compares against
         comps = _complements(filt, l_use, rotation_seed)
         avail_fwd = orbit.n_future - offset - 1
-        filt_fwd = forward_filtration(min(2 * depth, max(depth, avail_fwd)))
+        filt_fwd = filtration(offset, min(2 * depth, max(depth, avail_fwd)))
         out = []
         for j in range(l_use):
             hull = Subspace(np.column_stack(comps[:j + 1]), norm)
@@ -399,7 +407,7 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
             break
 
     n_final = history[-1][0]
-    filt_final = forward_filtration(n_final)
+    filt_final = filtration(offset, n_final)
     for j in range(l_use):
         if converged_at[j] is None:
             warnings.append(
@@ -508,12 +516,16 @@ def uniqueness_probe(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
     compute_splitting); the limit does not depend on the choice, so the
     value is small when both converge.  inf sentinel when either run fails
     to converge.  `levels` caps the levels compared, as in
-    compute_splitting."""
+    compute_splitting.  The filtrations do not depend on the complements,
+    so the second run reuses those of the first."""
+    filtrations = {}
     base = compute_splitting(gen, orbit, spectrum, n_max, tol, offset=offset,
-                             norm=norm, levels=levels)
+                             norm=norm, levels=levels,
+                             _filtrations=filtrations)
     alt = compute_splitting(gen, orbit, spectrum, n_max, tol, offset=offset,
                             rotation_seed=alternative_complement_seed,
-                            norm=norm, levels=levels)
+                            norm=norm, levels=levels,
+                            _filtrations=filtrations)
     if not (base.converged and alt.converged):
         return math.inf
     return max(grassmann_distance(Y, Yp)

@@ -1,5 +1,6 @@
 """Package-level entry points: the import itself and the shipped demos."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -55,6 +56,16 @@ assert "scipy.optimize" not in sys.modules
 """
     proc = _run(["-c", code + NO_SCIPY_LINALG])
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is 3.11+")
+def test_pyproject_names_existing_files():
+    import tomllib
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert (ROOT / project["readme"]).is_file()
+    module, _, attr = project["scripts"]["oseledets"].partition(":")
+    assert callable(getattr(importlib.import_module(module), attr))
 
 
 def test_demos_found():

@@ -192,7 +192,7 @@ def _rank_one_pair():
 
 def _reference_qr_pass(gen, orbit, n_eff, n_half):
     """The QR pass as a per-step np.linalg.qr loop: raw windowed slopes and
-    the history, with the same dead-column rule."""
+    the history (in double precision), with the same dead-column rule."""
     d = gen.dim
     Q, S, S_half = np.eye(d), np.zeros(d), None
     dead = np.zeros(d, dtype=bool)
@@ -212,7 +212,8 @@ def _reference_qr_pass(gen, orbit, n_eff, n_half):
             hist_vals.append(S / k)
     with np.errstate(invalid="ignore"):
         raw = (S - S_half) / (n_eff - n_half)
-    return np.where(np.isnan(raw) | dead, -math.inf, raw), hist_n, hist_vals
+    return (np.where(np.isnan(raw) | dead, -math.inf, raw), hist_n,
+            np.array(hist_vals))
 
 
 def _reference_slope(gen, orbit, spec, norm):
@@ -223,37 +224,128 @@ def _reference_slope(gen, orbit, spec, norm):
     return (full - half) / spec.window
 
 
-class TestSteppedSpectra:
-    """The QR pass through one LAPACK workspace gives the exponents of a
-    per-step np.linalg.qr loop bit for bit."""
+def _constant(A):
+    return CocycleGenerator.constant(A), _cycle_orbit()
 
+
+def _spy_steps(monkeypatch):
+    """Counts _QRStepper.step calls (one per QR factorization)."""
+    calls = []
+    step = _QRStepper.step
+
+    def spy(self, A, Q):
+        calls.append(1)
+        return step(self, A, Q)
+
+    monkeypatch.setattr(_QRStepper, "step", spy)
+    return calls
+
+
+class TestSteppedSpectra:
+    """The blocked QR pass against a per-step np.linalg.qr loop.
+
+    No block spans a history point, so none forms while n_eff < 128 (a
+    history point every step), and zero or noise-level pivots keep the
+    block length at one on rank-deficient cocycles: there the pass is the
+    per-step loop bit for bit.  Where blocks form, the raw exponents agree
+    to 1e-10.  The 32-bin mixture's deep cluster is rounding-sensitive in
+    the per-step loop itself (a 1e-15 change of the start frame moves its
+    raw exponents by 1e-2), so only its top two levels are compared.
+    """
+
+    # build, n, norm, and how the result must match the reference
     CASES = {
-        "mixture-32": (lambda: _mixture(32), 200, "l1"),
-        "mixture-128": (lambda: _mixture(128), 100, "l1"),
-        "mixture-256": (lambda: _mixture(256), 40, "l1"),
-        "signed-5x5": (_signed_table, 300, "l2"),
-        "rank-one-pair": (_rank_one_pair, 100, "l2"),
+        "mixture-32": (lambda: _mixture(32), 200, "l1", "top-two"),
+        "mixture-128": (lambda: _mixture(128), 100, "l1", "bitwise"),
+        "mixture-256": (lambda: _mixture(256), 40, "l1", "bitwise"),
+        "rank-one-pair": (_rank_one_pair, 200, "l2", "bitwise"),
+        "noninvertible": (lambda: _constant([[1.0, 0.0], [0.0, 0.0]]), 200,
+                          "l2", "bitwise"),
+        "signed-5x5": (_signed_table, 300, "l2", "close"),
+        "period-2": (lambda: (_period2_pair()[0], _cycle_orbit()), 600, "l2",
+                     "close"),
+        "mixture-128-n400": (lambda: _mixture(128, n=400), 400, "l1", "close"),
+        "mixture-128-n800": (lambda: _mixture(128, n=800), 800, "l1", "close"),
+        "mixture-256-n400": (lambda: _mixture(256, n=400), 400, "l1", "close"),
+        "mixture-256-n800": (lambda: _mixture(256, n=800), 800, "l1", "close"),
     }
+
+    @staticmethod
+    def _levels(raw, spec):
+        """Exponents and multiplicities the clustering gives for raw."""
+        finite = np.sort(raw)[::-1]
+        finite = finite[finite > spec.floor]
+        cuts = np.flatnonzero(-np.diff(finite) > spec.gap_threshold) + 1
+        bounds = np.r_[0, cuts, finite.size]
+        return ([float(np.mean(finite[a:b])) for a, b in zip(bounds, bounds[1:])],
+                np.diff(bounds).tolist(), raw.size - finite.size)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_numpy_qr_loop(self, case):
-        build, n, norm = self.CASES[case]
+        build, n, norm, match = self.CASES[case]
         gen, orbit = build()
         spec = lyapunov_exponents(gen, orbit, n, norm=norm)
         raw, hist_n, hist_vals = _reference_qr_pass(
             gen, orbit, spec.n_used, spec.n_used - spec.window)
+        exps, mult, n_inf = self._levels(raw, spec)
+        assert spec.convergence_history[0] == hist_n
+        hist = spec.convergence_history[1]
+        assert hist.shape == hist_vals.shape
+        if match == "bitwise":
+            assert np.array_equal(spec.raw_exponents, raw)
+            assert np.array_equal(hist, hist_vals.astype(np.float32))
+        elif match == "close":
+            assert np.array_equal(np.isfinite(spec.raw_exponents),
+                                  np.isfinite(raw))
+            fin = np.isfinite(raw)
+            assert np.abs(spec.raw_exponents[fin] - raw[fin]).max() <= 1e-10
+            # the history rows are rounded to single precision
+            assert np.all(np.abs(hist - hist_vals)
+                          <= 1e-10 + 2.0 ** -24 * np.abs(hist_vals))
+        else:
+            top = np.sort(raw)[::-1][:2]
+            assert np.abs(np.sort(spec.raw_exponents)[::-1][:2] - top).max() \
+                <= 1e-10
+            assert spec.multiplicities[:2] == mult[:2] == [1, 1]
+            assert spec.exponents[1] == pytest.approx(exps[1], abs=1e-10)
+            return
+        assert spec.multiplicities == mult
+        assert spec.n_infinite == n_inf
+        assert spec.exponents[1:] == pytest.approx(exps[1:], abs=1e-10)
+        if case in ("rank-one-pair", "noninvertible"):
+            assert spec.n_infinite == 1
+
+    def test_blocks_cut_factorizations(self, monkeypatch):
+        # the 256-bin mixture's pivots spread by 1.7-2.6 in log per step, so
+        # blocks of 4-6 steps (a history point every 6) replace most steps
+        gen, orbit = _mixture(256, n=400)
+        calls = _spy_steps(monkeypatch)
+        spec = lyapunov_exponents(gen, orbit, 400, norm="l1")
+        assert spec.n_used == 400
+        assert len(calls) <= 134
+
+    @pytest.mark.parametrize("A, redone", [
+        (1e60 * np.eye(3), True),
+        (1e-200 * np.eye(3), True),
+        (np.diag([1.0, 1e-6, 1e-12]), False),
+    ], ids=["overflow", "underflow", "graded"])
+    def test_redo_keeps_per_step_result(self, A, redone, monkeypatch):
+        # blocks of 1e60 I overflow the rescaling range and blocks of
+        # 1e-200 I underflow it, so each block is redone step by step; the
+        # graded diagonal spreads its pivots by 27.6 in log per step, so no
+        # block forms at all
+        gen, orbit = _constant(A)
+        calls = _spy_steps(monkeypatch)
+        spec = lyapunov_exponents(gen, orbit, 200)
+        raw, hist_n, hist_vals = _reference_qr_pass(
+            gen, orbit, spec.n_used, spec.n_used - spec.window)
         assert np.array_equal(spec.raw_exponents, raw)
         assert spec.convergence_history[0] == hist_n
-        assert all(np.array_equal(a, b) for a, b in
-                   zip(spec.convergence_history[1], hist_vals, strict=True))
-        finite = np.sort(raw)[::-1]
-        finite = finite[finite > spec.floor]
-        assert spec.n_infinite == raw.size - finite.size
-        cuts = np.flatnonzero(-np.diff(finite) > spec.gap_threshold) + 1
-        assert spec.multiplicities == \
-            np.diff(np.r_[0, cuts, finite.size]).tolist()
-        if case == "rank-one-pair":
-            assert spec.n_infinite == 1
+        assert np.array_equal(spec.convergence_history[1],
+                              hist_vals.astype(np.float32))
+        assert (len(calls) > spec.n_used) == redone
+        if not redone:
+            assert len(calls) == spec.n_used
 
 
 class TestNormSlope:

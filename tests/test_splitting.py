@@ -195,6 +195,30 @@ class TestComputeSplitting:
         assert (0, n_final) in calls
         assert len(calls) == len(set(calls))
 
+    def test_probe_shares_filtrations(self, monkeypatch):
+        # the rotated run of the probe asks for the filtrations the base run
+        # made; they do not depend on the complements, so it reuses them and
+        # the probe takes half the backward QR steps, with the same value
+        gen, orbit, spec = _ulam_mixture(32, 256)
+        kw = {"norm": "l1", "levels": 2}
+        base = compute_splitting(gen, orbit, spec, 256, **kw)
+        alt = compute_splitting(gen, orbit, spec, 256, rotation_seed=1, **kw)
+        expected = max(grassmann_distance(Y, Yp)
+                       for Y, Yp in zip(base.spaces, alt.spaces))
+        real = splitting.filtration_at
+        steps = []
+
+        def counted(gen, orbit, offset, n, *args, **kwargs):
+            steps.append(n)
+            return real(gen, orbit, offset, n, *args, **kwargs)
+
+        monkeypatch.setattr(splitting, "filtration_at", counted)
+        compute_splitting(gen, orbit, spec, 256, **kw)
+        one_run = sum(steps)
+        steps.clear()
+        assert uniqueness_probe(gen, orbit, spec, 256, **kw) == expected
+        assert sum(steps) == one_run == 1512
+
 
 class TestChecks:
     def test_equivariance_passes(self):
@@ -551,7 +575,7 @@ class TestCoframeOracle:
         # a rotated complement stays in V_j, leaves V_{j+1} at l2
         # separation cos(theta) (1 where the levels exhaust R^d and nothing
         # turns), and is a function of its seed.  A line V_{j+1} leaves the
-        # seed only the sign of its direction, which the QR fixes
+        # seed only the sign of its direction (see the next test)
         cos = math.cos(splitting._ROTATION_ANGLE)
         for seed, filt, mult, _ in self._cases():
             d = filt.frame.shape[0]
@@ -568,6 +592,20 @@ class TestCoframeOracle:
                 assert np.array_equal(U, again[j]), seed
                 if d - hi > 1:
                     assert _span_gap(U, other[j]) > 1e-3, seed
+
+    def test_line_level_keeps_the_seeded_sign(self):
+        # seed 27 is d = 4 with three lines, so V_4 is a line: its two
+        # rotated complements turn toward +v and -v, and seeds 1 and 2
+        # draw directions on opposite sides of it
+        filt, mult, _ = _random_filtration(27)
+        assert filt.frame.shape[0] == 4 and mult == [1, 1, 1]
+        U1, U2 = (splitting._complements(filt, 3, s)[2] for s in (1, 2))
+        theta = splitting._ROTATION_ANGLE
+        assert _span_gap(U1, U2) == pytest.approx(math.sin(2 * theta),
+                                                  abs=1e-12)
+        # the two turns cancel: U1 + U2 = 2 cos(theta) C_3
+        assert np.allclose(U1 + U2, 2 * math.cos(theta) * filt.frame[:, 2:3],
+                           atol=1e-14)
 
     @staticmethod
     def _tilted(filt, rng, tilt):
