@@ -147,17 +147,14 @@ class _QRStepper:
         self._lwork = max(1, lwork, int(query[0]))
         self._work = np.empty(self._lwork)
 
-    def chain(self, mats, Q):
-        """mats[-1] @ ... @ mats[0] @ Q as plain products, written into the
-        factorization buffer, so a block of steps needs no m x n array
-        beyond those of one step.  The result is valid until the next
-        ``step``, which reads it before it overwrites the buffer.  Returns
-        Q itself when ``mats`` is empty."""
+    def product(self, A, Q):
+        """A @ Q written into the factorization buffer, so a block of steps
+        needs no m x n array beyond those of one step.  The result is valid
+        until the next ``step``, which reads it before it overwrites the
+        buffer; Q may be the result of the previous ``product``."""
         M = self._a.reshape(self.m, self.n)
-        for A in mats:
-            M[...] = A @ Q
-            Q = M
-        return Q
+        M[...] = A @ Q
+        return M
 
     def step(self, A, Q):
         """(Q', |diag R|) of the QR factorization of A @ Q."""

@@ -8,10 +8,11 @@ QR(A_b ... A_1 Q) is the product of the per-step R-diagonals, so the
 exponents do not change.  Rounding does move them: Householder QR of the
 block product resolves its smallest pivot to about (largest / smallest)
 times eps, so each block is sized from the pivot spread per step of the
-one before, aiming at a ratio of e^12.  A block never spans the window
-start, the end or a history point.  A block whose pivots collapse, or
-whose scale leaves the rescaling range, is redone one step at a time, so
-rank-deficient and extreme-scale cocycles run the per-step loop exactly.
+one before, aiming at a ratio of e^10, and from its scale per step, so
+that its largest pivot stays inside the rescaling range.  A block never
+spans the window start, the end or a history point.  A block whose
+product shows a collapsed pivot, or whose scale leaves the rescaling
+range all the same, is redone one step at a time.
 The estimator is a windowed slope (S(n) - S(n/2)) / (n - n/2) of the
 cumulative log R-diagonals rather than the plain (1/n) average: the
 window cancels the O(1/n) transient bias, and when the base driver
@@ -56,11 +57,17 @@ DEFAULT_FLOOR = -30.0
 # margin each way
 _DEATH_REL = 1e-8
 # the QR pass factors a block of steps at once and sizes the next block so
-# that its pivots spread over about e^12 (the last block's spread per step
+# that its pivots spread over about e^10 (the last block's spread per step
 # times the length): Householder QR of the block product then loses about
-# e^12 eps = 4e-11 in the log of its smallest pivot, and the spread stays
-# e^6 short of the _DEATH_REL collapse test (1e-8 = e^-18.4)
-_BLOCK_LOG_SPREAD = 12.0
+# e^10 eps = 5e-12 in the log of its smallest pivot, and the spread stays
+# e^8 short of the _DEATH_REL collapse test (1e-8 = e^-18.4).  At e^12 a
+# tight pair of raw exponents on the 256-bin Ulam mixture moved by 2.6e-10
+# against the per-step loop; at e^10 by 2.2e-11
+_BLOCK_LOG_SPREAD = 10.0
+# the next block's largest pivot, at the last block's scale per step, also
+# stays inside [_RENORM_LO, _RENORM_HI], which a block that grows or
+# shrinks by more than e^230 leaves and is then redone
+_LOG_RENORM = min(math.log(_RENORM_HI), -math.log(_RENORM_LO))
 
 
 class LyapunovSpectrum:
@@ -68,10 +75,6 @@ class LyapunovSpectrum:
 
     Directions whose windowed rate falls below `floor` are counted in
     n_infinite and excluded from the exceptional list.
-    convergence_history is (k values, rows S(k) / k of the QR columns' log
-    growth) at about 64 values of k, the rows a float32 array: they are a
-    convergence trace, not the estimate, and single precision halves what
-    every spectrum keeps (69 rather than 137 KB at d = 256).
     """
 
     def __init__(self, exponents, multiplicities, n_infinite, raw_exponents,
@@ -211,23 +214,31 @@ def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
     the norm-based value is exact for norm-preserving cocycles).
 
     The QR pass factors once per block of b steps: M = A_{k+b-1} ... A_{k+1}
-    Q as plain products, then the QR of A_{k+b} M.  b is the largest length
-    whose pivot ratio, at the previous block's spread per step, stays near
-    e^12; zero or noise-level pivots keep it at 1, the per-step loop.
-    Blocks end at n_half, at n_eff and at every history point, so S_half
-    and convergence_history see the same k as per-step QR.  A block with
-    b > 1 whose pivots fall to _DEATH_REL times the largest, or whose
-    largest pivot is not finite or leaves [_RENORM_LO, _RENORM_HI], is
-    redone step by step from its start and b is reset to 1: dead columns,
-    the self-healing before the window and -inf pivots are per-step
-    exactly.  Against the per-step loop, on 3/10, 2/5 Ulam mixtures (64,
-    128 and 256 bins, four orbits each, 400 and 800 steps) the level
-    exponents agreed to 4e-13 and the raw exponents to 1.3e-11 at 64 and
-    128 bins and to 6.1e-11 at 256 bins, except that one tight pair deep
-    in the wide level (gap 0.017) split its rates differently by 2.6e-10
-    while their sum agreed to 2e-12; on the continuum perturbed-doubling
-    cocycle at 128 bins the raw exponents agreed to 6.7e-11.  The 256-bin
-    mixture takes about 90 factorizations for 400 steps.
+    Q as plain products, then the QR of A_{k+b} M.  At the previous
+    block's rates per step, b is the largest length whose pivot ratio
+    stays near e^10 (_BLOCK_LOG_SPREAD) and whose largest pivot stays
+    inside [_RENORM_LO, _RENORM_HI]; zero or noise-level pivots, or a
+    scale beyond e^115 per step, keep it at 1, the per-step loop.  Blocks
+    end at n_half, at n_eff and at every history point, so S_half and
+    convergence_history see the same k as per-step QR.  A block with b > 1
+    whose product has a pivot at or below _DEATH_REL times the largest, or
+    whose largest pivot is not finite or leaves the rescaling range, is
+    redone step by step from its start (the generator is evaluated again)
+    and b is reset to 1.  Dead columns, the self-healing before the window
+    and -inf pivots are therefore per-step wherever a collapse shows in a
+    block product; a one-step collapse that the block's later steps offset
+    is not seen.  Rank-deficient and extreme-scale cocycles in the tests
+    run the per-step loop bit for bit; a scale that jumps (runs of I broken
+    by 1e60 I) gets blocks redone, each at one factorization more than
+    per-step QR.  Against the per-step loop, on 3/10, 2/5 Ulam mixtures
+    (64, 128 and 256 bins, orbits 1, 3, 7 and 11, 400 and 800 steps) the
+    level exponents agreed to 3.3e-14 and the raw exponents to 5.4e-12 at
+    64 and 128 bins and to 2.2e-11 at 256 bins.  The largest was a tight
+    pair (gap 0.017) deep in the wide level, where a 1e-15 change of the
+    start frame moves the per-step loop's own raw exponents by 3.9e-11.
+    On the continuum perturbed-doubling cocycle at 128 bins (three orbits)
+    the raw exponents agreed to 6.9e-11.  The 256-bin mixture takes 134
+    factorizations for 400 steps.
 
     The norm slope comes from a second pass after the QR pass, which
     evaluates the generator again at every step (generators give
@@ -256,34 +267,45 @@ def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
     dead = np.zeros(d, dtype=bool)
     hist_stride = max(1, n_eff // 64)
     hist_n = list(range(hist_stride, n_eff, hist_stride)) + [n_eff]
-    # one row S / k per hist_n, a convergence trace kept in single precision
-    hist_vals = np.empty((len(hist_n), d), dtype=np.float32)
-    k, b, row = 0, 1, 0
+    hist_vals = []
+    k, b = 0, 1
     while k < n_eff:
         # steps k+1 .. end form one block; it ends at the next window end
         # or history point, so S_half and the history see the same k
         end = min(k + b, n_half if k < n_half else n_eff,
                   (k // hist_stride + 1) * hist_stride)
-        mats = [gen.matrix_at(orbit, i) for i in range(k, end)]
-        if sweep:
-            sweep = all(A.min() >= 0 for A in mats)
-        Q_block, diag = stepper.step(mats[-1], stepper.chain(mats[:-1], Q))
+        M = Q
+        for i in range(k, end):
+            A = gen.matrix_at(orbit, i)
+            if sweep:
+                sweep = A.min() >= 0
+            if i + 1 < end:
+                M = stepper.product(A, M)
+        Q_block, diag = stepper.step(A, M)
         top = float(diag.max())
-        if len(mats) > 1 and (not _RENORM_LO <= top <= _RENORM_HI or (
+        if end - k > 1 and (not _RENORM_LO <= top <= _RENORM_HI or (
                 diag <= _DEATH_REL * top).any()):
             # a collapse or an out-of-range scale inside a block is redone
-            # one step at a time from the saved Q, so dead columns, the
-            # self-healing before the window and -inf pivots are per-step
+            # one step at a time from the saved Q (the generator gives the
+            # same matrices again), so dead columns, the self-healing
+            # before the window and -inf pivots are per-step
             diags = []
-            for A in mats:
-                Q, diag = stepper.step(A, Q)
+            for i in range(k, end):
+                Q, diag = stepper.step(gen.matrix_at(orbit, i), Q)
                 diags.append(diag)
             b = 1
         else:
             Q, diags = Q_block, [diag]
             low = float(diag.min())
-            spread = math.log(top / low) / len(mats) if low > 0 else math.inf
-            b = max(1, int(_BLOCK_LOG_SPREAD / spread)) if spread else n_eff
+            if low > 0 and math.isfinite(top):
+                # at this block's rates per step, the next one's pivots
+                # spread over about e^_BLOCK_LOG_SPREAD and its largest
+                # pivot stays inside the rescaling range
+                rate = max(math.log(top / low) / _BLOCK_LOG_SPREAD,
+                           abs(math.log(top)) / _LOG_RENORM)
+                b = max(1, int((end - k) / rate)) if rate else n_eff
+            else:
+                b = 1
         for diag in diags:
             logs.fill(-np.inf)
             S = S + np.log(diag, out=logs, where=diag != 0)
@@ -293,15 +315,15 @@ def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
             # left alone; the reseeded column then tracks a genuine slower
             # direction and the windowed slope measures it (that
             # self-healing is the reason the slope is windowed rather than
-            # cumulative).  An accepted block has no collapse.
+            # cumulative).  An accepted block shows no collapse in its
+            # product; one that later steps of the block hide is not seen.
             if end > n_half:
                 dead |= diag <= _DEATH_REL * max(float(diag.max()), 1e-300)
         k = end
         if k == n_half:
             S_half = S.copy()
-        if k == hist_n[row]:
-            hist_vals[row] = S / k
-            row += 1
+        if k == hist_n[len(hist_vals)]:
+            hist_vals.append(S / k)
 
     with np.errstate(invalid="ignore"):
         raw = (S - S_half) / window

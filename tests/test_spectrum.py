@@ -192,7 +192,7 @@ def _rank_one_pair():
 
 def _reference_qr_pass(gen, orbit, n_eff, n_half):
     """The QR pass as a per-step np.linalg.qr loop: raw windowed slopes and
-    the history (in double precision), with the same dead-column rule."""
+    the history, with the same dead-column rule."""
     d = gen.dim
     Q, S, S_half = np.eye(d), np.zeros(d), None
     dead = np.zeros(d, dtype=bool)
@@ -212,8 +212,7 @@ def _reference_qr_pass(gen, orbit, n_eff, n_half):
             hist_vals.append(S / k)
     with np.errstate(invalid="ignore"):
         raw = (S - S_half) / (n_eff - n_half)
-    return (np.where(np.isnan(raw) | dead, -math.inf, raw), hist_n,
-            np.array(hist_vals))
+    return np.where(np.isnan(raw) | dead, -math.inf, raw), hist_n, hist_vals
 
 
 def _reference_slope(gen, orbit, spec, norm):
@@ -229,15 +228,20 @@ def _constant(A):
 
 
 def _spy_steps(monkeypatch):
-    """Counts _QRStepper.step calls (one per QR factorization)."""
-    calls = []
-    step = _QRStepper.step
+    """Counts _QRStepper.step calls (one per QR factorization) and
+    _QRStepper.product calls (one per step chained into a block)."""
+    calls = {"step": 0, "product": 0}
 
-    def spy(self, A, Q):
-        calls.append(1)
-        return step(self, A, Q)
+    def spy(name):
+        method = getattr(_QRStepper, name)
 
-    monkeypatch.setattr(_QRStepper, "step", spy)
+        def counted(self, A, Q):
+            calls[name] += 1
+            return method(self, A, Q)
+        monkeypatch.setattr(_QRStepper, name, counted)
+
+    spy("step")
+    spy("product")
     return calls
 
 
@@ -268,6 +272,9 @@ class TestSteppedSpectra:
         "mixture-128-n800": (lambda: _mixture(128, n=800), 800, "l1", "close"),
         "mixture-256-n400": (lambda: _mixture(256, n=400), 400, "l1", "close"),
         "mixture-256-n800": (lambda: _mixture(256, n=800), 800, "l1", "close"),
+        # a tight pair (gap 0.017) deep in the wide level
+        "mixture-256-seed3": (lambda: _mixture(256, seed=3), 400, "l1",
+                              "close"),
     }
 
     @staticmethod
@@ -290,18 +297,17 @@ class TestSteppedSpectra:
         exps, mult, n_inf = self._levels(raw, spec)
         assert spec.convergence_history[0] == hist_n
         hist = spec.convergence_history[1]
-        assert hist.shape == hist_vals.shape
+        assert len(hist) == len(hist_vals)
         if match == "bitwise":
             assert np.array_equal(spec.raw_exponents, raw)
-            assert np.array_equal(hist, hist_vals.astype(np.float32))
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(hist, hist_vals, strict=True))
         elif match == "close":
             assert np.array_equal(np.isfinite(spec.raw_exponents),
                                   np.isfinite(raw))
             fin = np.isfinite(raw)
             assert np.abs(spec.raw_exponents[fin] - raw[fin]).max() <= 1e-10
-            # the history rows are rounded to single precision
-            assert np.all(np.abs(hist - hist_vals)
-                          <= 1e-10 + 2.0 ** -24 * np.abs(hist_vals))
+            assert np.allclose(hist, hist_vals, rtol=0, atol=1e-10)
         else:
             top = np.sort(raw)[::-1][:2]
             assert np.abs(np.sort(spec.raw_exponents)[::-1][:2] - top).max() \
@@ -317,35 +323,45 @@ class TestSteppedSpectra:
 
     def test_blocks_cut_factorizations(self, monkeypatch):
         # the 256-bin mixture's pivots spread by 1.7-2.6 in log per step, so
-        # blocks of 4-6 steps (a history point every 6) replace most steps
+        # two blocks per history stride of 6 steps replace most steps
         gen, orbit = _mixture(256, n=400)
         calls = _spy_steps(monkeypatch)
         spec = lyapunov_exponents(gen, orbit, 400, norm="l1")
         assert spec.n_used == 400
-        assert len(calls) <= 134
+        assert calls["step"] <= 134
 
-    @pytest.mark.parametrize("A, redone", [
-        (1e60 * np.eye(3), True),
-        (1e-200 * np.eye(3), True),
-        (np.diag([1.0, 1e-6, 1e-12]), False),
-    ], ids=["overflow", "underflow", "graded"])
-    def test_redo_keeps_per_step_result(self, A, redone, monkeypatch):
-        # blocks of 1e60 I overflow the rescaling range and blocks of
-        # 1e-200 I underflow it, so each block is redone step by step; the
-        # graded diagonal spreads its pivots by 27.6 in log per step, so no
-        # block forms at all
-        gen, orbit = _constant(A)
+    @pytest.mark.parametrize("table, period, redone", [
+        ([1e60 * np.eye(3)], 1, False),
+        ([1e-200 * np.eye(3)], 1, False),
+        ([np.diag([1.0, 1e-6, 1e-12])], 1, False),
+        ([1e60 * np.eye(3), np.eye(3)], 2, True),
+        ([1e-200 * np.eye(3), np.eye(3)], 2, True),
+    ], ids=["overflow", "underflow", "graded", "overflow-switch",
+            "underflow-switch"])
+    def test_redo_keeps_per_step_result(self, table, period, redone,
+                                        monkeypatch):
+        # a constant 1e60 I or 1e-200 I leaves the rescaling range within
+        # two steps and the graded diagonal spreads its pivots by 27.6 in
+        # log per step, so no block forms on them.  Alternated with I, a
+        # block of 1e-200 I and I leaves the range at once, and blocks grow
+        # until they take in 1e60 I twice and leave it; each such block is
+        # redone step by step
+        gen = CocycleGenerator.from_table(table)
+        orbit = _cycle_orbit(period)
         calls = _spy_steps(monkeypatch)
         spec = lyapunov_exponents(gen, orbit, 200)
         raw, hist_n, hist_vals = _reference_qr_pass(
             gen, orbit, spec.n_used, spec.n_used - spec.window)
         assert np.array_equal(spec.raw_exponents, raw)
         assert spec.convergence_history[0] == hist_n
-        assert np.array_equal(spec.convergence_history[1],
-                              hist_vals.astype(np.float32))
-        assert (len(calls) > spec.n_used) == redone
-        if not redone:
-            assert len(calls) == spec.n_used
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(spec.convergence_history[1], hist_vals, strict=True))
+        # every step is either factored or chained into a block, and a
+        # redone block's steps are factored once more
+        redos = calls["step"] + calls["product"] - spec.n_used
+        assert (redos > 0) == redone
+        if period == 1:
+            assert calls == {"step": spec.n_used, "product": 0}
 
 
 class TestNormSlope:
