@@ -16,10 +16,10 @@ any, so a malformed entry stops it before any work.  The output directory
 is ``--out``, else the config's ``out``, else ``out``; ``batch`` writes
 ``exp_NNN/`` under ``--out`` or ``out``.
 
-Run with ``OPENBLAS_NUM_THREADS=1``: the per-step QR works on matrices too
-small for BLAS threads to pay, and on a 2-core machine OpenBLAS's default
-of two threads made a 400-step spectrum of a 256-bin Ulam mixture 1.1 to
-1.5 times slower.
+Run with ``OPENBLAS_NUM_THREADS=1``: the blocked QR pass works on matrices
+too small for BLAS threads to pay, and on a 2-core machine OpenBLAS's
+default of two threads made a 400-step spectrum of a 256-bin Ulam mixture
+1.1 to 1.5 times slower (measured with per-step QR).
 """
 
 import argparse
@@ -53,7 +53,7 @@ TASKS = ("spectrum", "splitting", "ulam", "diagnose", "sobolev")
 _EPILOG = ("exit status: 0 every check passed; 1 a check or a batch entry "
            "failed; 2 a config or stage error.  batch reads every entry "
            "before it runs any.  Set OPENBLAS_NUM_THREADS=1: BLAS threads "
-           "slow the per-step QR down.")
+           "slow the blocked QR pass down.")
 
 
 class ConfigError(ValueError):
@@ -459,11 +459,11 @@ def _run_diagnose(cfg, gen, timings):
     n_spec = 400
     t0 = time.perf_counter()
     orbit = generate_orbit(cfg.driver, cfg.seed, 0, max(a["n"], n_spec) + 2)
-    b_vals, k_vals = [], []
+    b_vals, kappas = [], []
     for k in range(1, a["n"] + 1):
         b_vals.append(ly_bound_B(system, orbit, k, a["p"], a["t"], a["C_R"]))
-        k_vals.append(kappa_star_bound(system, orbit, k, a["p"], a["t"]).bound)
-    kappa = kappa_star_bound(system, orbit, a["n"], a["p"], a["t"])
+        kappas.append(kappa_star_bound(system, orbit, k, a["p"], a["t"]))
+    kappa = kappas[-1]
     hennion = hennion_kappa_bound(
         lambda k: ly_bound_B(system, shift_view(orbit, k), 1, a["p"], a["t"],
                              a["C_R"]),
@@ -484,8 +484,8 @@ def _run_diagnose(cfg, gen, timings):
                "lambda_1": float(lam1)}
     traces = {"trace_diagnose.csv": (
         ["n", "B_n", "kappa_bound_n"],
-        [(k + 1, float(b), float(kb))
-         for k, (b, kb) in enumerate(zip(b_vals, k_vals))])}
+        [(k + 1, float(b), float(kb.bound))
+         for k, (b, kb) in enumerate(zip(b_vals, kappas))])}
     return results, checks, traces
 
 

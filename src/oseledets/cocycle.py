@@ -3,9 +3,10 @@
 A generator maps base states to d x d matrices (not necessarily
 invertible).  Products are accumulated newest-factor-on-the-left; long
 products are renormalized through a log-scale accumulator so only the
-scale, never the entries, can overflow.  ``_QRStepper`` runs the stepped
-QR loops of the spectrum, the filtrations and the pushforwards through
-one LAPACK workspace.
+scale, never the entries, can overflow.  ``_qr_pass`` is the one blocked
+QR walk of an orthonormal frame along the orbit: the Lyapunov spectrum,
+the backward filtration steps, the pushforwards and the growth rates all
+run through it, and it alone uses the LAPACK workspace of ``_QRStepper``.
 """
 
 import math
@@ -27,6 +28,24 @@ __all__ = [
 # running products are rescaled once their max entry leaves this range
 _RENORM_HI = 1e100
 _RENORM_LO = 1e-100
+# one-step image below this fraction of the frame's dominant factor counts
+# as numerical annihilation.  Measured on rank-deficient Ulam cocycles,
+# recycled-noise dips stay below 1e-9 while genuine per-step factors of
+# resolvable exponents stay above 1e-2; the midpoint leaves seven orders of
+# margin each way
+_DEATH_REL = 1e-8
+# the QR pass factors a block of steps at once and sizes the next block so
+# that its pivots spread over about e^10 (the last block's spread per step
+# times the length): Householder QR of the block product then loses about
+# e^10 eps = 5e-12 in the log of its smallest pivot, and the spread stays
+# e^8 short of the _DEATH_REL collapse test (1e-8 = e^-18.4).  At e^12 a
+# tight pair of raw exponents on the 256-bin Ulam mixture moved by 2.6e-10
+# against the per-step loop; at e^10 by 2.2e-11
+_BLOCK_LOG_SPREAD = 10.0
+# the next block's largest pivot, at the last block's scale per step, also
+# stays inside [_RENORM_LO, _RENORM_HI], which a block that grows or
+# shrinks by more than e^230 leaves and is then redone
+_LOG_RENORM = min(math.log(_RENORM_HI), -math.log(_RENORM_LO))
 
 
 class CocycleGenerator:
@@ -130,9 +149,9 @@ class _QRStepper:
     LAPACK, with a workspace at least as large as either routine's query
     asks for (so both take the blocked path ``np.linalg.qr`` takes); its Q
     and |diag R| are bitwise those of ``np.linalg.qr``.  The
-    Fortran-ordered buffers are allocated once, not once per step.  Q is returned C-contiguous because the next product
-    ``A @ Q`` rounds differently for a Fortran-ordered Q.  Requires
-    m >= n >= 1.
+    Fortran-ordered buffers are allocated once, not once per step.  Q is
+    returned C-contiguous because the next product ``A @ Q`` rounds
+    differently for a Fortran-ordered Q.  Requires m >= n >= 1.
     """
 
     def __init__(self, m, n):
@@ -165,7 +184,63 @@ class _QRStepper:
         diag = np.abs(a.diagonal())
         lapack_lite.dorgqr(self.m, self.n, self.n, self._a, self.m,
                            self._tau, self._work, self._lwork, 0)
-        return np.ascontiguousarray(a), diag
+        # a copy even for n = 1, where the buffer's transpose is already
+        # C-contiguous: the next ``product`` overwrites the buffer
+        return a.copy(), diag
+
+
+def _qr_pass(factor, Q, stops):
+    """Walk the orthonormal frame Q through factor(0) .. factor(N - 1),
+    N = stops[-1], with one QR per block of steps (Benettin, Galgani,
+    Giorgilli and Strelcyn 1980); yields (k, Q, diags) at each block end k:
+    the frame after step k and the |diag R| of the block's factorizations.
+
+    Blocks end at every stop.  A block of b steps factors the plain product
+    A_{k+b} ... A_{k+1} Q once; in exact arithmetic its R-diagonal is the
+    product of the per-step ones, and Householder QR resolves its smallest
+    pivot to about (largest / smallest) eps.  So at the last block's rates
+    per step, b is the largest length whose pivots spread over about
+    e^_BLOCK_LOG_SPREAD and whose largest pivot stays in [_RENORM_LO,
+    _RENORM_HI]; the first block, and any after zero or noise-level
+    pivots, is one step.  A block with b > 1 whose product has a pivot at
+    or below _DEATH_REL times the largest, or a largest pivot out of that
+    range or not finite, is redone step by step (``factor`` must give the
+    same matrices again), yields the per-step diagonals and resets b to 1;
+    it is formed with overflow warnings off, since the redo handles them.
+    A one-step collapse that later steps of its block offset is not seen.
+    """
+    stepper = _QRStepper(*Q.shape)
+    n = stops[-1]
+    k, b, s = 0, 1, 0
+    while k < n:
+        end = min(k + b, stops[s])
+        M = Q
+        quiet = {"over": "ignore", "invalid": "ignore"} if end - k > 1 else {}
+        with np.errstate(**quiet):
+            for i in range(k, end - 1):
+                M = stepper.product(factor(i), M)
+            Q_block, diag = stepper.step(factor(end - 1), M)
+        top = float(diag.max())
+        if end - k > 1 and (not _RENORM_LO <= top <= _RENORM_HI or (
+                diag <= _DEATH_REL * top).any()):
+            diags = []
+            for i in range(k, end):
+                Q, diag = stepper.step(factor(i), Q)
+                diags.append(diag)
+            b = 1
+        else:
+            Q, diags = Q_block, [diag]
+            low = float(diag.min())
+            if low > 0 and math.isfinite(top):
+                rate = max(math.log(top / low) / _BLOCK_LOG_SPREAD,
+                           abs(math.log(top)) / _LOG_RENORM)
+                b = max(1, int((end - k) / rate)) if rate else n
+            else:
+                b = 1
+        k = end
+        if k == stops[s]:
+            s += 1
+        yield k, Q, diags
 
 
 def scaled_forward_product(gen, orbit, start, n):

@@ -1,18 +1,9 @@
 """Lyapunov spectra, Oseledets filtrations and quasi-compactness bounds.
 
-Exponents come from sequential QR with re-orthonormalization, done once
-per block of steps rather than once per step (Benettin, Galgani,
-Giorgilli and Strelcyn 1980): the plain product of a block's factors with
-the frame is factored once, and in exact arithmetic the R-diagonal of
-QR(A_b ... A_1 Q) is the product of the per-step R-diagonals, so the
-exponents do not change.  Rounding does move them: Householder QR of the
-block product resolves its smallest pivot to about (largest / smallest)
-times eps, so each block is sized from the pivot spread per step of the
-one before, aiming at a ratio of e^10, and from its scale per step, so
-that its largest pivot stays inside the rescaling range.  A block never
-spans the window start, the end or a history point.  A block whose
-product shows a collapsed pivot, or whose scale leaves the rescaling
-range all the same, is redone one step at a time.
+Exponents come from the blocked QR pass of ``cocycle._qr_pass``, which
+re-orthonormalizes the frame once per block of steps (Benettin, Galgani,
+Giorgilli and Strelcyn 1980) and states the block rule.
+
 The estimator is a windowed slope (S(n) - S(n/2)) / (n - n/2) of the
 cumulative log R-diagonals rather than the plain (1/n) average: the
 window cancels the O(1/n) transient bias, and when the base driver
@@ -28,8 +19,9 @@ ends without forming the d x d product; every other case forms the
 product forward.  Either way the generator is evaluated twice per step.
 
 Filtrations come back as co-frames (FiltrationAt): the leading
-directions of the backward QR steps, V_{j+1} being the orthogonal
-complement of the first c_j = m_1 + ... + m_j of them.
+directions of the same pass run backward on the transposed factors,
+V_{j+1} being the orthogonal complement of the first c_j = m_1 + ... +
+m_j of them.
 """
 
 import math
@@ -37,7 +29,7 @@ import math
 import numpy as np
 
 from .base import ParameterError
-from .cocycle import _RENORM_HI, _RENORM_LO, ScaledMatrix, _QRStepper
+from .cocycle import _DEATH_REL, ScaledMatrix, _qr_pass
 
 __all__ = [
     "LyapunovSpectrum",
@@ -50,24 +42,6 @@ __all__ = [
 
 DEFAULT_GAP_THRESHOLD = 0.05
 DEFAULT_FLOOR = -30.0
-# one-step image below this fraction of the frame's dominant factor counts
-# as numerical annihilation.  Measured on rank-deficient Ulam cocycles,
-# recycled-noise dips stay below 1e-9 while genuine per-step factors of
-# resolvable exponents stay above 1e-2; the midpoint leaves seven orders of
-# margin each way
-_DEATH_REL = 1e-8
-# the QR pass factors a block of steps at once and sizes the next block so
-# that its pivots spread over about e^10 (the last block's spread per step
-# times the length): Householder QR of the block product then loses about
-# e^10 eps = 5e-12 in the log of its smallest pivot, and the spread stays
-# e^8 short of the _DEATH_REL collapse test (1e-8 = e^-18.4).  At e^12 a
-# tight pair of raw exponents on the 256-bin Ulam mixture moved by 2.6e-10
-# against the per-step loop; at e^10 by 2.2e-11
-_BLOCK_LOG_SPREAD = 10.0
-# the next block's largest pivot, at the last block's scale per step, also
-# stays inside [_RENORM_LO, _RENORM_HI], which a block that grows or
-# shrinks by more than e^230 leaves and is then redone
-_LOG_RENORM = min(math.log(_RENORM_HI), -math.log(_RENORM_LO))
 
 
 class LyapunovSpectrum:
@@ -213,32 +187,15 @@ def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
     the two agree within gap_threshold (they estimate the same limit, and
     the norm-based value is exact for norm-preserving cocycles).
 
-    The QR pass factors once per block of b steps: M = A_{k+b-1} ... A_{k+1}
-    Q as plain products, then the QR of A_{k+b} M.  At the previous
-    block's rates per step, b is the largest length whose pivot ratio
-    stays near e^10 (_BLOCK_LOG_SPREAD) and whose largest pivot stays
-    inside [_RENORM_LO, _RENORM_HI]; zero or noise-level pivots, or a
-    scale beyond e^115 per step, keep it at 1, the per-step loop.  Blocks
-    end at n_half, at n_eff and at every history point, so S_half and
-    convergence_history see the same k as per-step QR.  A block with b > 1
-    whose product has a pivot at or below _DEATH_REL times the largest, or
-    whose largest pivot is not finite or leaves the rescaling range, is
-    redone step by step from its start (the generator is evaluated again)
-    and b is reset to 1.  Dead columns, the self-healing before the window
-    and -inf pivots are therefore per-step wherever a collapse shows in a
-    block product; a one-step collapse that the block's later steps offset
-    is not seen.  Rank-deficient and extreme-scale cocycles in the tests
-    run the per-step loop bit for bit; a scale that jumps (runs of I broken
-    by 1e60 I) gets blocks redone, each at one factorization more than
-    per-step QR.  Against the per-step loop, on 3/10, 2/5 Ulam mixtures
-    (64, 128 and 256 bins, orbits 1, 3, 7 and 11, 400 and 800 steps) the
-    level exponents agreed to 3.3e-14 and the raw exponents to 5.4e-12 at
-    64 and 128 bins and to 2.2e-11 at 256 bins.  The largest was a tight
-    pair (gap 0.017) deep in the wide level, where a 1e-15 change of the
-    start frame moves the per-step loop's own raw exponents by 3.9e-11.
-    On the continuum perturbed-doubling cocycle at 128 bins (three orbits)
-    the raw exponents agreed to 6.9e-11.  The 256-bin mixture takes 134
-    factorizations for 400 steps.
+    The QR pass is ``_qr_pass`` with a block end at n_half, at n_eff and
+    at every history point, so S_half and convergence_history see the same
+    k as per-step QR.  Against the per-step loop on 3/10, 2/5 Ulam
+    mixtures (64 to 256 bins, 400 and 800 steps) the raw exponents agreed
+    to 2.2e-11, the largest at a tight pair (gap 0.017) deep in the wide
+    level, where a 1e-15 change of the start frame moves the per-step
+    loop's own raw exponents by 3.9e-11.  The 256-bin mixture takes 134
+    factorizations for 400 steps.  Rank-deficient and extreme-scale
+    cocycles in the tests run the per-step loop bit for bit.
 
     The norm slope comes from a second pass after the QR pass, which
     evaluates the generator again at every step (generators give
@@ -258,8 +215,6 @@ def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
         n_half = max(1, n_eff // 2)
     window = n_eff - n_half
 
-    stepper = _QRStepper(d, d)
-    Q = np.eye(d)
     S = np.zeros(d)
     logs = np.empty(d)    # log diag R, -inf where R has a zero pivot
     S_half = None
@@ -268,44 +223,15 @@ def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
     hist_stride = max(1, n_eff // 64)
     hist_n = list(range(hist_stride, n_eff, hist_stride)) + [n_eff]
     hist_vals = []
-    k, b = 0, 1
-    while k < n_eff:
-        # steps k+1 .. end form one block; it ends at the next window end
-        # or history point, so S_half and the history see the same k
-        end = min(k + b, n_half if k < n_half else n_eff,
-                  (k // hist_stride + 1) * hist_stride)
-        M = Q
-        for i in range(k, end):
-            A = gen.matrix_at(orbit, i)
-            if sweep:
-                sweep = A.min() >= 0
-            if i + 1 < end:
-                M = stepper.product(A, M)
-        Q_block, diag = stepper.step(A, M)
-        top = float(diag.max())
-        if end - k > 1 and (not _RENORM_LO <= top <= _RENORM_HI or (
-                diag <= _DEATH_REL * top).any()):
-            # a collapse or an out-of-range scale inside a block is redone
-            # one step at a time from the saved Q (the generator gives the
-            # same matrices again), so dead columns, the self-healing
-            # before the window and -inf pivots are per-step
-            diags = []
-            for i in range(k, end):
-                Q, diag = stepper.step(gen.matrix_at(orbit, i), Q)
-                diags.append(diag)
-            b = 1
-        else:
-            Q, diags = Q_block, [diag]
-            low = float(diag.min())
-            if low > 0 and math.isfinite(top):
-                # at this block's rates per step, the next one's pivots
-                # spread over about e^_BLOCK_LOG_SPREAD and its largest
-                # pivot stays inside the rescaling range
-                rate = max(math.log(top / low) / _BLOCK_LOG_SPREAD,
-                           abs(math.log(top)) / _LOG_RENORM)
-                b = max(1, int((end - k) / rate)) if rate else n_eff
-            else:
-                b = 1
+
+    def factor(i):
+        nonlocal sweep
+        A = gen.matrix_at(orbit, i)
+        sweep = sweep and A.min() >= 0
+        return A
+
+    for k, _, diags in _qr_pass(factor, np.eye(d),
+                                sorted(set(hist_n) | {n_half})):
         for diag in diags:
             logs.fill(-np.inf)
             S = S + np.log(diag, out=logs, where=diag != 0)
@@ -315,11 +241,9 @@ def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
             # left alone; the reseeded column then tracks a genuine slower
             # direction and the windowed slope measures it (that
             # self-healing is the reason the slope is windowed rather than
-            # cumulative).  An accepted block shows no collapse in its
-            # product; one that later steps of the block hide is not seen.
-            if end > n_half:
+            # cumulative)
+            if k > n_half:
                 dead |= diag <= _DEATH_REL * max(float(diag.max()), 1e-300)
-        k = end
         if k == n_half:
             S_half = S.copy()
         if k == hist_n[len(hist_vals)]:
@@ -391,21 +315,22 @@ def filtration_at(gen, orbit, offset, n, spectrum, norm="l2", levels=None):
             raise ParameterError("levels must be >= 1")
         mult = mult[:levels]
     w = min(d, sum(mult) + 1)
-    # stepwise QR on the transposed generator, read backward: the leading
+    # the QR pass on the transposed generator, read backward: the leading
     # columns of Q converge to the top right-singular subspaces of the
     # forward product with only local-gap error, where a one-shot SVD of
     # the product carries backward error eps * sigma_1 and buries every
-    # level more than sixteen digits below the top.  The first w columns
-    # of a QR depend only on the first w input columns, so the trailing
-    # ones are never formed
-    stepper = _QRStepper(d, w)
-    Q = np.eye(d, w)
+    # level more than sixteen digits below the top (a block's pivots
+    # spread over only about e^10).  The first w columns of a QR depend
+    # only on the first w input columns, so the trailing ones are never
+    # formed
     log_diag = np.zeros(w)
     logs = np.empty(w)
-    for k in range(n):
-        Q, diag = stepper.step(gen.matrix_at(orbit, offset + n - 1 - k).T, Q)
-        logs.fill(-np.inf)
-        log_diag += np.log(diag, out=logs, where=diag != 0)
+    for _, Q, diags in _qr_pass(
+            lambda k: gen.matrix_at(orbit, offset + n - 1 - k).T,
+            np.eye(d, w), [n]):
+        for diag in diags:
+            logs.fill(-np.inf)
+            log_diag += np.log(diag, out=logs, where=diag != 0)
     rates = log_diag / n
     warnings = list(spectrum.warnings)
     midpoints = [(a + b) / 2.0 for a, b in zip(lam, lam[1:])]
@@ -423,23 +348,23 @@ def filtration_at(gen, orbit, offset, n, spectrum, norm="l2", levels=None):
 
 
 def growth_rate(gen, orbit, v, n, offset=0):
-    """(1/n) log ||L^(n) v|| with per-step renormalization; -inf when the
-    vector dies in the numerical kernel."""
+    """(1/n) log ||L^(n) v||, from the QR pass on the one-column frame
+    v / ||v||; -inf when the vector dies in the numerical kernel (a zero
+    or non-finite step)."""
     v = np.asarray(v, dtype=float)
     nv = float(np.linalg.norm(v))
     if nv == 0.0:
         raise ParameterError("v must be nonzero")
     if n < 1:
         raise ParameterError("n must be >= 1")
-    w = v / nv
     log_acc = 0.0
-    for k in range(n):
-        w = gen.matrix_at(orbit, offset + k) @ w
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0 or not np.isfinite(nw):
-            return -math.inf
-        log_acc += math.log(nw)
-        w = w / nw
+    for _, _, diags in _qr_pass(lambda k: gen.matrix_at(orbit, offset + k),
+                                (v / nv)[:, None], [n]):
+        for diag in diags:
+            nw = float(diag[0])
+            if nw == 0.0 or not math.isfinite(nw):
+                return -math.inf
+            log_acc += math.log(nw)
     return log_acc / n
 
 

@@ -729,13 +729,18 @@ def _max_closure_multiplicity(intervals):
     return best
 
 
+def _composition_summary(maps):
+    """(C_b, C_e, inf |D(comp)|) of the composition from one partition."""
+    pieces, _ = _composition_pieces(maps)
+    return (_max_closure_multiplicity([p["dom"] for p in pieces]),
+            _max_closure_multiplicity([p["img"] for p in pieces]),
+            min(p["min_slope"] for p in pieces))
+
+
 def complexity_counters(maps):
     """(C_b, C_e) of the composition: max multiplicities of the closures of
     the branch domains and branch images; endpoint touching counts."""
-    pieces, _ = _composition_pieces(maps)
-    doms = [p["dom"] for p in pieces]
-    imgs = [p["img"] for p in pieces]
-    return _max_closure_multiplicity(doms), _max_closure_multiplicity(imgs)
+    return _composition_summary(maps)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -762,10 +767,7 @@ def ly_bound_B(system, orbit, n, p, t, C_R=1.0):
     _validate_pt(p, t, system.alpha)
     if n < 1:
         raise ParameterError("n must be >= 1")
-    maps = _composition_at(system, orbit, n)
-    pieces, _ = _composition_pieces(maps)
-    C_b, C_e = complexity_counters(maps)
-    inf_dt = min(pc["min_slope"] for pc in pieces)
+    C_b, C_e, inf_dt = _composition_summary(_composition_at(system, orbit, n))
     # exponent 1/p - 1 - t < 0: the sup is attained at the smallest slope
     sup_term = inf_dt ** (1.0 / p - 1.0 - t)
     return C_R * n * C_b ** (1.0 / p) * C_e ** (1.0 - 1.0 / p) * sup_term
@@ -795,10 +797,7 @@ def kappa_star_bound(system, orbit, n, p, t):
     _validate_pt(p, t, system.alpha)
     if n < 1:
         raise ParameterError("n must be >= 1")
-    maps = _composition_at(system, orbit, n)
-    pieces, _ = _composition_pieces(maps)
-    _, C_e = complexity_counters(maps)
-    inf_dt = min(pc["min_slope"] for pc in pieces)
+    _, C_e, inf_dt = _composition_summary(_composition_at(system, orbit, n))
     log_Ce_star = math.log(C_e) / n
     log_chi = -math.log(inf_dt) / n
     bound = (1.0 - 1.0 / p) * (log_Ce_star + log_chi) + t * log_chi

@@ -14,7 +14,8 @@ from oseledets.cocycle import (
     forward_product,
     scaled_forward_product,
 )
-from oseledets.grassmann import operator_norm
+from oseledets.grassmann import Subspace, operator_norm
+from oseledets.splitting import pushforward_space
 
 A2 = np.array([[2.0, 1.0], [0.0, 0.5]])
 
@@ -220,3 +221,40 @@ class TestQRStepper:
         self._assert_bitwise(mats, np.eye(40, 3))
         self._assert_bitwise([M.T for M in mats], np.eye(40, 3))
         self._assert_bitwise([M.T for M in mats], np.eye(40))
+
+    def test_one_column_frame_survives_product(self):
+        # the transpose of an n = 1 buffer is already C-contiguous, so a
+        # frame that is not copied out of it is overwritten by the next
+        # product, the one a block redo would restart from
+        rng = np.random.default_rng(7)
+        A, B = rng.standard_normal((2, 5, 5))
+        stepper = _QRStepper(5, 1)
+        Q, _ = stepper.step(A, np.eye(5, 1))
+        kept = Q.copy()
+        stepper.product(B, Q)
+        assert not np.shares_memory(Q, stepper._a)
+        assert np.array_equal(Q, kept)
+
+    def test_redone_line_pushforward_matches_numpy_loop(self, monkeypatch):
+        # blocks that take in the 1e60-scaled factor twice leave the
+        # rescaling range and are redone step by step from the saved line
+        rng = np.random.default_rng(8)
+        A, B = rng.standard_normal((2, 3, 3))
+        gen = CocycleGenerator.from_table([1e60 * A, B])
+        orbit = _orbit(n=200)
+        u = rng.standard_normal((3, 1))
+        calls = {"step": 0}
+        step = _QRStepper.step
+
+        def counted(self, M, Q):
+            calls["step"] += 1
+            return step(self, M, Q)
+
+        monkeypatch.setattr(_QRStepper, "step", counted)
+        got = pushforward_space(gen, orbit, Subspace(u), 100, base_offset=100)
+        assert calls["step"] > 50        # most blocks were redone
+        Q_ref, _ = _numpy_qr_steps(
+            [gen.matrix_at(orbit, k) for k in range(100)],
+            u / np.linalg.norm(u))[-1]
+        y = got.orthonormal_basis()
+        assert np.linalg.norm(y - Q_ref @ (Q_ref.T @ y)) <= 1e-12

@@ -19,6 +19,7 @@ from oseledets import transfer
 from oseledets.cocycle import (CocycleGenerator, _QRStepper, forward_product,
                                scaled_forward_product)
 from oseledets.grassmann import Subspace, grassmann_distance, one_sided_hausdorff
+from oseledets.splitting import pushforward_space
 from oseledets.spectrum import (
     FiltrationAt,
     filtration_at,
@@ -190,17 +191,30 @@ def _rank_one_pair():
     return gen, _cycle_orbit()
 
 
-def _reference_qr_pass(gen, orbit, n_eff, n_half):
+def _per_step_diags(gen, orbit, stop, start=0, Q=None):
+    """|diag R| of each step of a per-step np.linalg.qr loop over offsets
+    start..stop-1, and the frame after it; Q is the frame at start (the
+    identity at 0)."""
+    Q = np.eye(gen.dim) if Q is None else Q
+    diags = []
+    for k in range(start, stop):
+        Q, R = np.linalg.qr(gen.matrix_at(orbit, k) @ Q)
+        diags.append(np.abs(np.diag(R)))
+    return diags, Q
+
+
+def _reference_qr_pass(gen, orbit, n_eff, n_half, diags=None):
     """The QR pass as a per-step np.linalg.qr loop: raw windowed slopes and
-    the history, with the same dead-column rule."""
+    the history, with the same dead-column rule.  ``diags`` are the loop's
+    per-step |diag R| when already known (at least n_eff of them)."""
+    if diags is None:
+        diags, _ = _per_step_diags(gen, orbit, n_eff)
     d = gen.dim
-    Q, S, S_half = np.eye(d), np.zeros(d), None
+    S, S_half = np.zeros(d), None
     dead = np.zeros(d, dtype=bool)
     stride = max(1, n_eff // 64)
     hist_n, hist_vals = [], []
-    for k in range(1, n_eff + 1):
-        Q, R = np.linalg.qr(gen.matrix_at(orbit, k - 1) @ Q)
-        diag = np.abs(np.diag(R))
+    for k, diag in enumerate(diags[:n_eff], start=1):
         with np.errstate(divide="ignore"):
             S = S + np.log(diag)
         if k > n_half:
@@ -227,9 +241,10 @@ def _constant(A):
     return CocycleGenerator.constant(A), _cycle_orbit()
 
 
-def _spy_steps(monkeypatch):
+def _spy_steps(monkeypatch, shapes=None):
     """Counts _QRStepper.step calls (one per QR factorization) and
-    _QRStepper.product calls (one per step chained into a block)."""
+    _QRStepper.product calls (one per step chained into a block); adds the
+    shape of each product A @ Q to the set ``shapes`` if one is given."""
     calls = {"step": 0, "product": 0}
 
     def spy(name):
@@ -237,6 +252,8 @@ def _spy_steps(monkeypatch):
 
         def counted(self, A, Q):
             calls[name] += 1
+            if shapes is not None:
+                shapes.add((A.shape[0], Q.shape[1]))
             return method(self, A, Q)
         monkeypatch.setattr(_QRStepper, name, counted)
 
@@ -287,13 +304,33 @@ class TestSteppedSpectra:
         return ([float(np.mean(finite[a:b])) for a, b in zip(bounds, bounds[1:])],
                 np.diff(bounds).tolist(), raw.size - finite.size)
 
+    @pytest.fixture(scope="class")
+    def mixture_steps(self):
+        """Per-step reference loops of the _mixture cases by (bins, seed).
+        _mixture draws state k from the seed and k alone, so the loop of a
+        shorter case is a prefix of a longer one's: each loop is run once,
+        extended when a case needs more steps."""
+        return {}
+
+    def _reference(self, gen, orbit, spec, mixture_steps):
+        n_eff = spec.n_used
+        diags = None
+        if gen.name.startswith("ulam"):       # only _mixture builds these
+            diags, Q = mixture_steps.get((gen.name, orbit.seed), ([], None))
+            if len(diags) < n_eff:
+                more, Q = _per_step_diags(gen, orbit, n_eff, len(diags), Q)
+                diags = diags + more
+                mixture_steps[gen.name, orbit.seed] = (diags, Q)
+        return _reference_qr_pass(gen, orbit, n_eff, n_eff - spec.window,
+                                  diags)
+
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_matches_numpy_qr_loop(self, case):
+    def test_matches_numpy_qr_loop(self, case, mixture_steps):
         build, n, norm, match = self.CASES[case]
         gen, orbit = build()
         spec = lyapunov_exponents(gen, orbit, n, norm=norm)
-        raw, hist_n, hist_vals = _reference_qr_pass(
-            gen, orbit, spec.n_used, spec.n_used - spec.window)
+        raw, hist_n, hist_vals = self._reference(gen, orbit, spec,
+                                                 mixture_steps)
         exps, mult, n_inf = self._levels(raw, spec)
         assert spec.convergence_history[0] == hist_n
         hist = spec.convergence_history[1]
@@ -330,26 +367,29 @@ class TestSteppedSpectra:
         assert spec.n_used == 400
         assert calls["step"] <= 134
 
-    @pytest.mark.parametrize("table, period, redone", [
-        ([1e60 * np.eye(3)], 1, False),
-        ([1e-200 * np.eye(3)], 1, False),
-        ([np.diag([1.0, 1e-6, 1e-12])], 1, False),
-        ([1e60 * np.eye(3), np.eye(3)], 2, True),
-        ([1e-200 * np.eye(3), np.eye(3)], 2, True),
+    @pytest.mark.parametrize("table, period, n, redone", [
+        ([1e60 * np.eye(3)], 1, 200, False),
+        ([1e-200 * np.eye(3)], 1, 200, False),
+        ([np.diag([1.0, 1e-6, 1e-12])], 1, 200, False),
+        ([1e60 * np.eye(3), np.eye(3)], 2, 200, True),
+        ([1e-200 * np.eye(3), np.eye(3)], 2, 200, True),
+        ([[[1e60]], [[1.0]]], 2, 2000, True),
     ], ids=["overflow", "underflow", "graded", "overflow-switch",
-            "underflow-switch"])
-    def test_redo_keeps_per_step_result(self, table, period, redone,
+            "underflow-switch", "overflow-switch-1x1"])
+    def test_redo_keeps_per_step_result(self, table, period, n, redone,
                                         monkeypatch):
         # a constant 1e60 I or 1e-200 I leaves the rescaling range within
         # two steps and the graded diagonal spreads its pivots by 27.6 in
         # log per step, so no block forms on them.  Alternated with I, a
         # block of 1e-200 I and I leaves the range at once, and blocks grow
         # until they take in 1e60 I twice and leave it; each such block is
-        # redone step by step
+        # redone step by step.  Over 2000 steps the history stride of 31
+        # lets a 1 x 1 block take in 1e60 six times or more, so its product
+        # overflows on the way to the redo, which must not warn
         gen = CocycleGenerator.from_table(table)
         orbit = _cycle_orbit(period)
         calls = _spy_steps(monkeypatch)
-        spec = lyapunov_exponents(gen, orbit, 200)
+        spec = lyapunov_exponents(gen, orbit, n)
         raw, hist_n, hist_vals = _reference_qr_pass(
             gen, orbit, spec.n_used, spec.n_used - spec.window)
         assert np.array_equal(spec.raw_exponents, raw)
@@ -531,18 +571,14 @@ class TestTruncatedFiltration:
                                    Subspace(np.eye(4)[:, 2:])) > 0.1
 
     def test_qr_sees_only_tracked_columns(self, mixture, monkeypatch):
+        # every product and factorization of the QR pass is 128 x 3, and
+        # together they take each of the 16 backward steps once
         gen, orbit, spec = mixture
-        shapes = []
-        step = _QRStepper.step
-
-        def spy(self, A, Q):
-            shapes.append((A @ Q).shape)
-            return step(self, A, Q)
-
-        monkeypatch.setattr(_QRStepper, "step", spy)
+        shapes = set()
+        calls = _spy_steps(monkeypatch, shapes)
         filtration_at(gen, orbit, -16, 16, spec, levels=2)
-        assert len(shapes) == 16
-        assert set(shapes) == {(128, 3)}
+        assert shapes == {(128, 3)}
+        assert calls["step"] + calls["product"] == 16
 
     def test_levels_validation(self, mixture):
         gen, orbit, spec = mixture
@@ -581,6 +617,87 @@ class TestGrowthRate:
             growth_rate(gen, orbit, [0.0, 0.0], 5)
         with pytest.raises(ParameterError):
             growth_rate(gen, orbit, [1.0, 0.0], 0)
+
+
+def _frame_sine(A, B):
+    """l2 sine between the spans of the orthonormal frames A and B."""
+    return float(np.linalg.norm(A - B @ (B.T @ A), 2))
+
+
+class TestSteppedWalks:
+    """The filtration, pushforward and growth-rate walks of the blocked QR
+    pass against per-step np.linalg.qr loops, on Ulam mixtures where blocks
+    form and on the extreme-scale tables whose blocks are redone."""
+
+    BUILDS = {
+        "mixture-64": lambda: _mixture(64),
+        "mixture-128": lambda: _mixture(128),
+        "overflow": lambda: _constant(1e60 * np.eye(3)),
+        "underflow": lambda: _constant(1e-200 * np.eye(3)),
+        "graded": lambda: _constant(np.diag([1.0, 1e-6, 1e-12])),
+        "overflow-switch": lambda: (CocycleGenerator.from_table(
+            [1e60 * np.eye(3), np.eye(3)]), _cycle_orbit()),
+        "underflow-switch": lambda: (CocycleGenerator.from_table(
+            [1e-200 * np.eye(3), np.eye(3)]), _cycle_orbit()),
+    }
+    CASES = [(b, n) for b in sorted(BUILDS) for n in (32, 128, 256)]
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        """(gen, orbit, spectrum) by build name, made once."""
+        cache = {}
+
+        def get(name):
+            if name not in cache:
+                gen, orbit = self.BUILDS[name]()
+                mixture = name.startswith("mixture")
+                spec = lyapunov_exponents(gen, orbit, 400 if mixture else 200,
+                                          norm="l1" if mixture else "l2")
+                cache[name] = gen, orbit, spec
+            return cache[name]
+        return get
+
+    @staticmethod
+    def _factors(gen, orbit, n):
+        """The factors at offsets 0..n-1, the walks' common window."""
+        return [gen.matrix_at(orbit, k) for k in range(n)]
+
+    @pytest.mark.parametrize("name, n", CASES)
+    def test_filtration(self, name, n, built):
+        gen, orbit, spec = built(name)
+        levels = 2 if name.startswith("mixture") else None
+        filt = filtration_at(gen, orbit, 0, n, spec, levels=levels)
+        w = filt.frame.shape[1]
+        Q, logs = np.eye(gen.dim, w), np.zeros(w)
+        for A in reversed(self._factors(gen, orbit, n)):
+            Q, R = np.linalg.qr(A.T @ Q)
+            logs += np.log(np.abs(np.diag(R)))
+        assert np.abs(filt.rates - logs / n).max() <= 1e-12
+        for c in filt.cuts[1:]:
+            assert _frame_sine(filt.frame[:, :c], Q[:, :c]) <= 1e-10
+
+    @pytest.mark.parametrize("name, n", CASES)
+    def test_pushforward(self, name, n, built):
+        gen, orbit, _ = built(name)
+        rng = np.random.default_rng(n)
+        for k in (1, 2, 3):
+            B0 = np.linalg.qr(rng.standard_normal((gen.dim, k)))[0]
+            got = pushforward_space(gen, orbit, Subspace(B0), n, base_offset=n)
+            B = B0
+            for A in self._factors(gen, orbit, n):
+                B, _ = np.linalg.qr(A @ B)
+            assert _frame_sine(got.orthonormal_basis(), B) <= 1e-8
+
+    @pytest.mark.parametrize("name, n", CASES)
+    def test_growth_rate(self, name, n, built):
+        gen, orbit, _ = built(name)
+        v = np.random.default_rng(n).standard_normal(gen.dim)
+        w, log_acc = (v / np.linalg.norm(v))[:, None], 0.0
+        for A in self._factors(gen, orbit, n):
+            w, r = np.linalg.qr(A @ w)
+            log_acc += math.log(abs(r[0, 0]))
+        assert growth_rate(gen, orbit, v, n) == pytest.approx(log_acc / n,
+                                                              abs=1e-12)
 
 
 class TestHennionKappa:

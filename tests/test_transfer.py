@@ -614,6 +614,24 @@ class TestKappaStarBound:
         assert d["n"] == 2
 
 
+@pytest.mark.parametrize("bound", [
+    lambda sysm: ly_bound_B(sysm, _orbit(), 3, p=2.0, t=0.25),
+    lambda sysm: kappa_star_bound(sysm, _orbit(), 3, p=2.0, t=0.25),
+], ids=["ly_bound_B", "kappa_star_bound"])
+def test_one_partition_per_bound(bound, monkeypatch):
+    # C_b, C_e and the smallest slope come from one composition partition
+    calls = []
+    pieces = transfer._composition_pieces
+
+    def counted(maps):
+        calls.append(len(maps))
+        return pieces(maps)
+
+    monkeypatch.setattr(transfer, "_composition_pieces", counted)
+    bound(RandomLYSystem(FiniteCycle(1), [doubling_map()]))
+    assert calls == [3]
+
+
 class TestDiscreteSobolevNorm:
     def test_t_zero_is_lp_norm(self):
         rng = np.random.default_rng(1)
