@@ -213,7 +213,8 @@ class ExperimentConfig:
     Every field is checked here and the stateless objects are built: the
     driver, the map list with its ``RandomLYSystem``, and the generator of
     a constant or tabulated cocycle.  ``run`` builds only the Ulam
-    generators, whose matrix caches hold per-run state.
+    generators, whose stores of assembled states (nonzeros, and a window
+    of dense matrices) hold per-run state.
     """
 
     def __init__(self, raw):
@@ -524,8 +525,8 @@ _RUNNERS = {"spectrum": _run_spectrum, "splitting": _run_splitting,
 def run(config, out_dir=None):
     """Execute one parsed config; returns the report dict.
 
-    Builds the Ulam generator, whose matrix cache is per-run state, then
-    runs the task; any failure is raised as a ``StageError``.
+    Builds the Ulam generator, whose stores of assembled states are
+    per-run state, then runs the task; any failure is raised as a ``StageError``.
     Deterministic given the seed: rerunning produces a byte-identical
     report.json apart from the "timings" object.
     """

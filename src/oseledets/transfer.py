@@ -272,11 +272,14 @@ class UlamOperator:
 
     An affine map's operator holds its entries exactly, as integer
     numerators over one common denominator: ``entries = (L, {(i, j):
-    num})`` with P[i, j] = num / L.  ``matrix`` and ``density_matrix()``
-    are filled from them on demand; int true division rounds correctly,
-    so every float is the double nearest the exact entry.  ``exact_rows``
-    (one ``{j: Fraction}`` dict per row) is built only when read.  Other
-    maps hold the float matrix alone.
+    num})`` with P[i, j] = num / L.  ``_nonzeros`` is the one place they
+    become floats: int true division rounds correctly, so every float is
+    the double nearest the exact entry.  ``matrix`` and
+    ``density_matrix()`` are filled from those nonzeros on demand, and
+    ``random_ulam_cocycle`` stores them in place of dense matrices, so an
+    evicted dense matrix is rebuilt by a scatter, not a new sweep.
+    ``exact_rows`` (one ``{j: Fraction}`` dict per row) is built only when
+    read.  Other maps hold the float matrix alone.
     """
 
     def __init__(self, n_bins, matrix=None, entries=None):
@@ -291,7 +294,7 @@ class UlamOperator:
     @property
     def matrix(self):
         if self._matrix is None:
-            self._matrix = self._filled(transpose=False)
+            self._matrix = _scatter(self.n_bins, self._nonzeros(False))
         return self._matrix
 
     @functools.cached_property
@@ -318,23 +321,33 @@ class UlamOperator:
 
     def density_matrix(self):
         """Transpose acting on density column vectors (a new array)."""
-        if self.entries is None:
-            return self._matrix.T.copy()
-        return self._filled(transpose=True)
+        return _scatter(self.n_bins, self._nonzeros(transpose=True))
 
-    def _filled(self, transpose):
+    def _nonzeros(self, transpose):
+        """(flat, vals): the nonzero entries of P, or of its transpose, as
+        row-major flat indices into an N×N array and float64 values;
+        ``_scatter`` rebuilds the matrix from them bit for bit."""
+        if self.entries is None:
+            v = (self._matrix.T if transpose else self._matrix).ravel()
+            flat = np.flatnonzero(v)
+            return flat, v[flat]
         L, nums = self.entries
-        M = np.zeros((self.n_bins, self.n_bins))
-        ij = np.array(list(nums), dtype=np.intp)
-        vals = [num / L for num in nums.values()]
-        if transpose:
-            M[ij[:, 1], ij[:, 0]] = vals
-        else:
-            M[ij[:, 0], ij[:, 1]] = vals
-        return M
+        n = self.n_bins
+        i, j = np.array(list(nums), dtype=np.intp).T
+        flat = j * n + i if transpose else i * n + j
+        vals = np.fromiter((num / L for num in nums.values()), np.float64,
+                           count=len(nums))
+        return flat, vals
 
     def __repr__(self):
         return f"UlamOperator(n_bins={self.n_bins}, exact={self.exact})"
+
+
+def _scatter(n, nonzeros):
+    """The n×n matrix with the given (flat, vals) nonzeros."""
+    M = np.zeros((n, n))
+    np.put(M, *nonzeros)
+    return M
 
 
 def _bin_range(lo, hi, n):
@@ -345,13 +358,14 @@ def _bin_range(lo, hi, n):
 
 
 def _affine_entries(branches, n):
-    """Exact Ulam entries of affine branches: (L, {(i, j): num}).
+    """Exact Ulam entries of affine branches: (L // n, {(i, j): num}).
 
     Every cut point of a branch domain is an integer over the common
     denominator L: the grid points i/n and the preimages of the grid
     points j/n, two arithmetic progressions.  One two-pointer walk merges
     them; the piece between consecutive cuts lies in one bin i, maps into
-    one bin j and adds n * (its length) to entry (i, j).  The walk is
+    one bin j and adds its length, in units of 1/L, to num(i, j).  The
+    entry n * num / L is num / (L // n), as n divides L.  The walk is
     clipped to [0, 1] and to the preimage of [0, 1].
     """
     L = n
@@ -391,14 +405,15 @@ def _affine_entries(branches, n):
                 j += sgn
                 pre += H
             x = cut
-    return L, {ij: n * v for ij, v in nums.items()}
+    return L // n, nums
 
 
 def ulam_matrix(T, n_bins):
     """P[i, j] = m(B_i meet T^{-1} B_j) / m(B_i) on the uniform n_bins grid.
 
     Affine maps are assembled exactly by an integer sweep over each
-    branch's cut points (``_affine_entries``; exactness flag set).
+    branch's cut points (``_affine_entries``; exactness flag set), into
+    integer numerators over one denominator, ``UlamOperator.entries``.
     Sinusoidal branches use monotone root bracketing with 1e-15
     endpoints, well inside the 1e-10 documented tolerance.
     """
@@ -434,32 +449,61 @@ def ulam_matrix(T, n_bins):
     return UlamOperator(n, matrix=M)
 
 
-# bytes of density matrices a random_ulam_cocycle generator keeps; the
-# latest matrix stays even when it alone is larger
+# bytes a random_ulam_cocycle generator keeps: the nonzeros of every
+# state's density matrix (about 16 B per nonzero, 6 KB at 128 bins), and a
+# small window of recent dense matrices.  Each store keeps its latest entry
+# even when that alone is larger.
 _CACHE_BYTES = 32 * 2 ** 20
+_DENSE_BYTES = 4 * 2 ** 20
+
+
+class _ByteLRU:
+    """Least recently used values within a byte budget."""
+
+    def __init__(self, budget):
+        self.budget = budget
+        self.held = 0
+        self._items = OrderedDict()
+
+    def get(self, key):
+        item = self._items.get(key)
+        if item is None:
+            return None
+        self._items.move_to_end(key)
+        return item[0]
+
+    def put(self, key, value, nbytes):
+        self._items[key] = value, nbytes
+        self.held += nbytes
+        while self.held > self.budget and len(self._items) > 1:
+            self.held -= self._items.popitem(last=False)[1][1]
 
 
 def random_ulam_cocycle(system, n_bins):
-    """Generator of density-side Ulam matrices, cached per distinct state.
+    """Generator of density-side Ulam matrices, one assembly per state.
 
-    The cache evicts the least recently used matrix once it holds more
-    than ``_CACHE_BYTES``, keeping at least the latest.  Cached arrays are
-    read-only; an evicted state is assembled again, bit-identically.
+    Two caches, each least recently used first out: the nonzeros of every
+    assembled state within ``_CACHE_BYTES``, and read-only dense matrices
+    within ``_DENSE_BYTES``.  A dense miss whose nonzeros are held costs
+    one ``np.zeros`` and a scatter and gives the same matrix bit for bit;
+    only a state whose nonzeros were evicted too is assembled again.
     """
-    cache = OrderedDict()
-    keep = max(1, _CACHE_BYTES // (8 * n_bins * n_bins))
+    nonzeros = _ByteLRU(_CACHE_BYTES)
+    dense = _ByteLRU(_DENSE_BYTES)
 
     def evaluator(state):
         key = float(state)
-        mat = cache.get(key)
+        mat = dense.get(key)
         if mat is not None:
-            cache.move_to_end(key)
             return mat
-        mat = ulam_matrix(system.map_at(state), n_bins).density_matrix()
+        nz = nonzeros.get(key)
+        if nz is None:
+            op = ulam_matrix(system.map_at(state), n_bins)
+            nz = op._nonzeros(transpose=True)
+            nonzeros.put(key, nz, nz[0].nbytes + nz[1].nbytes)
+        mat = _scatter(n_bins, nz)
         mat.setflags(write=False)
-        cache[key] = mat
-        if len(cache) > keep:
-            cache.popitem(last=False)
+        dense.put(key, mat, mat.nbytes)
         return mat
 
     return CocycleGenerator(evaluator, n_bins,
@@ -729,18 +773,19 @@ def _max_closure_multiplicity(intervals):
     return best
 
 
-def _composition_summary(maps):
-    """(C_b, C_e, inf |D(comp)|) of the composition from one partition."""
+def _composition_summary(maps, keys):
+    """([counter per key], inf |D(comp)|) of the composition from one
+    partition; key "dom" gives C_b and "img" gives C_e."""
     pieces, _ = _composition_pieces(maps)
-    return (_max_closure_multiplicity([p["dom"] for p in pieces]),
-            _max_closure_multiplicity([p["img"] for p in pieces]),
+    return ([_max_closure_multiplicity([p[key] for p in pieces])
+             for key in keys],
             min(p["min_slope"] for p in pieces))
 
 
 def complexity_counters(maps):
     """(C_b, C_e) of the composition: max multiplicities of the closures of
     the branch domains and branch images; endpoint touching counts."""
-    return _composition_summary(maps)[:2]
+    return tuple(_composition_summary(maps, ("dom", "img"))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +812,8 @@ def ly_bound_B(system, orbit, n, p, t, C_R=1.0):
     _validate_pt(p, t, system.alpha)
     if n < 1:
         raise ParameterError("n must be >= 1")
-    C_b, C_e, inf_dt = _composition_summary(_composition_at(system, orbit, n))
+    (C_b, C_e), inf_dt = _composition_summary(
+        _composition_at(system, orbit, n), ("dom", "img"))
     # exponent 1/p - 1 - t < 0: the sup is attained at the smallest slope
     sup_term = inf_dt ** (1.0 / p - 1.0 - t)
     return C_R * n * C_b ** (1.0 / p) * C_e ** (1.0 - 1.0 / p) * sup_term
@@ -797,7 +843,9 @@ def kappa_star_bound(system, orbit, n, p, t):
     _validate_pt(p, t, system.alpha)
     if n < 1:
         raise ParameterError("n must be >= 1")
-    _, C_e, inf_dt = _composition_summary(_composition_at(system, orbit, n))
+    # C_b does not enter the bound, and its multiplicity is the costly one
+    (C_e,), inf_dt = _composition_summary(
+        _composition_at(system, orbit, n), ("img",))
     log_Ce_star = math.log(C_e) / n
     log_chi = -math.log(inf_dt) / n
     bound = (1.0 - 1.0 / p) * (log_Ce_star + log_chi) + t * log_chi

@@ -431,9 +431,10 @@ class TestNormSlope:
         spec = lyapunov_exponents(gen, orbit, 200, norm=norm)
         assert spec.mle_estimate == _reference_slope(gen, orbit, spec, norm)
 
-    def test_sweep_reevaluates_evicted_states(self, monkeypatch):
-        # a continuum of states, so every step is a new matrix; a cache of
-        # 8 matrices makes the sweep assemble evicted states again
+    def test_sweep_assembles_each_state_once(self, monkeypatch):
+        # a continuum of states, so every step is a new matrix; with room
+        # for one dense matrix the backward sweep rebuilds the others from
+        # their stored nonzeros and assembles none again
         driver = IrrationalRotation()
         system = RandomLYSystem(
             driver, lambda th: perturbed_doubling(Fraction(float(th)) / 2))
@@ -448,15 +449,33 @@ class TestNormSlope:
 
         monkeypatch.setattr(transfer, "ulam_matrix", counted)
         spectra = []
-        for budget in (8 * 8 * n_bins ** 2, 2 ** 40):
-            monkeypatch.setattr(transfer, "_CACHE_BYTES", budget)
+        for dense_budget in (8 * n_bins ** 2, 2 ** 40):
+            monkeypatch.setattr(transfer, "_DENSE_BYTES", dense_budget)
             calls.clear()
             gen = random_ulam_cocycle(system, n_bins)
             spectra.append(lyapunov_exponents(gen, orbit, 400, norm="l1"))
-            # the backward sweep finds only the last 8 states still cached
-            assert len(calls) == (800 - 8 if budget < 2 ** 40 else 400)
+            assert len(calls) == 400
         assert spectra[0].to_dict() == spectra[1].to_dict()
         assert np.isfinite(spectra[0].mle_estimate)
+
+    def test_continuum_spectrum_memory(self):
+        # the generator keeps 400 states as nonzeros, about 6 KB each at
+        # 128 bins, and at most 4 MiB of dense matrices; dense storage of
+        # every state within the 32 MiB budget peaked at about 33 MiB
+        import tracemalloc
+        driver = IrrationalRotation()
+        system = RandomLYSystem(
+            driver, lambda th: perturbed_doubling(Fraction(float(th)) / 2))
+        orbit = generate_orbit(driver, 1, 0, 401)
+        tracemalloc.start()
+        try:
+            gen = random_ulam_cocycle(system, 128)
+            spec = lyapunov_exponents(gen, orbit, 400, norm="l1")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(spec.mle_estimate)
+        assert peak <= 12 * 2 ** 20
 
 
 class TestFiltration:

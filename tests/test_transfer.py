@@ -312,6 +312,26 @@ class TestUlamSweepOracle:
                                     for (i, j), v in nums.items() if i == 0}
 
 
+def _continuum_map(theta):
+    return perturbed_doubling(Fraction(float(theta)) / 2)
+
+
+def _golden_states(count):
+    return [(0.3 + k * 0.6180339887498949) % 1.0 for k in range(count)]
+
+
+def _count_assemblies(monkeypatch):
+    calls = []
+    ulam = transfer.ulam_matrix
+
+    def counted(T, n):
+        calls.append(1)
+        return ulam(T, n)
+
+    monkeypatch.setattr(transfer, "ulam_matrix", counted)
+    return calls
+
+
 class TestRandomUlamCocycle:
     def test_constant_system_matches_density_matrix(self):
         sysm = RandomLYSystem(FiniteCycle(1), [doubling_map()])
@@ -328,28 +348,61 @@ class TestRandomUlamCocycle:
         assert a is b
         assert not a.flags.writeable
 
-    def test_cache_stays_within_byte_budget(self):
-        n = 1024
+    def test_dense_window_stays_within_byte_budget(self):
+        n = 256
         nbytes = 8 * n * n
-        held = transfer._CACHE_BYTES // nbytes
-        sysm = RandomLYSystem(
-            FiniteCycle(1), lambda th: perturbed_doubling(Fraction(th) / 2))
+        held = transfer._DENSE_BYTES // nbytes
+        sysm = RandomLYSystem(FiniteCycle(1), _continuum_map)
         gen = random_ulam_cocycle(sysm, n)
-        states = [(0.3 + k * 0.6180339887498949) % 1.0
-                  for k in range(held + 3)]
-        first = gen(states[0]).copy()
+        states = _golden_states(held + 3)
         refs = [weakref.ref(gen(s)) for s in states]
         gc.collect()
         alive = [r() is not None for r in refs]
-        assert sum(alive) * nbytes <= transfer._CACHE_BYTES
+        assert sum(alive) * nbytes <= transfer._DENSE_BYTES
         assert alive[-held:] == [True] * held
         assert gen(states[-1]) is refs[-1]()
-        again = gen(states[0])       # evicted: assembled anew
-        assert again is not first and np.array_equal(again, first)
-        assert not again.flags.writeable
 
-    def test_latest_matrix_kept_past_budget(self, monkeypatch):
+    def test_nonzero_store_stays_within_byte_budget(self, monkeypatch):
+        n = 64
+        states = _golden_states(12)
+        sizes = [sum(a.nbytes for a in ulam_matrix(_continuum_map(s), n)
+                     ._nonzeros(transpose=True)) for s in states]
+        held = 5
+        monkeypatch.setattr(transfer, "_CACHE_BYTES", sum(sizes[-held:]))
+        monkeypatch.setattr(transfer, "_DENSE_BYTES", 1)
+        calls = _count_assemblies(monkeypatch)
+        gen = random_ulam_cocycle(RandomLYSystem(FiniteCycle(1),
+                                                 _continuum_map), n)
+        for s in states:
+            gen(s)
+        assert len(calls) == len(states)
+        # newest first: the held states need no assembly; the first one
+        # evicted costs one, and every older one was evicted too
+        for s in reversed(states):
+            gen(s)
+        assert len(calls) == 2 * len(states) - held
+
+    @pytest.mark.parametrize("T", [perturbed_doubling(Fraction(1, 7)),
+                                   sin_doubling(0.03)],
+                             ids=["affine", "sinusoidal"])
+    def test_dense_rebuild_needs_no_assembly(self, T, monkeypatch):
+        monkeypatch.setattr(transfer, "_DENSE_BYTES", 1)
+        calls = _count_assemblies(monkeypatch)
+        sysm = RandomLYSystem(FiniteCycle(2), [T, tripling_map()])
+        gen = random_ulam_cocycle(sysm, 48)
+        a = gen(0)
+        assert gen(0) is a
+        gen(1)
+        b = gen(0)
+        assert b is not a and np.array_equal(a, b)
+        assert np.array_equal(b, ulam_matrix(T, 48).density_matrix())
+        assert not b.flags.writeable
+        assert len(calls) == 2
+
+    def test_latest_entry_kept_past_budgets(self, monkeypatch):
         monkeypatch.setattr(transfer, "_CACHE_BYTES", 1)
+        monkeypatch.setattr(transfer, "_DENSE_BYTES", 1)
+        calls = _count_assemblies(monkeypatch)
         sysm = RandomLYSystem(FiniteCycle(2),
                               [doubling_map(), tripling_map()])
         gen = random_ulam_cocycle(sysm, 16)
@@ -358,6 +411,7 @@ class TestRandomUlamCocycle:
         gen(1)
         b = gen(0)
         assert b is not a and np.array_equal(a, b)
+        assert len(calls) == 3
 
     def test_two_state_cycle_alternates(self):
         sysm = RandomLYSystem(FiniteCycle(2),
@@ -614,22 +668,33 @@ class TestKappaStarBound:
         assert d["n"] == 2
 
 
-@pytest.mark.parametrize("bound", [
-    lambda sysm: ly_bound_B(sysm, _orbit(), 3, p=2.0, t=0.25),
-    lambda sysm: kappa_star_bound(sysm, _orbit(), 3, p=2.0, t=0.25),
+@pytest.mark.parametrize("bound, counters", [
+    (lambda sysm: ly_bound_B(sysm, _orbit(), 3, p=2.0, t=0.25), 2),
+    (lambda sysm: kappa_star_bound(sysm, _orbit(), 3, p=2.0, t=0.25), 1),
 ], ids=["ly_bound_B", "kappa_star_bound"])
-def test_one_partition_per_bound(bound, monkeypatch):
-    # C_b, C_e and the smallest slope come from one composition partition
+def test_one_partition_per_bound(bound, counters, monkeypatch):
+    # C_b, C_e and the smallest slope come from one composition partition;
+    # kappa* needs no C_b, whose multiplicity over the domains is the
+    # costly one
     calls = []
+    multiplicities = []
     pieces = transfer._composition_pieces
+    multiplicity = transfer._max_closure_multiplicity
 
     def counted(maps):
         calls.append(len(maps))
         return pieces(maps)
 
+    def counted_multiplicity(intervals):
+        multiplicities.append(1)
+        return multiplicity(intervals)
+
     monkeypatch.setattr(transfer, "_composition_pieces", counted)
+    monkeypatch.setattr(transfer, "_max_closure_multiplicity",
+                        counted_multiplicity)
     bound(RandomLYSystem(FiniteCycle(1), [doubling_map()]))
     assert calls == [3]
+    assert len(multiplicities) == counters
 
 
 class TestDiscreteSobolevNorm:
