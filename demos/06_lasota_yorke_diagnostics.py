@@ -44,7 +44,7 @@ for n in (1, 2, 4):
 
 # Averaging log B along the orbit gives the Hennion-style bound; for a
 # constant system it is just log B.
-kappa_avg = hennion_kappa_bound(lambda k: B1, orbit, 8)
+kappa_avg = hennion_kappa_bound(lambda k: B1, 8)
 print("avg log B       :", kappa_avg, "= log 2^(1/4) =", 0.25 * math.log(2))
 
 # The discrete Sobolev norm weights Fourier modes by (1 + zeta^2)^(t/2);

@@ -328,7 +328,7 @@ class ExperimentConfig:
         if task == "diagnose":
             if not 0 < out["t"] < 1.0 / out["p"]:
                 raise ConfigError("analysis.t",
-                                  "must satisfy 0 < t < min(alpha, 1/p)")
+                                  "must satisfy 0 < t < 1/p")
             out["C_R"] = float(_number(spec.get("C_R", 1), "analysis.C_R"))
             if out["C_R"] < 0:
                 raise ConfigError("analysis.C_R", "must be >= 0")
@@ -468,7 +468,7 @@ def _run_diagnose(cfg, gen, timings):
     hennion = hennion_kappa_bound(
         lambda k: ly_bound_B(system, shift_view(orbit, k), 1, a["p"], a["t"],
                              a["C_R"]),
-        orbit, a["n"])
+        a["n"])
     timings["diagnose_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     spec = lyapunov_exponents(gen, orbit, n_spec, norm="l1")

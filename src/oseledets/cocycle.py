@@ -243,13 +243,22 @@ def _qr_pass(factor, Q, stops):
         yield k, Q, diags
 
 
+def _scaled_products(gen, orbit, start, n):
+    """Yield L^(k)(sigma^start w) = L(sigma^(start+k-1) w) ... L(sigma^start w)
+    as a ScaledMatrix for k = 1..n."""
+    acc = ScaledMatrix.identity(gen.dim)
+    for i in range(start, start + n):
+        acc = acc.left_multiplied(gen.matrix_at(orbit, i))
+        yield acc
+
+
 def scaled_forward_product(gen, orbit, start, n):
     """L(sigma^(start+n-1) w) ... L(sigma^start w) as a ScaledMatrix."""
     if n < 0:
         raise ParameterError("n must be >= 0")
     acc = ScaledMatrix.identity(gen.dim)
-    for i in range(start, start + n):
-        acc = acc.left_multiplied(gen.matrix_at(orbit, i))
+    for acc in _scaled_products(gen, orbit, start, n):
+        pass
     return acc
 
 
@@ -268,9 +277,7 @@ def cocycle_norm_series(gen, orbit, n_max, norm="l2"):
     if n_max < 1:
         raise ParameterError("n_max must be >= 1")
     out = np.empty(n_max)
-    acc = ScaledMatrix.identity(gen.dim)
-    for n in range(1, n_max + 1):
-        acc = acc.left_multiplied(gen.matrix_at(orbit, n - 1))
+    for n, acc in enumerate(_scaled_products(gen, orbit, 0, n_max), 1):
         ln = acc.log_norm(norm)
         out[n - 1] = ln / n if np.isfinite(ln) else -math.inf
     return out

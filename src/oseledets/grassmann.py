@@ -156,13 +156,6 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, norm={self.norm})"
 
 
-def _as_basis(W):
-    if isinstance(W, Subspace):
-        return W.basis
-    B = np.asarray(W, dtype=float)
-    return B[:, None] if B.ndim == 1 else B
-
-
 # ---------------------------------------------------------------------------
 # exact point-to-subspace distances
 #
@@ -193,35 +186,44 @@ def _l2_dist_batch(X, B):
     return dist, coef.T
 
 
-def _l1_dist_batch(X, B):
+def _best_solves(X, B, S, M, score):
+    """Best of the candidate coefficient vectors per row x of X: for each
+    square system M_s, c = the first k entries of M_s^-1 x[S_s], scored by
+    score(|x - B c|).  Systems with |det| <= 1e-300 are dropped before
+    the batched solve: an exactly singular member raises instead of
+    returning inf.  Rows with no finite candidate get dist inf, coef 0."""
     m, d = X.shape
     k = B.shape[1]
-    # count before materializing: C(d, k) overflows memory long before the
-    # list comparison would reject it
-    if not _enumerable(math.comb(d, k), k):
-        return None
-    S = np.array(_subsets(d, k))                         # (ns, k)
-    A = B[S, :]                                          # (ns, k, k)
-    dets = np.abs(np.linalg.det(A))
-    ok = dets > 1e-300
-    S, A = S[ok], A[ok]
+    ok = np.abs(np.linalg.det(M)) > 1e-300
+    S, M = S[ok], M[ok]
+    ns, q = S.shape
+    dist = np.full(m, np.inf)
+    coef = np.zeros((m, k))
     # chunk over candidate points: the intermediates are (chunk, ns, d)
-    step = max(1, int(4e6 / max(S.shape[0] * (k + d), 1)))
-    dist = np.empty(m)
-    coef = np.empty((m, k))
-    for lo in range(0, m, step):
+    step = max(1, int(4e6 / max(ns * (q + d), 1)))
+    for lo in range(0 if ns else m, m, step):
         Xc = X[lo:lo + step]
-        XS = Xc[:, S]                                    # (mc, ns, k)
         with np.errstate(all="ignore"):
-            C = np.linalg.solve(A[None], XS[..., None])[..., 0]
+            XS = Xc[:, S]                                # (mc, ns, q)
+            C = np.linalg.solve(M[None], XS[..., None])[..., :k, 0]
             R = Xc[:, None, :] - np.einsum("msk,dk->msd", C, B)
-            obj = np.abs(R).sum(axis=2)                  # (mc, ns)
+            obj = score(np.abs(R), axis=2)               # (mc, ns)
         obj = np.where(np.isfinite(obj), obj, np.inf)
         best = obj.argmin(axis=1)
         rows = np.arange(Xc.shape[0])
         dist[lo:lo + step] = obj[rows, best]
         coef[lo:lo + step] = C[rows, best, :]
     return dist, coef
+
+
+def _l1_dist_batch(X, B):
+    d, k = B.shape
+    # count before materializing: C(d, k) overflows memory long before the
+    # list comparison would reject it
+    if not _enumerable(math.comb(d, k), k):
+        return None
+    S = np.array(_subsets(d, k))                         # (ns, k)
+    return _best_solves(X, B, S, B[S, :], np.add.reduce)
 
 
 def _linf_dist_batch(X, B):
@@ -239,31 +241,9 @@ def _linf_dist_batch(X, B):
     M = np.empty((ns, nsig, k + 1, k + 1))
     M[:, :, :, :k] = B[S, :][:, None, :, :]
     M[:, :, :, k] = signs[None, :, :]
-    M = M.reshape(ns * nsig, k + 1, k + 1)
-    # drop singular sign-pattern systems before the batched solve: an exactly
-    # singular member raises instead of returning inf
-    dets = np.abs(np.linalg.det(M))
-    ok = dets > 1e-300
-    M = M[ok]
-    sub_of = np.repeat(np.arange(ns), nsig)[ok]
-    nf = M.shape[0]
-    dist = np.full(m, np.inf)
-    coef = np.zeros((m, k))
-    # chunk over candidate points: the intermediates are (chunk, nf, d)
-    step = max(1, int(4e6 / max(nf * (k + 1 + d), 1)))
-    for lo in range(0 if nf else m, m, step):
-        Xc = X[lo:lo + step]
-        with np.errstate(all="ignore"):
-            XS = Xc[:, S[sub_of]]                        # (mc, nf, k+1)
-            Z = np.linalg.solve(M[None], XS[..., None])[..., 0]
-            C = Z[..., :k]                               # (mc, nf, k)
-            R = Xc[:, None, :] - np.einsum("mfk,dk->mfd", C, B)
-            obj = np.abs(R).max(axis=2)                  # (mc, nf)
-        obj = np.where(np.isfinite(obj), obj, np.inf)
-        best = obj.argmin(axis=1)
-        rows = np.arange(Xc.shape[0])
-        dist[lo:lo + step] = obj[rows, best]
-        coef[lo:lo + step] = C[rows, best, :]
+    dist, coef = _best_solves(X, B, np.repeat(S, nsig, axis=0),
+                              M.reshape(ns * nsig, k + 1, k + 1),
+                              np.maximum.reduce)
     # lstsq candidate catches the x-in-span case exactly
     ls, *_ = np.linalg.lstsq(B, X.T, rcond=None)
     ls = ls.T
@@ -349,19 +329,16 @@ def _dist_batch(X, B, norm):
     return dists, coefs
 
 
-def distance_point_subspace(x, W, norm=None):
-    """min over w in W of ||x - w||, by convex minimization over coefficients.
-
-    The norm defaults to the subspace's tag.
-    """
-    B = _as_basis(W)
-    if norm is None:
-        norm = W.norm if isinstance(W, Subspace) else "l2"
-    _check_tag(norm)
+def distance_point_subspace(x, W):
+    """min over w in W of ||x - w|| in the norm of the Subspace W, exact:
+    the orthogonal residual in l2, the best basic solution of the l1/linf
+    linear program (one linprog per point past the enumeration guard)."""
+    if not isinstance(W, Subspace):
+        raise TypeError("distance_point_subspace expects a Subspace")
     x = np.asarray(x, dtype=float)
-    if x.shape[0] != B.shape[0]:
+    if x.shape[0] != W.ambient_dim:
         raise DimensionMismatchError("point and subspace ambient dims differ")
-    d, _ = _dist_batch(x[None, :], B, norm)
+    d, _ = _dist_batch(x[None, :], W.basis, W.norm)
     return float(d[0])
 
 
@@ -500,12 +477,12 @@ def _sign_fix(y):
     return y if y[i] >= 0 else -y
 
 
-def nice_basis(Y, eps=1e-8):
-    """Unit vectors y_1..y_k with d(y_i, span(y_1..y_{i-1})) = 1 (up to eps).
+def nice_basis(Y):
+    """Unit vectors y_1..y_k with d(y_i, span(y_1..y_{i-1})) = 1.
 
     Normalizing the residual x - argmin_w ||x - w|| of each input basis
     column against the span of the previous outputs yields distance exactly
-    1 in any norm, so the default eps is far inside the valid regime.
+    1 in any norm; NiceBasisError is raised if a check falls below 1 - 1e-8.
     """
     if not isinstance(Y, Subspace):
         Y = Subspace(Y)
@@ -528,9 +505,9 @@ def nice_basis(Y, eps=1e-8):
     vecs = out
     for i in range(1, len(vecs)):
         d = distance_point_subspace(vecs[i], Subspace(np.column_stack(vecs[:i]), norm))
-        if d < 1.0 - eps:
+        if d < 1.0 - 1e-8:
             raise NiceBasisError(
-                f"nice basis construction achieved distance {d} < 1 - {eps}")
+                f"nice basis construction achieved distance {d} < 1 - 1e-8")
     return vecs
 
 

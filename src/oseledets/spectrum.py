@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .base import ParameterError
-from .cocycle import _DEATH_REL, ScaledMatrix, _qr_pass
+from .cocycle import _DEATH_REL, ScaledMatrix, _qr_pass, _scaled_products
 
 __all__ = [
     "LyapunovSpectrum",
@@ -47,13 +47,13 @@ DEFAULT_FLOOR = -30.0
 class LyapunovSpectrum:
     """Distinct exponents (descending) with multiplicities and diagnostics.
 
-    Directions whose windowed rate falls below `floor` are counted in
-    n_infinite and excluded from the exceptional list.
+    Directions whose windowed rate falls below `floor` (DEFAULT_FLOOR) are
+    counted in n_infinite and excluded from the exceptional list.
     """
 
     def __init__(self, exponents, multiplicities, n_infinite, raw_exponents,
                  n_used, window, convergence_history, mle_estimate,
-                 gap_threshold, floor, norm, kappa_bound=None, warnings=()):
+                 gap_threshold, floor, norm, warnings=()):
         self.exponents = list(exponents)
         self.multiplicities = list(multiplicities)
         self.n_infinite = int(n_infinite)
@@ -65,7 +65,6 @@ class LyapunovSpectrum:
         self.gap_threshold = float(gap_threshold)
         self.floor = float(floor)
         self.norm = norm
-        self.kappa_bound = kappa_bound
         self.warnings = list(warnings)
         if self.exponents:
             self.mle_agreement = abs(self.exponents[0] - self.mle_estimate)
@@ -93,7 +92,6 @@ class LyapunovSpectrum:
             "gap_threshold": self.gap_threshold,
             "floor": self.floor,
             "norm": self.norm,
-            "kappa_bound": self.kappa_bound,
             "history_n": [int(k) for k in hist_n],
             "history": [[float(v) for v in row] for row in hist_vals],
             "warnings": list(self.warnings),
@@ -170,16 +168,14 @@ def _log_norm_ends(gen, orbit, n_half, n_eff, norm, sweep):
             if half is not None:
                 half = half.left_multiplied(At)
         return half.log_norm("linf"), full.log_norm("linf")
-    acc = ScaledMatrix.identity(gen.dim)
-    for k in range(1, n_eff + 1):
-        acc = acc.left_multiplied(gen.matrix_at(orbit, k - 1))
+    for k, acc in enumerate(_scaled_products(gen, orbit, 0, n_eff), 1):
         if k == n_half:
             log_half = acc.log_norm(norm)
     return log_half, acc.log_norm(norm)
 
 
 def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
-                       norm="l2", floor=DEFAULT_FLOOR):
+                       norm="l2"):
     """Estimate the Lyapunov spectrum over offsets 0..n-1.
 
     Returns a LyapunovSpectrum whose exponents are the clustered windowed
@@ -261,7 +257,7 @@ def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
 
     order = np.argsort(raw)[::-1]
     sorted_raw = raw[order]
-    finite = sorted_raw[sorted_raw > floor]
+    finite = sorted_raw[sorted_raw > DEFAULT_FLOOR]
     n_inf = int(d - finite.size)
     warnings = []
     exponents, multiplicities = [], []
@@ -282,7 +278,7 @@ def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
                 f"{exponents[0]:.4f} beyond the gap threshold")
     return LyapunovSpectrum(
         exponents, multiplicities, n_inf, raw, n_eff, window,
-        (hist_n, hist_vals), mle, gap_threshold, floor, norm,
+        (hist_n, hist_vals), mle, gap_threshold, DEFAULT_FLOOR, norm,
         warnings=warnings)
 
 
@@ -368,7 +364,7 @@ def growth_rate(gen, orbit, v, n, offset=0):
     return log_acc / n
 
 
-def hennion_kappa_bound(B_series, orbit, n):
+def hennion_kappa_bound(B_series, n):
     """Birkhoff average over n steps of log B(sigma^k w); an upper bound
     for the index of compactness when B bounds the compact-part constant."""
     if n < 1:

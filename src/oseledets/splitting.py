@@ -265,15 +265,15 @@ def _g_ratio(Y, pi):
 
 
 def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
-                      offset=0, n_start=8, rotation_seed=None, norm="l2",
+                      offset=0, rotation_seed=None, norm="l2",
                       levels=None, _filtrations=None):
     """Fast spaces Y_1..Y_l at sigma^offset w plus the slow remainder.
 
-    Doubles the pullback depth until d(Y_j^(n), Y_j^(2n)) < tol for every
-    level or n_max is reached; non-converged levels are flagged, not
-    errors.  A rank collapse during pushforward is retried once from a
-    perturbed complement, with a warning naming the level and the depth,
-    then raised.  The orbit window must span
+    Doubles the pullback depth from 8 until d(Y_j^(n), Y_j^(2n)) < tol
+    for every level or n_max (>= 8) is reached; non-converged levels are
+    flagged, not errors.  A rank collapse during pushforward is retried
+    once from a perturbed complement, with a warning naming the level and
+    the depth, then raised.  The orbit window must span
     [offset - n_max, offset + n_max] (forward room beyond the base point
     sharpens the filtrations that cut the levels out of the fast hulls;
     up to 2 * n_max is used when available).
@@ -309,8 +309,8 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
     l = len(lam)
     if l == 0:
         raise ParameterError("spectrum has no exceptional exponents")
-    if n_start < 1 or n_max < n_start:
-        raise ParameterError("need 1 <= n_start <= n_max")
+    if n_max < 8:
+        raise ParameterError("need n_max >= 8")
     if levels is None:
         l_use = l
     else:
@@ -321,7 +321,7 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
     warnings = []
 
     schedule = []
-    n = n_start
+    n = 8
     while n <= n_max:
         schedule.append(n)
         n *= 2
@@ -474,9 +474,10 @@ def check_equivariance(gen, orbit, result, result_next, tol=DEFAULT_TOL):
             "tol": tol}
 
 
-def check_growth(result, gen, orbit, n_check, slack=0.1, seed=0):
-    """Growth rates of the nice-basis vectors of each Y_j against lambda_j,
-    and of random remainder vectors against the kappa bound (if any).
+def check_growth(result, gen, orbit, n_check):
+    """Growth rates of the nice-basis vectors of each Y_j, which pass
+    within 0.1 of lambda_j, and of three seeded random remainder vectors,
+    which are reported only.
 
     Keep n_check below roughly 36 / (lambda_1 - lambda_j): beyond that the
     float-level contamination of a slow vector (at best ~1e-16) is amplified
@@ -491,40 +492,35 @@ def check_growth(result, gen, orbit, n_check, slack=0.1, seed=0):
         levels.append({"level": j + 1, "lambda": lam[j], "rates": rates,
                        "max_deviation": dev})
     v_rates = []
-    kappa = result.spectrum.kappa_bound
     if result.remainder_dim > 0:
         # g - F F^T g for Gaussian g is uniform in direction on the
         # remainder F^perp; growth_rate normalizes it
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         F = result.coframe
         for _ in range(min(3, result.remainder_dim)):
             g = rng.standard_normal(F.shape[0])
             v_rates.append(growth_rate(gen, orbit, g - F @ (F.T @ g),
                                        n_check, offset=result.offset))
-    passed = all(lv["max_deviation"] <= slack for lv in levels)
-    if kappa is not None and v_rates:
-        passed = passed and all(r <= kappa + slack for r in v_rates)
     return {"levels": levels, "remainder_rates": v_rates,
-            "kappa_bound": kappa, "passed": passed}
+            "passed": all(lv["max_deviation"] <= 0.1 for lv in levels)}
 
 
-def uniqueness_probe(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
-                     alternative_complement_seed=1, offset=0, norm="l2",
-                     levels=None):
+def uniqueness_probe(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL, offset=0,
+                     norm="l2", levels=None):
     """Max over levels of d(Y_j, Y_j') between the splitting pushed forward
     from the orthogonal complements and the one pushed forward from
-    complements rotated with alternative_complement_seed (see
-    compute_splitting); the limit does not depend on the choice, so the
-    value is small when both converge.  inf sentinel when either run fails
-    to converge.  `levels` caps the levels compared, as in
-    compute_splitting.  The filtrations do not depend on the complements,
-    so the second run reuses those of the first."""
+    complements rotated with rotation_seed 1 (see compute_splitting); the
+    limit does not depend on the choice, so the value is small when both
+    converge.  inf sentinel when either run fails to converge.  `levels`
+    caps the levels compared, as in compute_splitting.  The filtrations do
+    not depend on the complements, so the second run reuses those of the
+    first."""
     filtrations = {}
     base = compute_splitting(gen, orbit, spectrum, n_max, tol, offset=offset,
                              norm=norm, levels=levels,
                              _filtrations=filtrations)
     alt = compute_splitting(gen, orbit, spectrum, n_max, tol, offset=offset,
-                            rotation_seed=alternative_complement_seed,
+                            rotation_seed=1,
                             norm=norm, levels=levels,
                             _filtrations=filtrations)
     if not (base.converged and alt.converged):

@@ -48,6 +48,8 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _LENGTH_TOL = 1e-12
+# sample points per branch of the sups in ly_distance
+_METRIC_GRID = 512
 
 
 class UnsupportedFormError(ValueError):
@@ -66,13 +68,12 @@ class Branch:
     """One monotone branch T(x) = slope*x + intercept + rho*sin(2 pi x)
     on the open interval (a, b); rho = 0 is the affine (exact) form."""
 
-    def __init__(self, a, b, slope, intercept, rho=0.0, index=0):
+    def __init__(self, a, b, slope, intercept, rho=0.0):
         self.a = _frac(a)
         self.b = _frac(b)
         self.slope = _frac(slope)
         self.intercept = _frac(intercept)
         self.rho = float(rho)
-        self.index = index
         if not self.a < self.b:
             raise ParameterError(f"branch domain ({a}, {b}) is empty")
         if self.min_expansion <= 1.0:
@@ -145,11 +146,10 @@ class Branch:
 
 
 class PiecewiseExpandingMap1D:
-    def __init__(self, branches, alpha=1.0, name=""):
+    def __init__(self, branches, name=""):
         if not branches:
             raise ParameterError("a map needs at least one branch")
         self.branches = sorted(branches, key=lambda br: br.a)
-        self.alpha = float(alpha)
         self.name = name
         for u, v in zip(self.branches, self.branches[1:]):
             if v.a < u.b:
@@ -200,9 +200,9 @@ def full_branch_affine(breakpoints, name=""):
     if qs[0] != 0 or qs[-1] != 1 or any(u >= v for u, v in zip(qs, qs[1:])):
         raise ParameterError("breakpoints must increase from 0 to 1")
     branches = []
-    for i, (u, v) in enumerate(zip(qs, qs[1:])):
+    for u, v in zip(qs, qs[1:]):
         c = 1 / (v - u)
-        branches.append(Branch(u, v, c, -u * c, index=i))
+        branches.append(Branch(u, v, c, -u * c))
     return PiecewiseExpandingMap1D(branches, name=name)
 
 
@@ -227,17 +227,16 @@ def sin_doubling(rho):
         raise ParameterError("|rho| too large for uniform expansion")
     half = Fraction(1, 2)
     return PiecewiseExpandingMap1D(
-        [Branch(0, half, 2, 0, rho=rho, index=0),
-         Branch(half, 1, 2, -1, rho=rho, index=1)],
+        [Branch(0, half, 2, 0, rho=rho),
+         Branch(half, 1, 2, -1, rho=rho)],
         name=f"sin_doubling({rho:g})")
 
 
 class RandomLYSystem:
     """Driver plus a state -> map table (finite or parametrized family)."""
 
-    def __init__(self, driver, map_table, alpha=1.0):
+    def __init__(self, driver, map_table):
         self.driver = driver
-        self.alpha = float(alpha)
         if isinstance(map_table, dict):
             self._maps = dict(map_table)
             self._fn = None
@@ -254,7 +253,7 @@ class RandomLYSystem:
                     f"table violates uniform expansion: inf = {exp:.6g}")
             hb = max(m.holder_bound for m in self._maps.values())
             if not math.isfinite(hb):
-                raise ParameterError("table violates uniform C^(1+alpha) bound")
+                raise ParameterError("table violates uniform C^2 bound")
             self.min_expansion = exp
             self.holder_bound = hb
         else:
@@ -527,17 +526,18 @@ def buzzi_swap_cocycle(n_bins):
 # the map metric
 
 
-def _branch_norm(br, n_grid):
-    xs = np.linspace(float(br.a), float(br.b), n_grid)
+def _branch_norm(br):
+    xs = np.linspace(float(br.a), float(br.b), _METRIC_GRID)
     vals = np.array([br.value(x) for x in xs], dtype=float)
     ders = np.array([br.derivative(x) for x in xs], dtype=float)
     return float(np.abs(vals).max() + np.abs(ders).max() + br.d2_bound)
 
 
-def ly_distance(S, T, n_grid=512):
+def ly_distance(S, T):
     """Distance between two maps: 1 on structural mismatch, otherwise the sum
-    of the branchwise C^(1+alpha) difference on domain overlaps, the
-    difference of branch norms, and the Hausdorff distance of domains."""
+    of the branchwise C^2 difference on domain overlaps, the difference of
+    branch norms, and the Hausdorff distance of domains, each sup taken on
+    _METRIC_GRID equally spaced points."""
     if S.branch_count != T.branch_count:
         return 1.0
     diff_term = 0.0
@@ -548,15 +548,14 @@ def ly_distance(S, T, n_grid=512):
         hi = min(float(bs.b), float(bt.b))
         if hi <= lo:
             return 1.0
-        xs = np.linspace(lo, hi, n_grid)
+        xs = np.linspace(lo, hi, _METRIC_GRID)
         dv = np.array([bs.value(x) - bt.value(x) for x in xs], dtype=float)
         dd = np.array([bs.derivative(x) - bt.derivative(x) for x in xs],
                       dtype=float)
         d2 = _TWO_PI ** 2 * abs(bs.rho - bt.rho)
         diff_term = max(diff_term,
                         float(np.abs(dv).max() + np.abs(dd).max() + d2))
-        norm_term = max(norm_term, abs(_branch_norm(bs, n_grid) -
-                                       _branch_norm(bt, n_grid)))
+        norm_term = max(norm_term, abs(_branch_norm(bs) - _branch_norm(bt)))
         dom_term = max(dom_term,
                        abs(float(bs.a) - float(bt.a)),
                        abs(float(bs.b) - float(bt.b)))
@@ -753,24 +752,19 @@ def _pull_back_interval(piece, qlo, qhi, exact):
 
 
 def _max_closure_multiplicity(intervals):
-    """Max number of closed intervals sharing a point (endpoints included)."""
-    pts = set()
-    for lo, hi in intervals:
-        pts.add(lo)
-        pts.add(hi)
-    pts = sorted(pts, key=float)
-    candidates = list(pts)
-    for u, v in zip(pts, pts[1:]):
-        candidates.append((_frac(u) + _frac(v)) / 2
-                          if isinstance(u, Fraction) and isinstance(v, Fraction)
-                          else (float(u) + float(v)) / 2)
-    best = 0
-    for c in candidates:
-        cf = float(c)
-        count = sum(1 for lo, hi in intervals
-                    if float(lo) - 1e-12 <= cf <= float(hi) + 1e-12)
-        best = max(best, count)
-    return best
+    """Max number of closed intervals sharing a point (endpoints included,
+    each widened by 1e-12 on both sides).
+
+    One sweep over the sorted ends: the count just after the i-th start
+    (in sorted order) is i + 1 minus the ends strictly before it, so at
+    equal points a start counts before an end, and touching closures
+    overlap.
+    """
+    bounds = np.array([(float(lo), float(hi)) for lo, hi in intervals])
+    starts = np.sort(bounds[:, 0] - 1e-12)
+    stops = np.sort(bounds[:, 1] + 1e-12)
+    open_at = np.arange(1, len(starts) + 1) - np.searchsorted(stops, starts)
+    return int(open_at.max())
 
 
 def _composition_summary(maps, keys):
@@ -792,13 +786,11 @@ def complexity_counters(maps):
 # Lasota-Yorke diagnostics
 
 
-def _validate_pt(p, t, alpha):
+def _validate_pt(p, t):
     if not p > 1:
         raise ParameterError(f"need p > 1, got {p}")
-    if not 0 < t < min(alpha, 1.0 / p):
-        raise ParameterError(
-            f"need 0 < t < min(alpha, 1/p) = {min(alpha, 1.0 / p):.6g}, "
-            f"got t = {t}")
+    if not 0 < t < 1.0 / p:
+        raise ParameterError(f"need 0 < t < 1/p = {1.0 / p:.6g}, got t = {t}")
 
 
 def _composition_at(system, orbit, n):
@@ -809,7 +801,7 @@ def ly_bound_B(system, orbit, n, p, t, C_R=1.0):
     """B = C_R * n * C_b^(1/p) * C_e^(1-1/p) * sup |DT^(n)|^(1/p-1) mu^(-t),
     with mu(x) = |DT^(n)(x)| in one dimension, over the composition's branch
     partition.  C_R is a reporting-scale knob, default 1."""
-    _validate_pt(p, t, system.alpha)
+    _validate_pt(p, t)
     if n < 1:
         raise ParameterError("n must be >= 1")
     (C_b, C_e), inf_dt = _composition_summary(
@@ -840,10 +832,10 @@ class KappaStarBound:
 def kappa_star_bound(system, orbit, n, p, t):
     """(1 - 1/p)(log C_e* + log chi) + t log chi with C_e* and chi estimated
     by n-th roots along the orbit; certified means the bound is negative."""
-    _validate_pt(p, t, system.alpha)
+    _validate_pt(p, t)
     if n < 1:
         raise ParameterError("n must be >= 1")
-    # C_b does not enter the bound, and its multiplicity is the costly one
+    # C_b does not enter the bound
     (C_e,), inf_dt = _composition_summary(
         _composition_at(system, orbit, n), ("img",))
     log_Ce_star = math.log(C_e) / n

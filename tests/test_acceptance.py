@@ -207,8 +207,7 @@ def test_08_temperedness_reversal_and_hennion_average(capsys):
                               one_step, 1, p=2.0, t=0.25) for m in maps]
         orbit = generate_orbit(FiniteCycle(period), seed=0, n_past=0,
                                n_future=70)
-        kappa = hennion_kappa_bound(lambda k: b_table[orbit.state(k)],
-                                    orbit, 60)
+        kappa = hennion_kappa_bound(lambda k: b_table[orbit.state(k)], 60)
         avg = birkhoff_average(orbit, lambda s: math.log(b_table[s]), 60)
         hennion_err = max(hennion_err, abs(kappa - avg))
     elapsed = time.perf_counter() - t0

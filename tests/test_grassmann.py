@@ -152,6 +152,11 @@ class TestPointDistance:
         with pytest.raises(DimensionMismatchError):
             distance_point_subspace(np.ones(3), Subspace(np.eye(2)))
 
+    def test_rejects_raw_array(self):
+        # the norm is the subspace's tag, so a bare basis has none
+        with pytest.raises(TypeError):
+            distance_point_subspace(np.ones(3), np.eye(3)[:, :2])
+
 
 class TestGrassmannDistance:
     def test_self_distance_zero(self):
@@ -527,8 +532,11 @@ class TestGoodComplement:
             assert min(diag["distances"][0] for _, diag in out) > 0.1
 
     def test_wide_lower_level_past_guard_raises(self):
-        # level 2 of multiplicity 2 enumerates the vertices of V_2 in R^20
+        # level 2 of multiplicity 2 enumerates the vertices of V_2 in R^20;
+        # level 1's point distances to V_2 fall back to linprog, which warns
         G = np.random.default_rng(19).standard_normal((20, 20))
         filt = [Subspace(G[:, :m], "linf") for m in (20, 19, 17)]
-        with pytest.raises(ValueError, match="dim-19 subspace of R\\^20"):
+        fallback = r"^linf distance to a dim-19 subspace of R\^20 "
+        with pytest.warns(RuntimeWarning, match=fallback), \
+                pytest.raises(ValueError, match="dim-19 subspace of R\\^20"):
             good_complement(filt)

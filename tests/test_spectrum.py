@@ -721,20 +721,18 @@ class TestSteppedWalks:
 
 class TestHennionKappa:
     def test_constant_series(self):
-        orbit = _cycle_orbit()
-        assert hennion_kappa_bound(lambda k: 2.0, orbit, 10) == \
+        assert hennion_kappa_bound(lambda k: 2.0, 10) == \
             pytest.approx(math.log(2), abs=1e-14)
 
     def test_matches_birkhoff_average(self):
         orbit = _cycle_orbit()
         B = lambda k: math.exp(float(orbit.state(k)))
-        kappa = hennion_kappa_bound(B, orbit, 8)
+        kappa = hennion_kappa_bound(B, 8)
         avg = birkhoff_average(orbit, lambda s: float(s), 8)
         assert abs(kappa - avg) < 1e-9
 
     def test_positive_validation(self):
-        orbit = _cycle_orbit()
         with pytest.raises(ParameterError):
-            hennion_kappa_bound(lambda k: 0.0, orbit, 4)
+            hennion_kappa_bound(lambda k: 0.0, 4)
         with pytest.raises(ParameterError):
-            hennion_kappa_bound(lambda k: 1.0, orbit, 0)
+            hennion_kappa_bound(lambda k: 1.0, 0)

@@ -55,8 +55,8 @@ def _shear_doubling(delta):
     """
     d = Fraction(delta)
     return PiecewiseExpandingMap1D([
-        Branch(0, HALF, 2 - d, d / 2, index=0),
-        Branch(HALF, 1, 2 - d, -1 + d / 2, index=1),
+        Branch(0, HALF, 2 - d, d / 2),
+        Branch(HALF, 1, 2 - d, -1 + d / 2),
     ])
 
 
@@ -102,8 +102,8 @@ class TestMaps:
         assert T.is_affine
         assert T.min_expansion == 2.0
         assert T.apply(Fraction(3, 4)) == HALF
-        assert T.branch_of(0.3).index == 0
-        assert T.branch_of(0.7).index == 1
+        assert T.branch_of(0.3) is T.branches[0]
+        assert T.branch_of(0.7) is T.branches[1]
 
     def test_tripling_structure(self):
         T = tripling_map()
@@ -522,6 +522,66 @@ class TestComplexityCounters:
             complexity_counters([])
 
 
+def _quadratic_multiplicity(intervals):
+    """Reference count: every endpoint and every midpoint between
+    consecutive endpoints, tested against every closed interval."""
+    pts = sorted({x for iv in intervals for x in iv}, key=float)
+    candidates = pts + [(u + v) / 2 for u, v in zip(pts, pts[1:])]
+    return max(sum(1 for lo, hi in intervals
+                   if float(lo) - 1e-12 <= float(c) <= float(hi) + 1e-12)
+               for c in candidates)
+
+
+_MULTIPLICITY_COMPOSITIONS = {
+    "doubling^1..4": [[doubling_map()] * n for n in range(1, 5)],
+    "tripling": [[tripling_map()]],
+    "doubling-tripling": [[doubling_map(), tripling_map()]],
+    "perturbed": [[perturbed_doubling(Fraction(1, 5))]],
+    "sin": [[sin_doubling(0.03)], [sin_doubling(0.03)] * 2],
+    "chain": [[doubling_map(), perturbed_doubling(Fraction(1, 7)),
+               tripling_map()]],
+    "crowded": [[full_branch_affine([0, Fraction(49, 100),
+                                     Fraction(51, 100), 1])]],
+    "acceptance-8": [[doubling_map()],
+                     [full_branch_affine([0, Fraction(3, 10), 1])],
+                     [tripling_map()]],
+    "mixture": [[full_branch_affine([0, Fraction(3, 10), 1]),
+                 full_branch_affine([0, Fraction(2, 5), 1])] * 2],
+    "tent-nonfull": [[PiecewiseExpandingMap1D([
+        Branch(0, HALF, 2, 0), Branch(HALF, 1, -2, 2)]),
+        PiecewiseExpandingMap1D([
+            Branch(0, Fraction(2, 5), -2, Fraction(9, 10)),
+            Branch(Fraction(2, 5), 1, Fraction(3, 2), Fraction(-3, 5))])]],
+}
+
+
+class TestClosureMultiplicity:
+    @pytest.mark.parametrize("name", sorted(_MULTIPLICITY_COMPOSITIONS))
+    def test_sweep_matches_quadratic_count(self, name):
+        for maps in _MULTIPLICITY_COMPOSITIONS[name]:
+            pieces, _ = transfer._composition_pieces(maps)
+            for key in ("dom", "img"):
+                intervals = [p[key] for p in pieces]
+                assert transfer._max_closure_multiplicity(intervals) == \
+                    _quadratic_multiplicity(intervals)
+
+    def test_random_touching_intervals(self):
+        # endpoints drawn from a coarse grid, so many intervals touch
+        # exactly, some are points, and exact and float forms must agree
+        rng = random.Random(34)
+        for _ in range(300):
+            grid = [Fraction(rng.randint(0, 12), 12) for _ in range(6)]
+            intervals = []
+            for _ in range(rng.randint(1, 9)):
+                u, v = rng.sample(grid, 2) if rng.random() < 0.9 else \
+                    [rng.choice(grid)] * 2
+                intervals.append((min(u, v), max(u, v)))
+            want = _quadratic_multiplicity(intervals)
+            assert transfer._max_closure_multiplicity(intervals) == want
+            floats = [(float(u), float(v)) for u, v in intervals]
+            assert transfer._max_closure_multiplicity(floats) == want
+
+
 class TestPiecewisePolynomial:
     def test_constant_and_ramp(self):
         c = PiecewisePolynomial.constant(Fraction(2, 3))
@@ -674,8 +734,7 @@ class TestKappaStarBound:
 ], ids=["ly_bound_B", "kappa_star_bound"])
 def test_one_partition_per_bound(bound, counters, monkeypatch):
     # C_b, C_e and the smallest slope come from one composition partition;
-    # kappa* needs no C_b, whose multiplicity over the domains is the
-    # costly one
+    # kappa* needs no C_b
     calls = []
     multiplicities = []
     pieces = transfer._composition_pieces
