@@ -79,12 +79,10 @@ def _field(path):
         raise ConfigError(path, str(exc)) from None
 
 
-def _get(d, key, path, default=None, required=False):
+def _required(d, key, path):
     if key not in d:
-        if required:
-            raise ConfigError(f"{path}.{key}" if path else key,
-                              "missing required field")
-        return default
+        raise ConfigError(f"{path}.{key}" if path else key,
+                          "missing required field")
     return d[key]
 
 
@@ -132,24 +130,24 @@ def _object(value, path):
 
 def _parse_map(spec, path):
     spec = _object(spec, path)
-    kind = _get(spec, "kind", path, required=True)
+    kind = _required(spec, "kind", path)
     if kind == "doubling":
         return doubling_map()
     if kind == "tripling":
         return tripling_map()
     if kind == "affine_full_branch":
         field = f"{path}.breakpoints"
-        pts = _numbers(_get(spec, "breakpoints", path, required=True), field)
+        pts = _numbers(_required(spec, "breakpoints", path), field)
         with _field(field):
             return full_branch_affine(pts)
     if kind == "perturbed_doubling":
         field = f"{path}.delta"
-        delta = _number(_get(spec, "delta", path, required=True), field)
+        delta = _number(_required(spec, "delta", path), field)
         with _field(field):
             return perturbed_doubling(delta)
     if kind == "sin_doubling":
         field = f"{path}.rho"
-        rho = float(_number(_get(spec, "rho", path, required=True), field))
+        rho = float(_number(_required(spec, "rho", path), field))
         with _field(field):
             return sin_doubling(rho)
     raise ConfigError(f"{path}.kind", f"unknown map kind {kind!r}")
@@ -157,18 +155,16 @@ def _parse_map(spec, path):
 
 def _parse_driver(spec):
     spec = _object(spec, "driver")
-    kind = _get(spec, "kind", "driver", required=True)
+    kind = _required(spec, "kind", "driver")
     if kind == "finite_cycle":
         return FiniteCycle(_positive_int(
-            _get(spec, "period", "driver", required=True), "driver.period"))
+            _required(spec, "period", "driver"), "driver.period"))
     if kind == "bernoulli":
-        probs = _numbers(_get(spec, "probs", "driver", required=True),
-                         "driver.probs")
+        probs = _numbers(_required(spec, "probs", "driver"), "driver.probs")
         with _field("driver.probs"):
             return BernoulliShift([float(p) for p in probs])
     if kind == "markov":
-        M = _matrix(_get(spec, "matrix", "driver", required=True),
-                    "driver.matrix")
+        M = _matrix(_required(spec, "matrix", "driver"), "driver.matrix")
         with _field("driver.matrix"):
             driver = MarkovShift(M)
         if spec.get("initial") is not None:
@@ -228,30 +224,28 @@ class ExperimentConfig:
         self.out = raw.get("out")
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError("out", "expected a directory path string")
-        self.analysis = self._parse_analysis(
-            _get(raw, "analysis", "", required=True))
+        self.analysis = self._parse_analysis(_required(raw, "analysis", ""))
         self.task = self.analysis["task"]
         self.driver = self.generator = self.system = None
         self.generator_kind = self.maps = self.n_bins = None
         if self.task == "sobolev":
             return
-        self.driver = _parse_driver(_get(raw, "driver", "", required=True))
-        self._parse_generator(_get(raw, "generator", "", required=True))
+        self.driver = _parse_driver(_required(raw, "driver", ""))
+        self._parse_generator(_required(raw, "generator", ""))
         if self.task in ("ulam", "diagnose") and self.generator_kind != "ulam":
             raise ConfigError("generator.kind",
                               f"{self.task} requires an 'ulam' generator")
 
     def _parse_generator(self, spec):
         spec = _object(spec, "generator")
-        kind = self.generator_kind = _get(spec, "kind", "generator",
-                                          required=True)
+        kind = self.generator_kind = _required(spec, "kind", "generator")
         if kind == "constant":
-            M = _matrix(_get(spec, "matrix", "generator", required=True),
+            M = _matrix(_required(spec, "matrix", "generator"),
                         "generator.matrix")
             with _field("generator.matrix"):
                 self.generator = CocycleGenerator.constant(M)
         elif kind == "tabulated":
-            mats = _get(spec, "matrices", "generator", required=True)
+            mats = _required(spec, "matrices", "generator")
             if isinstance(mats, dict):
                 if not all(k.isdigit() for k in mats):
                     raise ConfigError("generator.matrices",
@@ -269,10 +263,10 @@ class ExperimentConfig:
             _check_alphabet(self.driver, mats, "generator.matrices")
         elif kind in ("ulam", "buzzi_swap"):
             self.n_bins = _positive_int(
-                _get(spec, "n_bins", "generator", required=True),
+                _required(spec, "n_bins", "generator"),
                 "generator.n_bins", minimum=2)
             if kind == "ulam":
-                maps = _get(spec, "maps", "generator", required=True)
+                maps = _required(spec, "maps", "generator")
                 if not isinstance(maps, list) or not maps:
                     raise ConfigError("generator.maps", "expected a map list")
                 self.maps = [_parse_map(m, f"generator.maps[{i}]")
@@ -287,7 +281,7 @@ class ExperimentConfig:
     @staticmethod
     def _parse_analysis(spec):
         spec = _object(spec, "analysis")
-        task = _get(spec, "task", "analysis", required=True)
+        task = _required(spec, "task", "analysis")
         if task not in TASKS:
             raise ConfigError("analysis.task",
                               f"unknown task {task!r}; expected one of {TASKS}")
@@ -318,12 +312,10 @@ class ExperimentConfig:
                 out["levels"] = _positive_int(spec["levels"],
                                               "analysis.levels")
         if task in ("diagnose", "sobolev"):
-            p = _number(_get(spec, "p", "analysis", required=True),
-                        "analysis.p")
+            p = _number(_required(spec, "p", "analysis"), "analysis.p")
             if not float(p) > 1:
                 raise ConfigError("analysis.p", "must be > 1")
-            t = _number(_get(spec, "t", "analysis", required=True),
-                        "analysis.t")
+            t = _number(_required(spec, "t", "analysis"), "analysis.t")
             out["p"], out["t"] = float(p), float(t)
         if task == "diagnose":
             if not 0 < out["t"] < 1.0 / out["p"]:

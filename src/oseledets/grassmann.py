@@ -3,10 +3,9 @@
 Subspace distance is the Hausdorff distance between intersections of
 subspaces with the unit ball of the chosen norm (l1, l2 or linf).  For l2
 the one-sided sups have exact singular-value expressions; for l1/linf they
-are exact maxima over the vertices of the polytope Y intersect ball, with
-the per-point distances to a subspace solved exactly by enumerating the
-basic solutions of the corresponding linear program (batched numpy solves)
-and a ball-constrained LP where the unconstrained minimizer leaves the ball.
+are exact maxima over the vertices of the polytope Y intersect ball, and
+every distance is the best basic solution of its linear program, found by
+enumeration in batched numpy solves (ValueError past the guard).
 
 Also provides nice bases (unit vectors each at distance exactly 1 from the
 span of the previous ones), oblique projections, and good complements of
@@ -42,9 +41,9 @@ RANK_SV_CUTOFF = 1e-10      # smallest singular value of an orthonormalized basi
 COMPLEMENT_CONDITION = 1e12  # condition-number cutoff for oblique projections
 IDEMPOTENCY_TOL = 1e-8      # relative ||Pi^2 - Pi|| cutoff for oblique projections
 
-# enumeration guard: beyond this many index subsets, or beyond the entries
-# of that many 4 x 4 systems, point distances fall back to linprog and
-# ball-vertex enumeration raises ValueError
+# enumeration guard: beyond this many candidates (index subsets, ball
+# vertices or chord lines), or beyond the entries of that many 4 x 4
+# systems, an l1/linf distance raises ValueError
 _MAX_SUBSETS = 20000
 _MAX_ENTRIES = 16 * _MAX_SUBSETS
 
@@ -165,6 +164,7 @@ class Subspace:
 #     signs, enumerated over (k+1)-subsets and sign patterns.
 # Every candidate is scored by its true objective, so the minimum over
 # candidates is an upper bound that is attained in the generic case.
+# Past the guard for these systems, _codim_dist_batch works on W^perp.
 
 
 def _subsets(d, k):
@@ -174,6 +174,32 @@ def _subsets(d, k):
 def _enumerable(count, size):
     """Whether `count` stacked size x size systems are within the guard."""
     return count <= _MAX_SUBSETS and count * size * size <= _MAX_ENTRIES
+
+
+def _check_count(count, size, what):
+    """Raise ValueError, its message led by `what`, past the guard."""
+    if not _enumerable(count, size):
+        raise ValueError(f"{what} exceed the enumeration limit "
+                         f"({_MAX_SUBSETS} candidates, {_MAX_ENTRIES} "
+                         "system entries)")
+
+
+def _primal_form(d, k, norm):
+    """Whether distances to a dim-k span in R^d (0 < k < d) enumerate its
+    basic solutions (True) or take the codimension form (False);
+    ValueError past both guards."""
+    count, size = ((math.comb(d, k), k) if norm == "l1"
+                   else (math.comb(d, k + 1) * 2 ** k, k + 1))
+    if _enumerable(count, size):
+        return True
+    lead = f"{norm} distance to a dim-{k} subspace of R^{d}: {count} basic "
+    if norm == "l1":
+        _check_count(count, d - k, f"{lead}solutions, as {k} x {k} or "
+                     f"{d - k} x {d - k} systems,")
+    else:
+        dual = math.comb(d, d - k - 1)    # _ball_vertices(A, "l1"), A d x m
+        _check_count(dual, d - k, f"{lead}solutions, {dual} dual vertices,")
+    return False
 
 
 def _l2_dist_batch(X, B):
@@ -216,25 +242,8 @@ def _best_solves(X, B, S, M, score):
     return dist, coef
 
 
-def _l1_dist_batch(X, B):
-    d, k = B.shape
-    # count before materializing: C(d, k) overflows memory long before the
-    # list comparison would reject it
-    if not _enumerable(math.comb(d, k), k):
-        return None
-    S = np.array(_subsets(d, k))                         # (ns, k)
-    return _best_solves(X, B, S, B[S, :], np.add.reduce)
-
-
 def _linf_dist_batch(X, B):
-    m, d = X.shape
-    k = B.shape[1]
-    if k + 1 > d:
-        # k = d: the span is everything
-        coef = np.linalg.solve(B, X.T).T if k == d else None
-        return np.zeros(m), coef
-    if not _enumerable(math.comb(d, k + 1) * 2 ** k, k + 1):
-        return None
+    d, k = B.shape
     S = np.array(_subsets(d, k + 1))                     # (ns, k+1)
     signs = np.array(list(itertools.product([1.0], *([[-1.0, 1.0]] * k))))
     ns, nsig = S.shape[0], signs.shape[0]
@@ -255,84 +264,89 @@ def _linf_dist_batch(X, B):
     return dist, coef
 
 
-def _linprog_dist(x, B, norm, ball=False):
-    """Exact LP fallback for l1/linf point-subspace distance."""
-    from scipy import optimize
+def _codim_dist_batch(X, B, norm):
+    """The distances of _dist_batch from m x m systems on W^perp = span(A),
+    A an orthonormal d x m basis, m = d - k: the residuals r = x - Bc are
+    the points of x + W, those with A^T r = A^T x.
 
+    l1: a basic solution has r supported on m coordinates T, with
+    r_T = (A_T^T)^-1 A^T x.
+    linf: by LP duality the distance delta is max |z^T x| over the
+    vertices z of span(A) intersected with the l1 ball (_ball_vertices).
+    By complementary slackness r_i = delta sign(z_i) wherever z_i != 0,
+    and a least-norm solve of A^T r = A^T x sets the other coordinates F.
+    Where that leaves some above delta (z has zeros beyond the m - 1 that
+    make it a vertex), their best values are a linf distance in R^F to
+    null(A_F^T), taken by _dist_batch.
+    Each distance is scored at the coefficients of x - r.
+    """
     d, k = B.shape
+    A = np.linalg.svd(B)[0][:, k:]
+    AX = X @ A
+    R = np.zeros_like(X)
     if norm == "l1":
-        # vars: c (k), t (d) [, u (d)]
-        nv = k + d + (d if ball else 0)
-        cost = np.zeros(nv)
-        cost[k:k + d] = 1.0
-        rows, rhs = [], []
-        for sgn in (1.0, -1.0):
-            blk = np.zeros((d, nv))
-            blk[:, :k] = -sgn * B
-            blk[:, k:k + d] = -np.eye(d)
-            rows.append(blk)
-            rhs.append(-sgn * x)
-        if ball:
-            for sgn in (1.0, -1.0):
-                blk = np.zeros((d, nv))
-                blk[:, :k] = sgn * B
-                blk[:, k + d:] = -np.eye(d)
-                rows.append(blk)
-                rhs.append(np.zeros(d))
-            blk = np.zeros((1, nv))
-            blk[0, k + d:] = 1.0
-            rows.append(blk)
-            rhs.append(np.ones(1))
+        T = np.array(_subsets(d, d - k))
+        M = A[T].transpose(0, 2, 1)                      # A_T^T
+        ok = np.abs(np.linalg.det(M)) > 1e-300
+        T, M = T[ok], M[ok]
+        step = max(1, int(4e6 / (T.shape[0] * (d - k + 1))))
+        for lo in range(0, X.shape[0], step):
+            with np.errstate(all="ignore"):
+                RT = np.linalg.solve(M[None], AX[lo:lo + step, None, :, None])
+                obj = np.abs(RT[..., 0]).sum(axis=2)
+            best = np.where(np.isfinite(obj), obj, np.inf).argmin(axis=1)
+            rows = np.arange(best.shape[0])
+            R[(lo + rows)[:, None], T[best]] = RT[rows, best, :, 0]
     else:
-        # vars: c (k), s (1)
-        nv = k + 1
-        cost = np.zeros(nv)
-        cost[k] = 1.0
-        rows, rhs = [], []
-        for sgn in (1.0, -1.0):
-            blk = np.zeros((d, nv))
-            blk[:, :k] = -sgn * B
-            blk[:, k] = -1.0
-            rows.append(blk)
-            rhs.append(-sgn * x)
-        if ball:
-            for sgn in (1.0, -1.0):
-                blk = np.zeros((d, nv))
-                blk[:, :k] = sgn * B
-                rows.append(blk)
-                rhs.append(np.ones(d))
-    res = optimize.linprog(cost, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
-                           bounds=[(None, None)] * nv, method="highs")
-    if not res.success:
-        raise RuntimeError(f"linprog distance solve failed: {res.message}")
-    return float(res.fun), res.x[:k]
+        Z = _ball_vertices(A, "l1")
+        step = max(1, int(4e6 / Z.shape[0]))
+        z = np.concatenate([Z[np.abs(X[lo:lo + step] @ Z.T).argmax(axis=1)]
+                            for lo in range(0, X.shape[0], step)])
+        delta = np.einsum("nd,nd->n", X, z)
+        z *= np.sign(delta)[:, None]
+        delta = np.abs(delta)
+        free = np.abs(z) <= 1e-12 * np.abs(z).max(axis=1, keepdims=True)
+        R = np.where(free, 0.0, delta[:, None] * np.sign(z))
+        # r_F = pinv(A_F^T) A^T (x - r); A is orthonormal, so singular
+        # values of A_F below the cutoff are rounding, whatever their ratio
+        U, sv, Vt = np.linalg.svd(A * free[:, :, None], full_matrices=False)
+        sv = np.where(sv > RANK_SV_CUTOFF,
+                      1.0 / np.maximum(sv, RANK_SV_CUTOFF), 0.0)
+        R += (U @ (sv[:, :, None] * (Vt @ (AX - R @ A)[:, :, None])))[..., 0]
+        # (z = 0 leaves every coordinate free: x is in W and r_F is exact)
+        over = np.abs(R).max(axis=1) > delta * (1 + 1e-9)
+        for i in np.flatnonzero(over & ~free.all(axis=1)):
+            F = free[i]
+            _, sf, vt = np.linalg.svd(A[F].T)
+            N = vt[(sf > RANK_SV_CUTOFF).sum():].T       # null(A_F^T)
+            R[i, F] -= N @ _dist_batch(R[i, F][None], N, "linf")[1][0]
+    coef = np.linalg.lstsq(B, (X - R).T, rcond=None)[0].T
+    return vector_norm(X - coef @ B.T, norm, axis=1), coef
 
 
 def _dist_batch(X, B, norm):
-    """Distances (and coefficients) from rows of X to span(B), exact per norm."""
+    """Distances (and coefficients) from rows of X to span(B), exact per
+    norm; for l1/linf ValueError past the guards of _primal_form."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if B.shape[1] == 0:
+    d, k = B.shape
+    if k == 0:
         return vector_norm(X, norm, axis=1), np.zeros((X.shape[0], 0))
     if norm == "l2":
         return _l2_dist_batch(X, B)
-    out = _l1_dist_batch(X, B) if norm == "l1" else _linf_dist_batch(X, B)
-    if out is not None:
-        return out
-    warnings.warn(
-        f"{norm} distance to a dim-{B.shape[1]} subspace of R^{B.shape[0]} "
-        "is past the enumeration guard; solving one linprog per point",
-        RuntimeWarning, stacklevel=2)
-    dists = np.empty(X.shape[0])
-    coefs = np.empty((X.shape[0], B.shape[1]))
-    for i, x in enumerate(X):
-        dists[i], coefs[i] = _linprog_dist(x, B, norm)
-    return dists, coefs
+    if k == d:
+        return np.zeros(X.shape[0]), np.linalg.solve(B, X.T).T
+    if not _primal_form(d, k, norm):
+        return _codim_dist_batch(X, B, norm)
+    if norm == "linf":
+        return _linf_dist_batch(X, B)
+    S = np.array(_subsets(d, k))                         # (ns, k)
+    return _best_solves(X, B, S, B[S, :], np.add.reduce)
 
 
 def distance_point_subspace(x, W):
     """min over w in W of ||x - w|| in the norm of the Subspace W, exact:
     the orthogonal residual in l2, the best basic solution of the l1/linf
-    linear program (one linprog per point past the enumeration guard)."""
+    linear program (ValueError past the enumeration guard)."""
     if not isinstance(W, Subspace):
         raise TypeError("distance_point_subspace expects a Subspace")
     x = np.asarray(x, dtype=float)
@@ -342,34 +356,98 @@ def distance_point_subspace(x, W):
     return float(d[0])
 
 
+# ---------------------------------------------------------------------------
+# distances to W intersect ball
+
+
+def _check_chords(d, k, norm):
+    count = math.comb(2 * d if norm == "l1" else d * d + d, k - 1)
+    _check_count(count, k, f"{norm} ball of a dim-{k} subspace of R^{d}: "
+                 f"{count} chord lines")
+
+
+def _exit(P, q, norm):
+    """Largest t with ||p + t q|| <= 1 per row p of P (..., L, d) and line
+    direction q, or nan (for linf only where q leaves p outside).  l1:
+    phi(t) = ||p + t q||_1, evaluated at its sorted kinks -p_i / q_i by
+    running sums, lies above its tangents, so the exit is the least
+    crossing of 1 by the tangents at kinks inside the ball."""
+    nz = q != 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if norm == "linf":
+            t = np.where(nz, (np.sign(q) - P) / q, np.inf).min(axis=-1)
+            return np.where((~nz & (np.abs(P) > 1.0 + 1e-12)).any(axis=-1),
+                            np.nan, t)
+        tau = np.where(nz, -P / q, np.inf)
+        order = np.argsort(tau, axis=-1)
+        tau = np.take_along_axis(tau, order, -1)
+        w = np.take_along_axis(np.broadcast_to(np.abs(q), P.shape), order, -1)
+        cw = np.cumsum(w, axis=-1)
+        ct = np.cumsum(np.where(w > 0, w * tau, 0.0), axis=-1)
+        slope = 2 * cw - cw[..., -1:]            # of phi right of tau_j
+        phi = (np.where(nz, 0.0, np.abs(P)).sum(axis=-1, keepdims=True)
+               + tau * slope - 2 * ct + ct[..., -1:])
+        t = np.where((phi <= 1.0) & (slope > 0),
+                     tau + (1.0 - phi) / slope, np.inf).min(axis=-1)
+    return np.where(np.isfinite(t), t, np.nan)
+
+
+def _boundary_dist(X, B, norm):
+    """Distance from each row x of X to the boundary of W intersected with
+    the unit ball, W = span(B) = span(Q), exact.  In the coordinates c of
+    w = Q c, ||x - w|| and ||w|| are piecewise linear with kinks on
+    hyperplanes: l1 w_i = x_i and w_i = 0; linf the ties
+    w_i -+ w_j = x_i -+ x_j and the facets w_i = +-1.  The minimum on the
+    boundary sits at a vertex of their arrangement there: an end of the
+    chord that a line cut out by k - 1 of them makes with the ball.  A
+    dim-1 W is the one chord between +-b / ||b||."""
+    d, k = B.shape
+    _check_chords(d, k, norm)
+    if k == 1:
+        u = B[:, 0] / vector_norm(B[:, 0], norm)
+        return np.minimum(vector_norm(X - u, norm, axis=1),
+                          vector_norm(X + u, norm, axis=1))
+    Q, _ = _orthonormalize(B)
+    ones = np.ones_like(X)
+    if norm == "l1":
+        normals, offsets = np.vstack([Q, Q]), np.hstack([X, 0.0 * X])
+    else:
+        i, j = np.triu_indices(d, 1)
+        normals = np.vstack([Q[i] - Q[j], Q[i] + Q[j], Q, Q])
+        offsets = np.hstack([X[:, i] - X[:, j], X[:, i] + X[:, j], ones,
+                             -ones])
+    # the line N_S c = h_S is pinv(N_S) h_S + t e, e spanning null(N_S);
+    # dependent hyperplanes cut out none
+    S = np.array(_subsets(normals.shape[0], k - 1))
+    S = S[np.linalg.svd(normals[S], compute_uv=False)[:, -1] > RANK_SV_CUTOFF]
+    N = normals[S]
+    q = np.linalg.svd(N)[2][:, -1] @ Q.T
+    # a line lies in the hyperplanes that cut it out: zero the rounding in
+    # their rows of q, which would tilt the chord
+    q[np.abs(q) <= 1e-12 * np.abs(q).max(axis=1, keepdims=True)] = 0.0
+    lift = np.einsum("dk,lkj->ldj", Q, np.linalg.pinv(N))
+    dist = np.empty(X.shape[0])
+    step = max(1, int(2e5 / (S.shape[0] * d)))
+    for lo in range(0, X.shape[0], step):
+        Xc = X[lo:lo + step]
+        P = np.einsum("ldj,nlj->nld", lift, offsets[lo:lo + step][:, S])
+        ends = -_exit(P, -q, norm), _exit(P, q, norm)
+        f = [vector_norm(Xc[:, None] - P - t[..., None] * q, norm, axis=2)
+             for t in ends]
+        f = np.where(ends[0] <= ends[1], np.minimum(*f), np.inf)
+        dist[lo:lo + step] = f.min(axis=1)
+    return dist
+
+
 def _ball_sup_batch(X, B, norm):
     """Max over rows of X of the distance to span(B) intersected with the
-    unit ball, exact.
-
-    The span distance bounds the ball distance below; rescaling the
-    unconstrained minimizer onto the sphere bounds it above.  Only rows whose
-    upper bound reaches the running max need the exact ball-constrained LP,
-    which prunes almost every call when the two subspaces are close.
-
-    For one column b the upper bound is exact: t -> ||x - t b|| is convex,
-    so its minimum over the interval |t| <= 1/||b|| is at the clip of an
-    unconstrained minimizer, which is what the rescaling computes.
-    """
+    unit ball, exact: the span distance where its minimizer lies in the
+    ball, the distance to the ball's boundary where it leaves it."""
     dist, coef = _dist_batch(X, B, norm)
-    w = coef @ B.T
-    wn = vector_norm(w, norm, axis=1)
-    bad = wn > 1.0 + 1e-12
-    best = float(dist.max())
-    if not np.any(bad):
-        return best
-    ub = vector_norm(X - w / np.maximum(wn, 1.0)[:, None], norm, axis=1)
-    if B.shape[1] == 1:
-        return max(best, float(ub[bad].max()))
-    for i in np.argsort(ub)[::-1]:
-        if not bad[i] or ub[i] < best - 1e-15:
-            continue
-        best = max(best, _linprog_dist(X[i], B, norm, ball=True)[0])
-    return best
+    out = vector_norm(coef @ B.T, norm, axis=1) > 1.0 + 1e-12
+    if np.any(out):
+        dist[out] = _boundary_dist(X[out], B, norm)
+    return float(dist.max())
 
 
 # ---------------------------------------------------------------------------
@@ -383,19 +461,24 @@ def _ball_sup_batch(X, B, norm):
 
 def _check_vertex_enumeration(d, k, norm):
     """Raise ValueError when the l1 or linf ball of a dim-k subspace of R^d
-    has more vertex candidates than the enumeration guard admits.
-
-    l1 has C(d, k-1) candidates, linf C(d, k) * 2^(k-1); the guard admits at
-    most _MAX_SUBSETS of them and at most _MAX_ENTRIES entries in their
-    stacked k-column systems.
-    """
+    has more vertex candidates than the enumeration guard admits: l1 has
+    C(d, k-1), linf C(d, k) * 2^(k-1), each from a k-column system."""
     count = (math.comb(d, k - 1) if norm == "l1"
              else math.comb(d, k) * 2 ** (k - 1))
-    if not _enumerable(count, k):
-        raise ValueError(
-            f"{norm} ball of a dim-{k} subspace of R^{d}: {count} vertex "
-            f"candidates exceed the enumeration limit ({_MAX_SUBSETS} "
-            f"candidates, {_MAX_ENTRIES} system entries)")
+    _check_count(count, k, f"{norm} ball of a dim-{k} subspace of R^{d}: "
+                 f"{count} vertex candidates")
+
+
+def _check_sup_enumeration(d, k_y, k_w, norm):
+    """Raise ValueError unless the l1/linf sup from a dim-k_y to a dim-k_w
+    subspace of R^d is within every guard, in the order of the work: the
+    ball vertices of Y, the distances to W and the chords of W's ball (a W
+    of dimension 0 or d needs neither)."""
+    if k_y:
+        _check_vertex_enumeration(d, k_y, norm)
+        if 0 < k_w < d:
+            _primal_form(d, k_w, norm)
+            _check_chords(d, k_w, norm)
 
 
 def _ball_vertices(B, norm):
@@ -436,7 +519,7 @@ def one_sided_hausdorff(Y, W):
 
     Exact: singular values for l2; for l1/linf the max over the vertices of
     Y intersect ball of the ball-constrained distance, which raises
-    ValueError past the guard of _check_vertex_enumeration.
+    ValueError past the guard of _check_sup_enumeration before any work.
     """
     if Y.norm != W.norm or Y.ambient_dim != W.ambient_dim:
         raise DimensionMismatchError("norm tags and ambient dims must match")
@@ -449,6 +532,7 @@ def one_sided_hausdorff(Y, W):
         M = QY - QW @ (QW.T @ QY) if W.dim else QY
         s = np.linalg.svd(M, compute_uv=False)
         return float(min(s[0], 1.0)) if s.size else 0.0
+    _check_sup_enumeration(Y.ambient_dim, Y.dim, W.dim, norm)
     return min(_ball_sup_batch(_ball_vertices(Y.basis, norm), W.basis, norm), 1.0)
 
 
@@ -461,6 +545,9 @@ def grassmann_distance(Y, Yp):
         raise DimensionMismatchError("ambient dimensions differ")
     if Y.norm != Yp.norm:
         raise DimensionMismatchError("norm tags differ")
+    if Y.norm != "l2":
+        # the second side's guard before the first side's work
+        _check_sup_enumeration(Y.ambient_dim, Yp.dim, Y.dim, Y.norm)
     return max(one_sided_hausdorff(Y, Yp), one_sided_hausdorff(Yp, Y))
 
 
@@ -684,10 +771,10 @@ def good_complement(filtration, eps=0.9):
     measured distances and the projection norm of Pi_{U_j || V_{j+1}+U_{<j}}
     when the chain spans the ambient space.
 
-    Every choice is exact and needs one point distance, except the first
-    m-1 vectors of a level j >= 2 of multiplicity m >= 2 in l1/linf: they
-    enumerate the ball vertices of V_j, and raise ValueError past the guard
-    of _check_vertex_enumeration.
+    Every choice is exact and needs one point distance (ValueError past
+    the guard of _primal_form), except the first m-1 vectors of a level
+    j >= 2 of multiplicity m >= 2 in l1/linf: they enumerate the ball
+    vertices of V_j too (ValueError past _check_vertex_enumeration).
 
     compute_splitting does not call it: the construction accepts any
     complement with a uniform transversality floor, and it takes slices of

@@ -24,7 +24,7 @@ import numpy as np
 from .base import ParameterError
 from .cocycle import _qr_pass
 from .grassmann import (ComplementarityError, DegenerateSubspaceError,
-                        Subspace, _check_vertex_enumeration,
+                        Subspace, _check_sup_enumeration,
                         _CoframeProjection, grassmann_distance, nice_basis,
                         operator_norm)
 from .spectrum import filtration_at, growth_rate
@@ -148,7 +148,7 @@ class SplittingResult:
 
 def pushforward_space(gen, orbit, U, n, base_offset=0):
     """Image of U (living at sigma^(base-n) w) under the n-step product,
-    represented by a nice basis at sigma^base w.
+    a Subspace at sigma^base w on the orthonormal frame of the QR pass.
 
     The frame is re-orthonormalized once per block of steps of the QR pass,
     whose pivots spread over only about e^10: a one-shot product applied to
@@ -168,7 +168,7 @@ def pushforward_space(gen, orbit, U, n, base_offset=0):
                 raise RankCollapseError(
                     f"pushforward of a dim-{U.dim} space lost rank at n={n}",
                     n=n)
-    return Subspace(np.column_stack(nice_basis(Subspace(B, U.norm))), U.norm)
+    return Subspace(B, U.norm)
 
 
 def _cut(filt, j):
@@ -294,12 +294,14 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
     approximants but not their limit.
 
     In l1/linf the Cauchy test takes exact distances between level spaces by
-    enumerating ball vertices, so a level of multiplicity m in R^d raises
-    ValueError before any work once the enumeration is past its guard: l1
-    from d = 201 (m = 3), 51 (m = 4), 26 (m = 5), 19 (m = 6); linf from
-    d = 142 (m = 2), 33 (m = 3), 18 (m = 4), 13 (m = 5).  Multiplicity-1
-    levels, and l1 with m = 2, stay exact below d = 20,001.  check_equivariance
-    and uniqueness_probe take the same distances.
+    enumeration (ball vertices, point distances and ball chords, see
+    grassmann._check_sup_enumeration), so a level of multiplicity m in R^d
+    raises ValueError before any work once one of them is past its guard:
+    l1 from d = 201 (m = 2), 51 (m = 3), 26 (m = 4), 13 (m = 5), 10 (m = 6)
+    and for m >= 7 at every d > m; linf from d = 142 (m = 1), 33 (m = 2),
+    14 (m = 3), 7 (m = 4) and for m >= 5 at every d > m.  Multiplicity-1
+    levels stay exact in l1 below d = 20,001.  check_equivariance and uniqueness_probe take the same
+    distances.
 
     `_filtrations` is a memo of the filtrations made, keyed by (offset,
     length); runs that share one must share gen, orbit, spectrum, norm and
@@ -329,7 +331,7 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
     mult = [int(m) for m in spectrum.multiplicities]
     if norm != "l2" and len(schedule) > 1:
         for m in mult[:l_use]:
-            _check_vertex_enumeration(d, m, norm)
+            _check_sup_enumeration(d, m, m, norm)
 
     def level_space(j, hull, depth, filt_fwd):
         # the pushforward of the hull U_1 + ... + U_(j+1) is float-stable

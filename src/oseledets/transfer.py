@@ -129,15 +129,17 @@ class Branch:
         yf = float(y)
         if not lo <= yf <= hi:
             return None
+        # min_expansion > 1 makes the branch strictly monotone: bisect the
+        # domain down to 1e-15, keeping the pre-image inside the bracket
         af, bf = float(self.a), float(self.b)
-        from scipy import optimize
-
-        try:
-            return optimize.brentq(lambda u: self.value(u) - yf, af, bf,
-                                   xtol=1e-15, rtol=8.9e-16)
-        except ValueError:
-            return af if abs(self.value(af) - yf) < abs(self.value(bf) - yf) \
-                else bf
+        rising = self.value(bf) >= self.value(af)
+        while bf - af > 1e-15:
+            mid = 0.5 * (af + bf)
+            if (self.value(mid) < yf) == rising:
+                af = mid
+            else:
+                bf = mid
+        return 0.5 * (af + bf)
 
     def __repr__(self):
         form = "affine" if self.is_affine else f"sin(rho={self.rho})"

@@ -29,8 +29,7 @@ assert "scipy.sparse" not in sys.modules
 
 
 def test_import_loads_no_scipy_optimize():
-    # scipy.optimize costs most of the package import and only the LP
-    # fallback and non-affine branch inverses need it
+    # scipy.optimize would cost most of the package import
     proc = _run(["-c", "import sys, oseledets\n"
                        "assert 'scipy.optimize' not in sys.modules\n"
                  + NO_SCIPY_LINALG])
@@ -38,8 +37,8 @@ def test_import_loads_no_scipy_optimize():
 
 
 def test_l1_top_splitting_loads_no_scipy_optimize():
-    # one-dimensional levels take their ball-constrained distances in
-    # closed form, so the top of an l1 Ulam splitting never needs an LP
+    # one-dimensional levels take their ball-constrained distances from
+    # the ends of their one chord
     code = """
 import sys
 from fractions import Fraction
@@ -55,6 +54,32 @@ assert [Y.dim for Y in res.spaces] == [1, 1]
 assert "scipy.optimize" not in sys.modules
 """
     proc = _run(["-c", code + NO_SCIPY_LINALG])
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_distance_path_loads_no_scipy():
+    # the sinusoidal branch inverses bisect, and every l1/linf distance
+    # enumerates: near pairs take chord ends, the R^60 flag the
+    # codimension form
+    code = """
+import sys
+import numpy as np
+import oseledets
+from oseledets.grassmann import Subspace, good_complement, grassmann_distance
+from oseledets.transfer import sin_doubling, ulam_matrix
+ulam_matrix(sin_doubling(0.04), 32)
+rng = np.random.default_rng(0)
+for norm in ("l1", "linf"):
+    for k in (2, 3):
+        B = rng.standard_normal((6, k))
+        C = B + 1e-3 * rng.standard_normal((6, k))
+        assert 0 < grassmann_distance(Subspace(B, norm), Subspace(C, norm))
+G = rng.standard_normal((60, 60))
+good_complement([Subspace(G[:, :m], "l1") for m in (60, 59, 58)])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+    proc = _run(["-c", code])
     assert proc.returncode == 0, proc.stderr
 
 

@@ -3,6 +3,7 @@
 import math
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -305,6 +306,27 @@ class TestUlamL1:
         assert spec.multiplicities[2] > 6
         with pytest.raises(ValueError, match="l1 ball of a dim-"):
             compute_splitting(gen, orbit, spec, 16, norm="l1")
+
+
+class TestEnumerationGuard:
+    @pytest.mark.parametrize("norm, m, d", [
+        ("l1", 2, 201), ("l1", 3, 51), ("l1", 4, 26), ("l1", 5, 13),
+        ("l1", 6, 10), ("l1", 7, 8), ("linf", 1, 142), ("linf", 2, 33),
+        ("linf", 3, 14), ("linf", 4, 7), ("linf", 5, 6)])
+    def test_past_guard_raises_before_first_qr_step(self, monkeypatch, norm,
+                                                    m, d):
+        # the cases past the guard in the compute_splitting docstring
+        def no_work(*args, **kwargs):
+            raise AssertionError("a QR step ran before the guard")
+
+        monkeypatch.setattr(splitting, "filtration_at", no_work)
+        monkeypatch.setattr(splitting, "_qr_pass", no_work)
+        spec = SimpleNamespace(exponents=[0.0, -1.0],
+                               multiplicities=[m, d - m])
+        gen = CocycleGenerator.constant(np.eye(d))
+        with pytest.raises(ValueError, match=rf"^{norm} .*R\^{d}\b"):
+            compute_splitting(gen, _orbit(n=40), spec, 16, norm=norm,
+                              levels=1)
 
 
 class TestRankCollapseRetry:
