@@ -202,12 +202,15 @@ def _qr_pass(factor, Q, stops):
     per step, b is the largest length whose pivots spread over about
     e^_BLOCK_LOG_SPREAD and whose largest pivot stays in [_RENORM_LO,
     _RENORM_HI]; the first block, and any after zero or noise-level
-    pivots, is one step.  A block with b > 1 whose product has a pivot at
-    or below _DEATH_REL times the largest, or a largest pivot out of that
-    range or not finite, is redone step by step (``factor`` must give the
-    same matrices again), yields the per-step diagonals and resets b to 1;
-    it is formed with overflow warnings off, since the redo handles them.
-    A one-step collapse that later steps of its block offset is not seen.
+    pivots, is one step.  A frame with fewer columns than rows grows its
+    blocks at most twofold: before it settles, a short block can barely
+    spread its pivots and size a next block that collapses.  A block with
+    b > 1 whose product has a pivot at or below _DEATH_REL times the
+    largest, or a largest pivot out of that range or not finite, is redone
+    step by step (``factor`` must give the same matrices again), yields the
+    per-step diagonals and resets b to 1; it is formed with overflow
+    warnings off, since the redo handles them.  A one-step collapse that
+    later steps of its block offset is not seen.
     """
     stepper = _QRStepper(*Q.shape)
     n = stops[-1]
@@ -235,6 +238,8 @@ def _qr_pass(factor, Q, stops):
                 rate = max(math.log(top / low) / _BLOCK_LOG_SPREAD,
                            abs(math.log(top)) / _LOG_RENORM)
                 b = max(1, int((end - k) / rate)) if rate else n
+                if Q.shape[1] < Q.shape[0]:
+                    b = min(b, 2 * (end - k))
             else:
                 b = 1
         k = end

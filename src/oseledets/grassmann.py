@@ -677,7 +677,7 @@ def projection(Y, Z):
 class _CoframeProjection:
     """The projection onto span(Y) along Z = F^perp, for F with orthonormal
     columns and Y with as many: Pi = A F^T with A = Y (F^T Y)^-1, kept as
-    its d x k factors so that nothing d x d is decomposed.
+    its d x k factors so that nothing d x d is decomposed or held.
 
     It refuses on the two checks of projection.  Complementarity: in the
     orthonormal basis [F, Q_Z], [Y, Q_Z] is [[F^T Y, 0], [Q_Z^T Y, I]], and
@@ -705,19 +705,27 @@ class _CoframeProjection:
         resid = self._norm(self.A @ (F.T @ self.A - np.eye(k)))
         _check_idempotency(resid / max(self.norm_value, 1e-300))
 
-    def _norm(self, L):
-        """Operator norm of L F^T; in l2 that is ||L||_2, F^T being a
-        co-isometry."""
+    def _norm(self, L, shift=0.0):
+        """Operator norm of L F^T - shift I: ||L||_2 in l2 (shift 0; F^T is
+        a co-isometry), else the largest column sum of |L F^T - shift I|
+        (l1) or of its transpose F L^T - shift I (linf), over blocks of
+        columns of at most _MAX_ENTRIES entries, so nothing d x d is held."""
         if self.norm == "l2":
             return operator_norm(L, "l2")
-        return operator_norm(L @ self.F.T, self.norm)
+        L, F = (L, self.F) if self.norm == "l1" else (self.F, L)
+        step = max(1, _MAX_ENTRIES // len(F))
+        sums = []
+        for i in range(0, len(F), step):
+            M = L @ F[i:i + step].T            # columns i.. of L F^T
+            M[np.arange(i, i + M.shape[1]), np.arange(M.shape[1])] -= shift
+            sums.append(np.abs(M, out=M).sum(axis=0).max())
+        return float(np.max(sums))
 
     def complement_norm(self):
         """||I - Pi||; in l2 it equals ||Pi|| (Pi is neither 0 nor I)."""
         if self.norm == "l2":
             return self.norm_value
-        return operator_norm(
-            np.eye(self.F.shape[0]) - self.A @ self.F.T, self.norm)
+        return self._norm(self.A, 1.0)
 
     def __call__(self, X):
         return self.A @ (self.F.T @ X)

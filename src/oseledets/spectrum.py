@@ -117,12 +117,11 @@ class FiltrationAt:
     as g - F (F^T g) with F = frame[:, :c_j].
     """
 
-    def __init__(self, offset, frame, cuts, rates, norm="l2", warnings=()):
+    def __init__(self, offset, frame, cuts, rates, warnings=()):
         self.offset = int(offset)
         self.frame = frame
         self.cuts = [int(c) for c in cuts]
         self.rates = np.asarray(rates)
-        self.norm = norm
         self.warnings = list(warnings)
 
     def __len__(self):
@@ -282,7 +281,7 @@ def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
         warnings=warnings)
 
 
-def filtration_at(gen, orbit, offset, n, spectrum, norm="l2", levels=None):
+def filtration_at(gen, orbit, offset, n, spectrum, levels=None):
     """Filtration V_1 > V_2 > ... > V_{l+1} at sigma^offset w.
 
     V_{j+1} is the orthogonal complement of the top right-singular
@@ -340,7 +339,7 @@ def filtration_at(gen, orbit, offset, n, spectrum, norm="l2", levels=None):
                 f"level {j + 2} boundary blurred: rate {rates[cut]:.4f} "
                 f"above midpoint {midpoints[j]:.4f}")
         cuts.append(cut)
-    return FiltrationAt(offset, Q, cuts, rates, norm, warnings)
+    return FiltrationAt(offset, Q, cuts, rates, warnings)
 
 
 def growth_rate(gen, orbit, v, n, offset=0):

@@ -6,6 +6,11 @@ point.  The schedule doubles n until consecutive pushforwards are Cauchy
 within tolerance; the reports keep the full distance traces, fitted decay
 rates and transversality diagnostics.
 
+Each depth takes one pushforward walk, of the hull [U_1 | ... | U_l] in
+level order; the walk keeps the column order, so Y_1 and every nested hull
+U_1 + ... + U_j that a later level is cut out of are the pushed frame's
+leading c_j = m_1 + ... + m_j columns.
+
 Every filtration level is a co-frame: V_{j+1} is the orthogonal complement
 of the leading m_1 + ... + m_j columns F of the orthonormal frame that
 filtration_at steps.  The complements U_j are slices of that frame,
@@ -150,6 +155,10 @@ def pushforward_space(gen, orbit, U, n, base_offset=0):
     """Image of U (living at sigma^(base-n) w) under the n-step product,
     a Subspace at sigma^base w on the orthonormal frame of the QR pass.
 
+    The walk starts from a QR of U.basis, and QR keeps the column order at
+    every block: the first c columns of the result span the image of the
+    first c columns of U.basis, so one walk holds each leading block's.
+
     The frame is re-orthonormalized once per block of steps of the QR pass,
     whose pivots spread over only about e^10: a one-shot product applied to
     a basis has condition e^(n * spread) and drowns the slower directions
@@ -162,7 +171,7 @@ def pushforward_space(gen, orbit, U, n, base_offset=0):
         return Subspace(U.basis.copy(), U.norm)
     for _, B, diags in _qr_pass(
             lambda k: gen.matrix_at(orbit, base_offset - n + k),
-            U.orthonormal_basis(), [n]):
+            np.linalg.qr(U.basis)[0], [n]):
         for diag in diags:
             if diag.min() <= 1e-13 * max(diag.max(), 1e-300):
                 raise RankCollapseError(
@@ -223,18 +232,17 @@ def _l2_separation(Y, F):
     return float(s[-1])
 
 
-def _near_intersection(H, F, m, norm, n):
-    """The m most-aligned directions of V = F^perp with H (a numerical
-    intersection).
+def _near_intersection(QH, F, m, norm, n):
+    """The m most-aligned directions of V = F^perp with the span of the
+    orthonormal frame QH (a numerical intersection).
 
     The fast hull through a level and the filtration space of that level
     overlap exactly in the level's Oseledets space in the limit; at finite
     depth the overlap is read off the top principal cosines, the singular
-    values of the projection Q_H - F F^T Q_H of H onto V.  Its left
+    values of the projection Q_H - F F^T Q_H of Q_H onto V.  Its left
     singular vectors are the V-side principal vectors, returned because the
     forward filtration is the sharper of the two frames.
     """
-    QH = H.orthonormal_basis()
     avail = min(QH.shape[1], F.shape[0] - F.shape[1])
     if m > avail:
         raise RankCollapseError(
@@ -271,9 +279,10 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
 
     Doubles the pullback depth from 8 until d(Y_j^(n), Y_j^(2n)) < tol
     for every level or n_max (>= 8) is reached; non-converged levels are
-    flagged, not errors.  A rank collapse during pushforward is retried
-    once from a perturbed complement, with a warning naming the level and
-    the depth, then raised.  The orbit window must span
+    flagged, not errors.  Each depth takes one pushforward walk (see the
+    module docstring); a rank collapse in it or in a level's cut is
+    retried once from a perturbed hull, with a warning naming the depth
+    and the hull's levels, then raised.  The orbit window must span
     [offset - n_max, offset + n_max] (forward room beyond the base point
     sharpens the filtrations that cut the levels out of the fast hulls;
     up to 2 * n_max is used when available).
@@ -304,7 +313,7 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
     distances.
 
     `_filtrations` is a memo of the filtrations made, keyed by (offset,
-    length); runs that share one must share gen, orbit, spectrum, norm and
+    length); runs that share one must share gen, orbit, spectrum and
     levels.
     """
     lam = spectrum.exponents
@@ -313,42 +322,36 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
         raise ParameterError("spectrum has no exceptional exponents")
     if n_max < 8:
         raise ParameterError("need n_max >= 8")
-    if levels is None:
-        l_use = l
-    else:
-        if levels < 1:
-            raise ParameterError("levels must be >= 1")
-        l_use = min(int(levels), l)
+    if levels is not None and levels < 1:
+        raise ParameterError("levels must be >= 1")
+    l_use = l if levels is None else min(int(levels), l)
     d = gen.dim
     warnings = []
 
-    schedule = []
-    n = 8
-    while n <= n_max:
-        schedule.append(n)
-        n *= 2
+    schedule = [8 << i for i in range((int(n_max) // 8).bit_length())]
 
     mult = [int(m) for m in spectrum.multiplicities]
     if norm != "l2" and len(schedule) > 1:
         for m in mult[:l_use]:
             _check_sup_enumeration(d, m, m, norm)
 
-    def level_space(j, hull, depth, filt_fwd):
+    ends = np.cumsum(mult[:l_use])
+
+    def level_spaces(hull, depth, filt_fwd):
         # the pushforward of the hull U_1 + ... + U_(j+1) is float-stable
         # (contamination transverse to the fast directions decays), while a
         # per-level pushforward of U_(j+1) alone re-amplifies the machine
         # noise along faster directions by e^(n * gap) and stalls near
-        # sqrt(eps); the level is then cutout of the hull by the forward
-        # filtration, which shares its limit
-        H = pushforward_space(gen, orbit, hull, depth, base_offset=offset)
-        if j == 0:
-            return H
-        if j >= len(filt_fwd):
-            raise RankCollapseError(
-                f"forward filtration too shallow for level {j + 1}",
-                n=depth)
-        return _near_intersection(H, filt_fwd.frame[:, :filt_fwd.cuts[j]],
-                                  mult[j], norm, depth)
+        # sqrt(eps); the level is cut out of its hull, the frame's leading
+        # columns, by the forward filtration (whose cuts are every c_j < d),
+        # which shares its limit
+        H = pushforward_space(gen, orbit, Subspace(hull, norm), depth,
+                              base_offset=offset).basis
+        return [Subspace(H[:, :ends[0]], norm)] + [
+            _near_intersection(H[:, :ends[j]],
+                               filt_fwd.frame[:, :filt_fwd.cuts[j]],
+                               mult[j], norm, depth)
+            for j in range(1, l_use)]
 
     # filtrations by (offset, length): the final forward one is usually
     # among the forward ones made for the hulls
@@ -357,44 +360,34 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
     def filtration(start, n):
         if (start, n) not in memo:
             memo[start, n] = filtration_at(gen, orbit, start, n, spectrum,
-                                           norm=norm, levels=l_use)
+                                           levels=l_use)
         return memo[start, n]
 
     def spaces_at(depth):
         filt = filtration(offset - depth, depth)
-        if len(filt) < min(l, l_use + 1):
-            raise RankCollapseError(
-                f"filtration at depth {depth} resolved only "
-                f"{len(filt)} levels", n=depth)
         # any complement family with a uniform transversality floor feeds
         # the same hull construction (the pushforward sees only the span);
         # the orthogonal one has the best separation, and a rotated one is
         # the second choice a uniqueness probe compares against
-        comps = _complements(filt, l_use, rotation_seed)
+        hull = np.column_stack(_complements(filt, l_use, rotation_seed))
         avail_fwd = orbit.n_future - offset - 1
         filt_fwd = filtration(offset, min(2 * depth, max(depth, avail_fwd)))
-        out = []
-        for j in range(l_use):
-            hull = Subspace(np.column_stack(comps[:j + 1]), norm)
-            try:
-                out.append(level_space(j, hull, depth, filt_fwd))
-            except RankCollapseError as exc:
-                # measure-zero under the standing hypotheses; one retry
-                warnings.append(
-                    f"level {j + 1}: rank collapse at depth {depth} ({exc}); "
-                    "retried from a perturbed hull")
-                rng = np.random.default_rng(depth)
-                pert = hull.basis + 1e-6 * rng.standard_normal(
-                    hull.basis.shape)
-                out.append(level_space(j, Subspace(pert, norm), depth,
-                                       filt_fwd))
-        return out
+        try:
+            return level_spaces(hull, depth, filt_fwd)
+        except RankCollapseError as exc:
+            # measure-zero under the standing hypotheses; one retry
+            warnings.append(
+                f"levels 1-{l_use}: rank collapse at depth {depth} ({exc}); "
+                "retried from a perturbed hull")
+            rng = np.random.default_rng(depth)
+            return level_spaces(
+                hull + 1e-6 * rng.standard_normal(hull.shape), depth,
+                filt_fwd)
 
     history = []          # list of (depth, [Y_1..Y_l])
     dists = [[] for _ in range(l_use)]
     converged_at = [None] * l_use
 
-    final_spaces = None
     for idx, depth in enumerate(schedule):
         spaces = spaces_at(depth)
         history.append((depth, spaces))
@@ -405,16 +398,14 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
                 dists[j].append(dj)
                 if dj < tol and converged_at[j] is None:
                     converged_at[j] = depth
-        final_spaces = spaces
         if idx > 0 and all(c is not None for c in converged_at):
             break
 
-    n_final = history[-1][0]
+    n_final, final_spaces = history[-1]
     filt_final = filtration(offset, n_final)
-    for j in range(l_use):
-        if converged_at[j] is None:
-            warnings.append(
-                f"level {j + 1} not Cauchy within tol={tol} at n_max={n_max}")
+    warnings.extend(
+        f"level {j + 1} not Cauchy within tol={tol} at n_max={n_max}"
+        for j in range(l_use) if converged_at[j] is None)
 
     # transversality of the approach trajectory: decompose each approximant
     # against the frame (final fast hull, final slow filtration); sup of the
@@ -431,9 +422,8 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
         F = filt_final.frame[:, :cut]
         g, entry = [], {"level": j + 1, "pi_fast": None, "pi_slow": None}
         if cut == d:
-            entry["pi_fast"] = 1.0
-            entry["pi_slow"] = 0.0
-        elif hull.shape[1] == cut:
+            entry.update(pi_fast=1.0, pi_slow=0.0)
+        else:
             try:
                 pi = _CoframeProjection(hull, F, norm)
             except ComplementarityError:
@@ -442,8 +432,8 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
                                 "failed at the final depth")
             else:
                 g = [_g_ratio(Y, pi) for Y in approach]
-                entry["pi_fast"] = pi.norm_value
-                entry["pi_slow"] = pi.complement_norm()
+                entry.update(pi_fast=pi.norm_value,
+                             pi_slow=pi.complement_norm())
         projection_norms.append(entry)
         reports.append(ConvergenceReport(
             ns_pairs, dists[j],

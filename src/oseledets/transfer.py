@@ -686,24 +686,18 @@ def _composition_pieces(maps):
 
     Every piece carries (dom_lo, dom_hi, img_lo, img_hi, min_slope) with
     exact Fractions on all-affine chains; min_slope lower-bounds |D(comp)|
-    on the piece (exact for affine, per-branch extremes otherwise).
+    on the piece (exact for affine, per-branch extremes otherwise).  Its
+    "link" back to the domain is, on all-affine chains, the composition as
+    one exact affine map (slope, intercept), and otherwise the branch chain.
     """
     if not maps:
         raise ParameterError("empty composition")
     exact = all(m.is_affine for m in maps)
-
-    def initial(m):
-        out = []
-        for br in m.branches:
-            lo, hi = br.image()
-            slope_min = abs(float(br.slope)) if br.is_affine \
-                else br.min_expansion
-            out.append({"dom": (br.a, br.b), "img": (lo, hi),
-                        "min_slope": slope_min, "chain": [br]})
-        return out
-
-    pieces = initial(maps[0])
-    for m in maps[1:]:
+    # each map refines every piece by its branches, starting from the
+    # identity on (0, 1)
+    pieces = [{"dom": (0, 1), "img": (0, 1), "min_slope": 1.0,
+               "link": (Fraction(1), Fraction(0)) if exact else []}]
+    for m in maps:
         new = []
         for piece in pieces:
             ilo, ihi = piece["img"]
@@ -723,34 +717,34 @@ def _composition_pieces(maps):
                     u, v = v, u
                 slope_min = piece["min_slope"] * (
                     abs(float(br.slope)) if br.is_affine else br.min_expansion)
+                if exact:
+                    s, c = piece["link"]
+                    link = (br.slope * s, br.slope * c + br.intercept)
+                else:
+                    link = piece["link"] + [br]
                 new.append({"dom": dom, "img": (u, v),
-                            "min_slope": slope_min,
-                            "chain": piece["chain"] + [br]})
+                            "min_slope": slope_min, "link": link})
         pieces = new
     return pieces, exact
 
 
 def _pull_back_interval(piece, qlo, qhi, exact):
     """Domain sub-interval of the piece mapping onto (qlo, qhi)."""
+    if exact:
+        # the composed map takes the piece's domain onto its image, which
+        # holds (qlo, qhi): one exact division per end, nothing to clip
+        s, c = piece["link"]
+        return tuple(sorted((q - c) / s for q in (qlo, qhi)))
     xs = []
     for q in (qlo, qhi):
-        x = q
-        ok = True
-        for br in reversed(piece["chain"]):
-            x = br.inverse(x)
-            if x is None:
-                ok = False
-                break
-        if not ok:
-            return None
-        xs.append(x)
-    lo, hi = (xs[0], xs[1]) if xs[0] <= xs[1] else (xs[1], xs[0])
+        for br in reversed(piece["link"]):
+            q = br.inverse(q)
+            if q is None:
+                return None
+        xs.append(float(q))
     dlo, dhi = piece["dom"]
-    lo = max(_frac(lo) if exact else lo, _frac(dlo) if exact else float(dlo))
-    hi = min(_frac(hi) if exact else hi, _frac(dhi) if exact else float(dhi))
-    if (exact and hi <= lo) or (not exact and float(hi) - float(lo) <= 0):
-        return None
-    return (lo, hi)
+    lo, hi = max(min(xs), float(dlo)), min(max(xs), float(dhi))
+    return (lo, hi) if hi > lo else None
 
 
 def _max_closure_multiplicity(intervals):

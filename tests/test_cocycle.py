@@ -258,3 +258,34 @@ class TestQRStepper:
             u / np.linalg.norm(u))[-1]
         y = got.orthonormal_basis()
         assert np.linalg.norm(y - Q_ref @ (Q_ref.T @ y)) <= 1e-12
+
+
+def test_narrow_frame_blocks_grow_at_most_geometrically(monkeypatch):
+    # a 2-column frame's first one-step block barely spreads its pivots;
+    # without the doubling cap the second block spanned the rest of the
+    # walk, collapsed and was redone step by step (257 factorizations plus
+    # 254 chained products for 256 steps)
+    from fractions import Fraction
+
+    from oseledets.base import BernoulliShift
+    from oseledets.transfer import (RandomLYSystem, full_branch_affine,
+                                    random_ulam_cocycle)
+    driver = BernoulliShift([0.5, 0.5])
+    system = RandomLYSystem(driver, [full_branch_affine([0, q, 1])
+                                     for q in (Fraction(3, 10),
+                                               Fraction(2, 5))])
+    gen = random_ulam_cocycle(system, 128)
+    orbit = generate_orbit(driver, 1, 257, 2)
+    U = Subspace(np.random.default_rng(0).standard_normal((128, 2)))
+    calls = {"step": 0, "product": 0}
+    for name in calls:
+        real = getattr(_QRStepper, name)
+
+        def counted(self, A, Q, real=real, name=name):
+            calls[name] += 1
+            return real(self, A, Q)
+
+        monkeypatch.setattr(_QRStepper, name, counted)
+    Y = pushforward_space(gen, orbit, U, 256)
+    assert Y.dim == 2
+    assert calls["step"] + calls["product"] <= 300, calls

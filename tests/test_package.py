@@ -1,6 +1,7 @@
 """Package-level entry points: the import itself and the shipped demos."""
 
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -55,6 +56,34 @@ assert "scipy.optimize" not in sys.modules
 """
     proc = _run(["-c", code + NO_SCIPY_LINALG])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_counters_read_the_splitting():
+    # perfbench/spans.py counts pushforward and filtration steps by binding
+    # the ``n`` argument of the wrapped functions; one pushforward walk per
+    # depth takes 8 + 16 + 32 + 64 steps at n_max = 64
+    from fractions import Fraction
+
+    import oseledets as ose
+    spec_ = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec_)
+    spec_.loader.exec_module(spans)
+    driver = ose.BernoulliShift([0.5, 0.5])
+    system = ose.RandomLYSystem(driver, [
+        ose.full_branch_affine([0, q, 1])
+        for q in (Fraction(3, 10), Fraction(2, 5))])
+    orbit = ose.generate_orbit(driver, 7, 65, 130)
+    gen = ose.random_ulam_cocycle(system, 32)
+    spec = ose.lyapunov_exponents(gen, orbit, 128, norm="l1")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        ose.compute_splitting(gen, orbit, spec, 64, norm="l1", levels=2)
+    finally:
+        tracer.uninstall()
+    assert tracer.extra["splitting.pushforward_steps"] == 120
+    assert tracer.extra["spectrum.filtration_at_steps"] == 360
 
 
 def test_every_distance_path_loads_no_scipy():

@@ -43,8 +43,8 @@ def _ref_flag(filt):
     Q = filt.frame
     if w < d:
         Q, _ = np.linalg.qr(Q, mode="complete")
-    return [Subspace(np.eye(d), filt.norm)] + [
-        Subspace(Q[:, c:].copy(), filt.norm) for c in filt.cuts[1:]]
+    return [Subspace(np.eye(d))] + [
+        Subspace(Q[:, c:].copy()) for c in filt.cuts[1:]]
 
 
 def _period2_pair(seed=0):

@@ -1,6 +1,7 @@
 """Equivariant splittings: pushforwards, convergence, checks, temperedness."""
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 from types import SimpleNamespace
@@ -15,7 +16,7 @@ from oseledets.base import (
     generate_orbit,
     shift_view,
 )
-from oseledets import splitting
+from oseledets import grassmann, splitting
 from oseledets.cocycle import CocycleGenerator
 from oseledets.grassmann import (ComplementarityError, Subspace,
                                  _CoframeProjection, grassmann_distance,
@@ -79,6 +80,19 @@ class TestPushforward:
         with pytest.raises(RankCollapseError) as exc:
             pushforward_space(gen, _orbit(), U, 3)
         assert exc.value.n == 3
+
+    def test_leading_columns_are_narrow_pushforwards(self):
+        # the walk starts from a QR of the basis and keeps the column
+        # order, so one walk of [U_1 | U_2 | U_3] holds the pushforwards of
+        # U_1 and of U_1 + U_2 in its leading columns
+        rng = np.random.default_rng(3)
+        gen = CocycleGenerator.from_table(rng.standard_normal((2, 6, 6)))
+        orbit = _orbit()
+        U = rng.standard_normal((6, 4))
+        wide = pushforward_space(gen, orbit, Subspace(U), 40).basis
+        for c in (1, 3):
+            narrow = pushforward_space(gen, orbit, Subspace(U[:, :c]), 40)
+            assert grassmann_distance(Subspace(wide[:, :c]), narrow) < 1e-12
 
     def test_negative_n_rejected(self):
         gen = CocycleGenerator.constant(A_TRI)
@@ -347,7 +361,8 @@ class TestRankCollapseRetry:
         res = compute_splitting(gen, orbit, spec, n_max=64)
         retries = [w for w in res.warnings if "retried" in w]
         assert len(retries) == 1
-        assert "level 1" in retries[0] and "depth 8" in retries[0]
+        # one walk per depth: the retry names the hull's levels
+        assert "levels 1-2" in retries[0] and "depth 8" in retries[0]
         assert res.converged
 
 
@@ -486,7 +501,7 @@ def _ref_g_ratio(Y, V, U):
     return operator_norm((QY - u_part) @ np.linalg.pinv(u_part), "l2")
 
 
-def _random_filtration(seed, norm="l2", exhaustive=False):
+def _random_filtration(seed, exhaustive=False):
     """A FiltrationAt on a random orthonormal frame: d in 4..40, total
     codimension k in 1..3 split into levels (exhaustive: d = 4, the levels
     fill R^4)."""
@@ -499,7 +514,7 @@ def _random_filtration(seed, norm="l2", exhaustive=False):
     w = min(d, sum(mult) + 1)
     frame, _ = np.linalg.qr(rng.standard_normal((d, w)))
     cuts = [0] + [c for c in np.cumsum(mult).tolist() if c < d]
-    return FiltrationAt(0, frame, cuts, np.zeros(w), norm), mult, rng
+    return FiltrationAt(0, frame, cuts, np.zeros(w)), mult, rng
 
 
 def _span_gap(A, B):
@@ -515,10 +530,10 @@ class TestCoframeOracle:
     on 40 random frames each."""
 
     @staticmethod
-    def _cases(norm="l2"):
+    def _cases():
         for seed in SEEDS:
-            yield (seed, *_random_filtration(seed, norm))
-        yield ("exhaustive", *_random_filtration(0, norm, exhaustive=True))
+            yield (seed, *_random_filtration(seed))
+        yield ("exhaustive", *_random_filtration(0, exhaustive=True))
 
     def test_complements_are_frame_slices(self):
         for seed, filt, mult, _ in self._cases():
@@ -547,7 +562,8 @@ class TestCoframeOracle:
             R, _ = np.linalg.qr(rng.standard_normal((F.shape[1], extra)))
             far = F @ R + 0.1 * QV @ rng.standard_normal((V.dim, extra))
             H = Subspace(np.column_stack([near, far]))
-            got = splitting._near_intersection(H, F, m, "l2", 8)
+            got = splitting._near_intersection(H.orthonormal_basis(), F, m,
+                                               "l2", 8)
             ref = _ref_near_intersection(H, V, m, "l2", 8)
             assert got.dim == ref.dim == m, seed
             assert grassmann_distance(got, ref) < 1e-12, seed
@@ -557,7 +573,8 @@ class TestCoframeOracle:
                 with pytest.raises(RankCollapseError):
                     _ref_near_intersection(Hfar, V, mm, "l2", 8)
                 with pytest.raises(RankCollapseError):
-                    splitting._near_intersection(Hfar, F, mm, "l2", 8)
+                    splitting._near_intersection(Hfar.orthonormal_basis(),
+                                                 F, mm, "l2", 8)
 
     def test_l2_separation(self):
         for seed, filt, mult, rng in self._cases():
@@ -570,8 +587,12 @@ class TestCoframeOracle:
                 assert abs(got - _ref_l2_separation(Y, V)) < 1e-12, seed
 
     @pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
-    def test_projection_and_g_ratio(self, norm):
-        for seed, filt, mult, rng in self._cases(norm):
+    def test_projection_and_g_ratio(self, norm, monkeypatch):
+        # the l1/linf norms are column (row) sums over blocks of columns;
+        # at 64 entries per block every frame here splits into blocks of
+        # 1 to 16 columns
+        monkeypatch.setattr(grassmann, "_MAX_ENTRIES", 64)
+        for seed, filt, mult, rng in self._cases():
             if seed == "exhaustive":
                 continue
             d, cut = filt.frame.shape[0], filt.cuts[-1]
@@ -592,6 +613,21 @@ class TestCoframeOracle:
                              norm)
                 assert abs(splitting._g_ratio(Y, pi)
                            - _ref_g_ratio(Y, V, U)) < 1e-12, seed
+
+    @pytest.mark.parametrize("norm", ["l1", "linf"])
+    def test_projection_norms_hold_no_square_array(self, norm):
+        # a 2048 x 2048 float array is 32 MiB
+        d, k = 2048, 2
+        rng = np.random.default_rng(0)
+        F, _ = np.linalg.qr(rng.standard_normal((d, k)))
+        Y = F + 0.3 * rng.standard_normal((d, k))
+        tracemalloc.start()
+        try:
+            _CoframeProjection(Y, F, norm).complement_norm()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, peak
 
     def test_rotated_complements(self):
         # a rotated complement stays in V_j, leaves V_{j+1} at l2
@@ -694,7 +730,7 @@ class TestCoframeOracle:
             filt = real(gen, orbit, offset, n, *args, **kwargs)
             if (offset, n) == (0, 8):
                 filt = FiltrationAt(offset, frame, filt.cuts, filt.rates,
-                                    filt.norm, filt.warnings)
+                                    filt.warnings)
             return filt
 
         monkeypatch.setattr(splitting, "filtration_at", tilted)

@@ -756,6 +756,27 @@ def test_one_partition_per_bound(bound, counters, monkeypatch):
     assert len(multiplicities) == counters
 
 
+def test_affine_pieces_pull_back_without_branch_inverses(monkeypatch):
+    # each piece of an all-affine chain carries its composed map, so the
+    # partition at n = 9 (1,020 pull-backs) inverts no branch; walking the
+    # chain took 14,344 Branch.inverse calls per bound.  The bounds are
+    # exact in the Fractions, so they stay bit for bit
+    calls = []
+    inverse = Branch.inverse
+
+    def counted(self, y):
+        calls.append(1)
+        return inverse(self, y)
+
+    monkeypatch.setattr(Branch, "inverse", counted)
+    sysm = RandomLYSystem(FiniteCycle(1), [doubling_map()])
+    orbit = _orbit(16)
+    assert ly_bound_B(sysm, orbit, 9, p=2.0, t=0.25) == 2.675716008756123
+    assert kappa_star_bound(sysm, orbit, 9, p=2.0,
+                            t=0.25).bound == -0.17328679513998632
+    assert not calls
+
+
 class TestDiscreteSobolevNorm:
     def test_t_zero_is_lp_norm(self):
         rng = np.random.default_rng(1)
