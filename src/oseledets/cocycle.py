@@ -7,6 +7,14 @@ scale, never the entries, can overflow.  ``_qr_pass`` is the one blocked
 QR walk of an orthonormal frame along the orbit: the Lyapunov spectrum,
 the backward filtration steps, the pushforwards and the growth rates all
 run through it, and it alone uses the LAPACK workspace of ``_QRStepper``.
+
+Every product of a generator's matrix into a frame (the QR walk, the l1
+norm sweep, the scaled forward products, the equivariance check) takes
+the matrix from one hook, ``CocycleGenerator._factor``.  A dense
+generator gives its array, so those products are numpy's gemm, bit for
+bit.  A generator that stores its states sparsely (``random_ulam_cocycle``)
+gives a ``_SlotMatrix``, which multiplies from the stored nonzeros, except
+to narrow frames at small d, where gemm on the dense matrix is faster.
 """
 
 import math
@@ -46,21 +54,112 @@ _BLOCK_LOG_SPREAD = 10.0
 # stays inside [_RENORM_LO, _RENORM_HI], which a block that grows or
 # shrinks by more than e^230 leaves and is then redone
 _LOG_RENORM = min(math.log(_RENORM_HI), -math.log(_RENORM_LO))
+# a generator with row slots gives its dense matrix for a product with a
+# frame of 1 < n columns while d^2 n stays below this (see _SlotMatrix)
+_DENSE_WORK = 2 ** 19
+# floats (128 KiB) one gather of the _SlotMatrix kernel holds at most
+_GATHER_FLOATS = 2 ** 14
+
+
+class _SlotMatrix:
+    """A d x d matrix in row-slot (ELL) form: row i holds vals[i, s] at
+    column idx[i, s] for s < w, w the largest nonzero count of a row, and
+    shorter rows are padded with zeros at column 0.
+
+    ``A @ Q`` and ``product(Q, out)`` multiply a d x n frame.  The kernel
+    gathers, for a chunk of rows, the w rows of Q that each meets and
+    contracts them with one batched ``np.matmul``: O(d w n), against
+    O(d^2 n) for gemm.  Each gather holds at most 2^14 floats (128 KiB),
+    no more than the d x n array a full-frame product allocates from
+    d = 128 on.  Q is copied first when it shares memory with ``out``, as
+    a chained product in the QR stepper's buffer does; the copy is the
+    d x n temporary the gemm path makes for every product.  The batched
+    matmul has a fixed cost of 10-20 us, so for a frame of 1 < n columns
+    with d^2 n < 2^19 ``CocycleGenerator._factor`` gives the dense matrix,
+    which gemm multiplies, instead.  Medians on a 2-core VM with one BLAS
+    thread, 3/10 mixture matrices (w = 4):
+
+    ======  =====  =========  ===========
+    d       n      gemm       slot kernel
+    ======  =====  =========  ===========
+    128     3      9 us       20 us
+    128     32     19 us      19 us
+    128     128    96 us      54 us
+    256     3      19 us      23 us
+    256     8      27 us      22 us
+    256     256    0.85 ms    0.29 ms
+    512     2      86 us      52 us
+    512     512    5.5 ms     0.85 ms
+    1024    1024   52 ms      6.2 ms
+    ======  =====  =========  ===========
+
+    A single column (n = 1) always takes the kernel, O(nnz): 12 us at
+    d = 128 against 7 us for gemv, 9 against 12 at 256 and 24 against 84
+    at 512, and a generator that has to scatter the dense matrix first
+    pays more than the difference.
+    """
+
+    __slots__ = ("idx", "vals")
+
+    def __init__(self, idx, vals):
+        self.idx, self.vals = idx, vals
+
+    @property
+    def shape(self):
+        d = self.idx.shape[0]
+        return d, d
+
+    def min(self):
+        """The least entry (0 where a row is padded)."""
+        return self.vals.min()
+
+    def __matmul__(self, Q):
+        return self.product(Q)
+
+    def product(self, Q, out=None):
+        """A @ Q, written into ``out`` when given."""
+        d, n = Q.shape
+        if out is None:
+            out = np.empty((d, n))
+        elif np.may_share_memory(Q, out):
+            Q = Q.copy()
+        idx, vals = self.idx, self.vals
+        w = idx.shape[1]
+        rows = max(1, _GATHER_FLOATS // (w * n))
+        for r in range(0, d, rows):
+            # one expression, so a chunk's gather is freed before the next
+            out[r:r + rows] = np.matmul(
+                vals[r:r + rows, None, :],
+                Q.take(idx[r:r + rows].ravel(), axis=0).reshape(-1, w, n)
+            )[:, 0]
+        return out
+
+
+def _product(A, Q, out):
+    """Write A @ Q into ``out``: numpy's gemm for an array, so the product
+    is bitwise ``A @ Q``; the row-slot kernel for a _SlotMatrix."""
+    if isinstance(A, np.ndarray):
+        out[...] = A @ Q
+        return out
+    return A.product(Q, out)
 
 
 class CocycleGenerator:
     """State -> matrix evaluator with a fixed ambient dimension.
 
     Equal states must give bitwise-equal matrices; tabulated generators
-    guarantee this by returning stored (read-only) arrays.
+    guarantee this by returning stored (read-only) arrays.  ``slots``, if
+    given, maps a state to the row-slot forms (idx, vals) of its matrix
+    and of the transpose (see _SlotMatrix); products then use them.
     """
 
-    def __init__(self, evaluator, dim, name="cocycle"):
+    def __init__(self, evaluator, dim, name="cocycle", slots=None):
         if dim < 1:
             raise ParameterError("ambient dimension must be >= 1")
         self._evaluator = evaluator
         self.dim = int(dim)
         self.name = name
+        self._slots = slots
 
     @classmethod
     def constant(cls, A, name="constant"):
@@ -96,6 +195,19 @@ class CocycleGenerator:
 
     def matrix_at(self, orbit: OrbitWindow, offset):
         return self(orbit.state(offset))
+
+    def _factor(self, state, cols, transpose=False):
+        """The product hook: the matrix at ``state``, or its transpose, in
+        the form every product with a frame of ``cols`` columns takes,
+        ``F @ Q`` or ``_product(F, Q, out)``.  That is the array itself
+        without ``slots``, and with them for 1 < cols and d^2 cols <
+        _DENSE_WORK, where gemm beats the row-slot kernel; otherwise a
+        _SlotMatrix over the stored form (see _SlotMatrix)."""
+        d = self.dim
+        if self._slots is None or 1 < cols and d * d * cols < _DENSE_WORK:
+            A = self(state)
+            return A.T if transpose else A
+        return _SlotMatrix(*self._slots(state)[transpose])
 
     def __repr__(self):
         return f"CocycleGenerator(dim={self.dim}, name={self.name!r})"
@@ -140,24 +252,39 @@ class ScaledMatrix:
         return f"ScaledMatrix(log_scale={self.log_scale:.6g})"
 
 
+def _aligned_empty(shape):
+    """An uninitialized C-ordered float array whose data starts on a
+    64-byte boundary.  The heap may place a numpy buffer at 16 or 48 mod
+    64, and four timings of 256 x 256 QR steps suggested that this costs
+    about 2%."""
+    size = math.prod(shape)
+    raw = np.empty(size + 8)
+    start = (-raw.ctypes.data % 64) // 8
+    return raw[start:start + size].reshape(shape)
+
+
 class _QRStepper:
     """Thin QR steps Q, R = qr(A @ Q) of m x n products through one
     LAPACK workspace.
 
-    ``step`` forms the product exactly as ``np.linalg.qr(A @ Q)`` would see
-    it and runs the same ``dgeqrf``/``dorgqr`` pair from numpy's bundled
-    LAPACK, with a workspace at least as large as either routine's query
-    asks for (so both take the blocked path ``np.linalg.qr`` takes); its Q
-    and |diag R| are bitwise those of ``np.linalg.qr``.  The
-    Fortran-ordered buffers are allocated once, not once per step.  Q is
-    returned C-contiguous because the next product ``A @ Q`` rounds
-    differently for a Fortran-ordered Q.  Requires m >= n >= 1.
+    ``step`` forms the product A @ Q through ``_product`` (for an array A,
+    exactly as ``np.linalg.qr(A @ Q)`` would see it) and runs the same
+    ``dgeqrf``/``dorgqr`` pair from numpy's bundled LAPACK, with a
+    workspace at least as large as either routine's query asks for (so
+    both take the blocked path ``np.linalg.qr`` takes); its Q and |diag R|
+    are bitwise those of ``np.linalg.qr`` of the same product.  The
+    Fortran-ordered buffers are allocated once, not once per step, on a
+    64-byte boundary.  Q is returned C-contiguous because the next product
+    ``A @ Q`` rounds differently for a Fortran-ordered Q.  A is an array or
+    a generator's _SlotMatrix (``CocycleGenerator._factor``); the slot
+    kernel writes the product in row chunks straight into the buffer.
+    Requires m >= n >= 1.
     """
 
     def __init__(self, m, n):
         self.m, self.n = int(m), int(n)
         # C-ordered n x m is column-major m x n, the layout LAPACK reads
-        self._a = np.empty((n, m))
+        self._a = _aligned_empty((n, m))
         self._tau = np.empty(n)
         query = np.empty(1)
         lapack_lite.dgeqrf(m, n, self._a, m, self._tau, query, -1, 0)
@@ -171,14 +298,11 @@ class _QRStepper:
         needs no m x n array beyond those of one step.  The result is valid
         until the next ``step``, which reads it before it overwrites the
         buffer; Q may be the result of the previous ``product``."""
-        M = self._a.reshape(self.m, self.n)
-        M[...] = A @ Q
-        return M
+        return _product(A, Q, self._a.reshape(self.m, self.n))
 
     def step(self, A, Q):
         """(Q', |diag R|) of the QR factorization of A @ Q."""
-        a = self._a.T
-        a[...] = A @ Q
+        a = _product(A, Q, self._a.T)
         lapack_lite.dgeqrf(self.m, self.n, self._a, self.m, self._tau,
                            self._work, self._lwork, 0)
         diag = np.abs(a.diagonal())
@@ -194,6 +318,10 @@ def _qr_pass(factor, Q, stops):
     N = stops[-1], with one QR per block of steps (Benettin, Galgani,
     Giorgilli and Strelcyn 1980); yields (k, Q, diags) at each block end k:
     the frame after step k and the |diag R| of the block's factorizations.
+    Each factor is an array or a _SlotMatrix, as the generator's product
+    hook ``CocycleGenerator._factor`` gives it, and every product of the
+    walk goes through ``_product``: gemm for arrays, the row-slot kernel
+    (O(nnz) per column) for sparse generators' factors.
 
     Blocks end at every stop.  A block of b steps factors the plain product
     A_{k+b} ... A_{k+1} Q once; in exact arithmetic its R-diagonal is the
@@ -253,7 +381,7 @@ def _scaled_products(gen, orbit, start, n):
     as a ScaledMatrix for k = 1..n."""
     acc = ScaledMatrix.identity(gen.dim)
     for i in range(start, start + n):
-        acc = acc.left_multiplied(gen.matrix_at(orbit, i))
+        acc = acc.left_multiplied(gen._factor(orbit.state(i), gen.dim))
         yield acc
 
 

@@ -16,7 +16,8 @@ The norms are taken in a second pass over the orbit, after the QR pass:
 for nonnegative generators in l1, ||P||_1 is the largest entry of the row
 1^T P, so one backward sweep of two log-scaled rows gives both window
 ends without forming the d x d product; every other case forms the
-product forward.  Either way the generator is evaluated twice per step.
+product forward.  Either way the generator is evaluated twice per step,
+and every product goes through its product hook (see ``cocycle``).
 
 Filtrations come back as co-frames (FiltrationAt): the leading
 directions of the same pass run backward on the transposed factors,
@@ -114,15 +115,20 @@ class FiltrationAt:
     m_j, and V_{j+1} is the orthogonal complement of frame[:, :c_j].  Only
     cuts below d are kept, so len() counts V_1 .. V_{len}.  No level is
     ever formed as a d x (d - c_j) basis: a vector g is moved into V_{j+1}
-    as g - F (F^T g) with F = frame[:, :c_j].
+    as g - F (F^T g) with F = frame[:, :c_j].  `blurred` maps each level
+    k whose boundary rate (of direction c_{k-1}) lies above the midpoint
+    of the exponents either side of it to that rate; each such level also
+    has a warning.
     """
 
-    def __init__(self, offset, frame, cuts, rates, warnings=()):
+    def __init__(self, offset, frame, cuts, rates, warnings=(),
+                 blurred=None):
         self.offset = int(offset)
         self.frame = frame
         self.cuts = [int(c) for c in cuts]
         self.rates = np.asarray(rates)
         self.warnings = list(warnings)
+        self.blurred = dict(blurred or {})
 
     def __len__(self):
         return len(self.cuts)
@@ -162,7 +168,7 @@ def _log_norm_ends(gen, orbit, n_half, n_eff, norm, sweep):
         for k in range(n_eff, 0, -1):
             if k == n_half:
                 half = ScaledMatrix(ones)
-            At = gen.matrix_at(orbit, k - 1).T
+            At = gen._factor(orbit.state(k - 1), 1, transpose=True)
             full = full.left_multiplied(At)
             if half is not None:
                 half = half.left_multiplied(At)
@@ -185,18 +191,27 @@ def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
     The QR pass is ``_qr_pass`` with a block end at n_half, at n_eff and
     at every history point, so S_half and convergence_history see the same
     k as per-step QR.  Against the per-step loop on 3/10, 2/5 Ulam
-    mixtures (64 to 256 bins, 400 and 800 steps) the raw exponents agreed
-    to 2.2e-11, the largest at a tight pair (gap 0.017) deep in the wide
-    level, where a 1e-15 change of the start frame moves the per-step
-    loop's own raw exponents by 3.9e-11.  The 256-bin mixture takes 134
+    mixtures (64 to 256 bins, 400 and 800 steps, the same products) the
+    raw exponents agreed to 4.1e-11, the largest at a tight pair (gap
+    0.017) deep in the wide level, where a 1e-15 change of the start frame
+    moves the per-step loop's own raw exponents by 3.9e-11.  The 256-bin mixture takes 134
     factorizations for 400 steps.  Rank-deficient and extreme-scale
     cocycles in the tests run the per-step loop bit for bit.
 
     The norm slope comes from a second pass after the QR pass, which
     evaluates the generator again at every step (generators give
     bitwise-equal matrices for equal states).  In l1 with every factor
-    nonnegative it is a backward sweep of two vectors, O(d^2) per step;
-    otherwise it is the d x d product, O(d^3) per step.
+    nonnegative it is a backward sweep of two vectors, O(d^2) per step for
+    a dense generator and O(nnz) for one stored as row slots (Ulam);
+    otherwise it is the d x d product, O(d^3) per step (O(d nnz) from row
+    slots).
+
+    Both passes multiply through the generator's product hook
+    (``CocycleGenerator._factor``).  On an Ulam generator the products come
+    from the stored nonzeros, so the pass is not the dense one bit for bit:
+    on the same mixtures its raw exponents agreed with a dense twin of the
+    same matrices to 6.3e-11 (the tight pair again; 6e-12 elsewhere), with
+    the same multiplicities.
     """
     if n < 10:
         raise ParameterError("need n >= 10 for a spectrum estimate")
@@ -221,7 +236,7 @@ def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
 
     def factor(i):
         nonlocal sweep
-        A = gen.matrix_at(orbit, i)
+        A = gen._factor(orbit.state(i), d)
         sweep = sweep and A.min() >= 0
         return A
 
@@ -321,7 +336,8 @@ def filtration_at(gen, orbit, offset, n, spectrum, levels=None):
     log_diag = np.zeros(w)
     logs = np.empty(w)
     for _, Q, diags in _qr_pass(
-            lambda k: gen.matrix_at(orbit, offset + n - 1 - k).T,
+            lambda k: gen._factor(orbit.state(offset + n - 1 - k), w,
+                                  transpose=True),
             np.eye(d, w), [n]):
         for diag in diags:
             logs.fill(-np.inf)
@@ -330,16 +346,18 @@ def filtration_at(gen, orbit, offset, n, spectrum, levels=None):
     warnings = list(spectrum.warnings)
     midpoints = [(a + b) / 2.0 for a, b in zip(lam, lam[1:])]
     cuts = [0]
+    blurred = {}
     for j, m in enumerate(mult):
         cut = cuts[-1] + m
         if cut >= d:
             break
         if j < len(midpoints) and rates[cut] > midpoints[j]:
+            blurred[j + 2] = float(rates[cut])
             warnings.append(
                 f"level {j + 2} boundary blurred: rate {rates[cut]:.4f} "
                 f"above midpoint {midpoints[j]:.4f}")
         cuts.append(cut)
-    return FiltrationAt(offset, Q, cuts, rates, warnings)
+    return FiltrationAt(offset, Q, cuts, rates, warnings, blurred)
 
 
 def growth_rate(gen, orbit, v, n, offset=0):
@@ -353,8 +371,9 @@ def growth_rate(gen, orbit, v, n, offset=0):
     if n < 1:
         raise ParameterError("n must be >= 1")
     log_acc = 0.0
-    for _, _, diags in _qr_pass(lambda k: gen.matrix_at(orbit, offset + k),
-                                (v / nv)[:, None], [n]):
+    for _, _, diags in _qr_pass(
+            lambda k: gen._factor(orbit.state(offset + k), 1),
+            (v / nv)[:, None], [n]):
         for diag in diags:
             nw = float(diag[0])
             if nw == 0.0 or not math.isfinite(nw):

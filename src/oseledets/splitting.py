@@ -170,7 +170,7 @@ def pushforward_space(gen, orbit, U, n, base_offset=0):
     if n == 0 or U.dim == 0:
         return Subspace(U.basis.copy(), U.norm)
     for _, B, diags in _qr_pass(
-            lambda k: gen.matrix_at(orbit, base_offset - n + k),
+            lambda k: gen._factor(orbit.state(base_offset - n + k), U.dim),
             np.linalg.qr(U.basis)[0], [n]):
         for diag in diags:
             if diag.min() <= 1e-13 * max(diag.max(), 1e-300):
@@ -356,11 +356,13 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
     # filtrations by (offset, length): the final forward one is usually
     # among the forward ones made for the hulls
     memo = {} if _filtrations is None else _filtrations
+    used = set()
 
     def filtration(start, n):
         if (start, n) not in memo:
             memo[start, n] = filtration_at(gen, orbit, start, n, spectrum,
                                            levels=l_use)
+        used.add((start, n))
         return memo[start, n]
 
     def spaces_at(depth):
@@ -406,6 +408,17 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
     warnings.extend(
         f"level {j + 1} not Cauchy within tol={tol} at n_max={n_max}"
         for j in range(l_use) if converged_at[j] is None)
+    # one entry per blurred level boundary, over every filtration used
+    blurred = {}
+    for key in used:
+        for k, rate in memo[key].blurred.items():
+            count, top = blurred.get(k, (0, -math.inf))
+            blurred[k] = count + 1, max(top, rate)
+    warnings.extend(
+        f"level {k} boundary blurred in {count} of {len(used)} "
+        f"filtrations: rate up to {top:.4f} above midpoint "
+        f"{(lam[k - 2] + lam[k - 1]) / 2.0:.4f}"
+        for k, (count, top) in sorted(blurred.items()))
 
     # transversality of the approach trajectory: decompose each approximant
     # against the frame (final fast hull, final slow filtration); sup of the
@@ -451,10 +464,10 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
 
 def check_equivariance(gen, orbit, result, result_next, tol=DEFAULT_TOL):
     """Distances d(L Y_j(w), Y_j(sigma w)) per level; passes below 10*tol."""
-    A = gen.matrix_at(orbit, result.offset)
+    state = orbit.state(result.offset)
     distances = []
     for Y, Yn in zip(result.spaces, result_next.spaces):
-        image = A @ Y.basis
+        image = gen._factor(state, Y.dim) @ Y.basis
         try:
             img = Subspace(image, Y.norm)
         except DegenerateSubspaceError as exc:

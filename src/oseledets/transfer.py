@@ -276,11 +276,11 @@ class UlamOperator:
     num})`` with P[i, j] = num / L.  ``_nonzeros`` is the one place they
     become floats: int true division rounds correctly, so every float is
     the double nearest the exact entry.  ``matrix`` and
-    ``density_matrix()`` are filled from those nonzeros on demand, and
-    ``random_ulam_cocycle`` stores them in place of dense matrices, so an
-    evicted dense matrix is rebuilt by a scatter, not a new sweep.
-    ``exact_rows`` (one ``{j: Fraction}`` dict per row) is built only when
-    read.  Other maps hold the float matrix alone.
+    ``density_matrix()`` are scattered from the row-slot form of those
+    nonzeros, the form ``random_ulam_cocycle`` stores in place of dense
+    matrices, so an evicted dense matrix is rebuilt by a scatter, not a
+    new sweep.  ``exact_rows`` (one ``{j: Fraction}`` dict per row) is
+    built only when read.  Other maps hold the float matrix alone.
     """
 
     def __init__(self, n_bins, matrix=None, entries=None):
@@ -295,7 +295,7 @@ class UlamOperator:
     @property
     def matrix(self):
         if self._matrix is None:
-            self._matrix = _scatter(self.n_bins, self._nonzeros(False))
+            self._matrix = _scatter(self.n_bins, _slot_forms(self)[1])
         return self._matrix
 
     @functools.cached_property
@@ -322,32 +322,54 @@ class UlamOperator:
 
     def density_matrix(self):
         """Transpose acting on density column vectors (a new array)."""
-        return _scatter(self.n_bins, self._nonzeros(transpose=True))
+        return _scatter(self.n_bins, _slot_forms(self)[0])
 
-    def _nonzeros(self, transpose):
-        """(flat, vals): the nonzero entries of P, or of its transpose, as
-        row-major flat indices into an N×N array and float64 values;
-        ``_scatter`` rebuilds the matrix from them bit for bit."""
+    def _nonzeros(self):
+        """(i, j, vals): the nonzero entries P[i, j] as index arrays and
+        float64 values."""
         if self.entries is None:
-            v = (self._matrix.T if transpose else self._matrix).ravel()
-            flat = np.flatnonzero(v)
-            return flat, v[flat]
+            i, j = np.nonzero(self._matrix)
+            return i, j, self._matrix[i, j]
         L, nums = self.entries
-        n = self.n_bins
         i, j = np.array(list(nums), dtype=np.intp).T
-        flat = j * n + i if transpose else i * n + j
         vals = np.fromiter((num / L for num in nums.values()), np.float64,
                            count=len(nums))
-        return flat, vals
+        return i, j, vals
 
     def __repr__(self):
         return f"UlamOperator(n_bins={self.n_bins}, exact={self.exact})"
 
 
-def _scatter(n, nonzeros):
-    """The n×n matrix with the given (flat, vals) nonzeros."""
+def _row_slots(n, rows, cols, vals):
+    """Row-slot form (idx, vals) of the n×n matrix with the given nonzeros
+    (see cocycle._SlotMatrix): each row's entries in ascending column
+    order, then zeros at column 0."""
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    counts = np.bincount(rows, minlength=n)
+    slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    idx = np.zeros((n, max(1, int(counts.max()))), dtype=np.int32)
+    out = np.zeros(idx.shape)
+    idx[rows, slot] = cols
+    out[rows, slot] = vals
+    return idx, out
+
+
+def _slot_forms(op):
+    """Row-slot forms of op's density-side matrix P^T and of P itself, the
+    one entry ``random_ulam_cocycle`` stores per state."""
+    i, j, vals = op._nonzeros()
+    return (_row_slots(op.n_bins, j, i, vals),
+            _row_slots(op.n_bins, i, j, vals))
+
+
+def _scatter(n, slots):
+    """The n×n matrix of a row-slot form, bit for bit the matrix whose
+    nonzeros it holds."""
+    idx, vals = slots
+    rows, s = np.nonzero(vals)
     M = np.zeros((n, n))
-    np.put(M, *nonzeros)
+    M[rows, idx[rows, s]] = vals[rows, s]
     return M
 
 
@@ -450,10 +472,10 @@ def ulam_matrix(T, n_bins):
     return UlamOperator(n, matrix=M)
 
 
-# bytes a random_ulam_cocycle generator keeps: the nonzeros of every
-# state's density matrix (about 16 B per nonzero, 6 KB at 128 bins), and a
-# small window of recent dense matrices.  Each store keeps its latest entry
-# even when that alone is larger.
+# bytes a random_ulam_cocycle generator keeps: the row-slot forms of every
+# state's density matrix and its transpose (12 B per slot, 12 KB at 128
+# bins and 4 slots), and a small window of recent dense matrices.  Each
+# store keeps its latest entry even when that alone is larger.
 _CACHE_BYTES = 32 * 2 ** 20
 _DENSE_BYTES = 4 * 2 ** 20
 
@@ -483,32 +505,38 @@ class _ByteLRU:
 def random_ulam_cocycle(system, n_bins):
     """Generator of density-side Ulam matrices, one assembly per state.
 
-    Two caches, each least recently used first out: the nonzeros of every
-    assembled state within ``_CACHE_BYTES``, and read-only dense matrices
-    within ``_DENSE_BYTES``.  A dense miss whose nonzeros are held costs
-    one ``np.zeros`` and a scatter and gives the same matrix bit for bit;
-    only a state whose nonzeros were evicted too is assembled again.
+    One store, least recently used first out within ``_CACHE_BYTES``, keeps
+    each assembled state in row-slot form: the density-side matrix and its
+    transpose (``_slot_forms``).  The generator's products (the QR pass,
+    the l1 norm sweep, the scaled products) multiply from it, O(nnz) per
+    column (see cocycle._SlotMatrix).  A dense matrix is scattered from it
+    only for a caller that needs one, ``gen(state)`` or a narrow product
+    at small d, and the latest ones are kept read-only within
+    ``_DENSE_BYTES``; the scatter gives the same matrix bit for bit.  Only
+    a state whose slots were evicted is assembled again.
     """
-    nonzeros = _ByteLRU(_CACHE_BYTES)
+    store = _ByteLRU(_CACHE_BYTES)
     dense = _ByteLRU(_DENSE_BYTES)
+
+    def slots(state):
+        key = float(state)
+        forms = store.get(key)
+        if forms is None:
+            forms = _slot_forms(ulam_matrix(system.map_at(state), n_bins))
+            store.put(key, forms, sum(a.nbytes for f in forms for a in f))
+        return forms
 
     def evaluator(state):
         key = float(state)
         mat = dense.get(key)
-        if mat is not None:
-            return mat
-        nz = nonzeros.get(key)
-        if nz is None:
-            op = ulam_matrix(system.map_at(state), n_bins)
-            nz = op._nonzeros(transpose=True)
-            nonzeros.put(key, nz, nz[0].nbytes + nz[1].nbytes)
-        mat = _scatter(n_bins, nz)
-        mat.setflags(write=False)
-        dense.put(key, mat, mat.nbytes)
+        if mat is None:
+            mat = _scatter(n_bins, slots(state)[0])
+            mat.setflags(write=False)
+            dense.put(key, mat, mat.nbytes)
         return mat
 
-    return CocycleGenerator(evaluator, n_bins,
-                            name=f"ulam[{n_bins}]")
+    return CocycleGenerator(evaluator, n_bins, name=f"ulam[{n_bins}]",
+                            slots=slots)
 
 
 def buzzi_swap_cocycle(n_bins):

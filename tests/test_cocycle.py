@@ -222,6 +222,33 @@ class TestQRStepper:
         self._assert_bitwise([M.T for M in mats], np.eye(40, 3))
         self._assert_bitwise([M.T for M in mats], np.eye(40))
 
+    @pytest.mark.parametrize("m, n", [(1, 1), (3, 1), (40, 3), (128, 128),
+                                      (256, 256)])
+    def test_buffer_on_64_byte_boundary(self, m, n):
+        buf = _QRStepper(m, n)._a
+        assert buf.ctypes.data % 64 == 0
+        assert buf.shape == (n, m) and buf.flags.c_contiguous
+
+    def test_chained_slot_products_read_before_writing(self):
+        # the row-slot kernel writes the buffer in row chunks, so a product
+        # of the product held there must read a copy of it
+        from fractions import Fraction
+
+        from oseledets.transfer import (RandomLYSystem, full_branch_affine,
+                                        random_ulam_cocycle)
+        gen = random_ulam_cocycle(RandomLYSystem(FiniteCycle(1), [
+            full_branch_affine([0, Fraction(3, 10), 1])]), 128)
+        F, G = gen._factor(0, 128), gen._factor(0, 128, transpose=True)
+        Q = np.linalg.qr(np.random.default_rng(9).standard_normal(
+            (128, 128)))[0]
+        stepper = _QRStepper(128, 128)
+        P = stepper.product(G, stepper.product(F, Q))
+        assert np.array_equal(P, G @ (F @ Q))
+        Q1, diag = stepper.step(F, stepper.product(G, Q))
+        Q_ref, R = np.linalg.qr(F @ (G @ Q))
+        assert np.array_equal(Q1, Q_ref)
+        assert np.array_equal(diag, np.abs(np.diag(R)))
+
     def test_one_column_frame_survives_product(self):
         # the transpose of an n = 1 buffer is already C-contiguous, so a
         # frame that is not copied out of it is overwritten by the next

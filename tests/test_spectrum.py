@@ -194,11 +194,13 @@ def _rank_one_pair():
 def _per_step_diags(gen, orbit, stop, start=0, Q=None):
     """|diag R| of each step of a per-step np.linalg.qr loop over offsets
     start..stop-1, and the frame after it; Q is the frame at start (the
-    identity at 0)."""
+    identity at 0).  Each product is the generator's own (its product
+    hook, as in the QR pass), so a bitwise match shows that blocking
+    equals stepping."""
     Q = np.eye(gen.dim) if Q is None else Q
     diags = []
     for k in range(start, stop):
-        Q, R = np.linalg.qr(gen.matrix_at(orbit, k) @ Q)
+        Q, R = np.linalg.qr(gen._factor(orbit.state(k), Q.shape[1]) @ Q)
         diags.append(np.abs(np.diag(R)))
     return diags, Q
 
@@ -357,6 +359,27 @@ class TestSteppedSpectra:
         assert spec.exponents[1:] == pytest.approx(exps[1:], abs=1e-10)
         if case in ("rank-one-pair", "noninvertible"):
             assert spec.n_infinite == 1
+
+    @pytest.mark.parametrize("n_bins, n, seed", [
+        (128, 400, 7), (128, 800, 7), (256, 400, 7), (256, 800, 7),
+        (256, 400, 3)], ids=["mixture-128-n400", "mixture-128-n800",
+                             "mixture-256-n400", "mixture-256-n800",
+                             "mixture-256-seed3"])
+    def test_slot_products_match_dense_twin(self, n_bins, n, seed):
+        # the same pass on the same matrices, multiplied from the stored
+        # row-slot forms and by gemm on a dense table
+        gen, orbit = _mixture(n_bins, seed=seed, n=n)
+        twin = CocycleGenerator.from_table([gen(0), gen(1)])
+        spec = lyapunov_exponents(gen, orbit, n, norm="l1")
+        ref = lyapunov_exponents(twin, orbit, n, norm="l1")
+        fin = np.isfinite(ref.raw_exponents)
+        assert np.array_equal(np.isfinite(spec.raw_exponents), fin)
+        assert np.abs(spec.raw_exponents[fin]
+                      - ref.raw_exponents[fin]).max() <= 1e-10
+        assert spec.multiplicities == ref.multiplicities
+        assert spec.n_infinite == ref.n_infinite
+        assert spec.exponents == pytest.approx(ref.exponents, rel=0,
+                                               abs=1e-10)
 
     def test_blocks_cut_factorizations(self, monkeypatch):
         # the 256-bin mixture's pivots spread by 1.7-2.6 in log per step, so

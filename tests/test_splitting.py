@@ -313,6 +313,27 @@ class TestUlamL1:
         probe = uniqueness_probe(gen, orbit, spec, 256, norm="l1", levels=2)
         assert math.isfinite(probe) and probe < 1e-6
 
+    def test_blurred_boundary_warned_once_per_level(self):
+        # the benchmark's splitting input: every filtration of the call
+        # (6 backward, 6 forward) finds the level-3 boundary rate above the
+        # midpoint of lambda_2 and lambda_3, each at its own rate
+        driver = BernoulliShift([0.5, 0.5])
+        system = RandomLYSystem(driver, [full_branch_affine([0, q, 1]) for q
+                                         in (Fraction(3, 10), Fraction(2, 5))])
+        orbit = generate_orbit(driver, 1, 257, 802)
+        gen = random_ulam_cocycle(system, 128)
+        spec = lyapunov_exponents(gen, orbit, 800, norm="l1")
+        memo = {}
+        res = compute_splitting(gen, orbit, spec, 256, 1e-6, norm="l1",
+                                levels=2, _filtrations=memo)
+        blurred = [w for w in res.warnings if "boundary blurred" in w]
+        assert len(blurred) == 1
+        rates = [f.blurred[3] for f in memo.values()]
+        assert len(rates) == 12 and len(set(rates)) == 12
+        assert blurred[0].startswith(
+            f"level 3 boundary blurred in 12 of 12 filtrations: rate up to "
+            f"{max(rates):.4f} above midpoint ")
+
     def test_wide_level_fails_before_work(self):
         # level 3 has multiplicity 54 in R^64: its l1 distances are past the
         # vertex enumeration guard

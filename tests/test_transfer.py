@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oseledets import transfer
+from oseledets import cocycle, transfer
 from oseledets.base import BernoulliShift, FiniteCycle, ParameterError, \
     generate_orbit
 from oseledets.spectrum import lyapunov_exponents
@@ -365,8 +365,9 @@ class TestRandomUlamCocycle:
     def test_nonzero_store_stays_within_byte_budget(self, monkeypatch):
         n = 64
         states = _golden_states(12)
-        sizes = [sum(a.nbytes for a in ulam_matrix(_continuum_map(s), n)
-                     ._nonzeros(transpose=True)) for s in states]
+        sizes = [sum(a.nbytes for form in transfer._slot_forms(
+                     ulam_matrix(_continuum_map(s), n)) for a in form)
+                 for s in states]
         held = 5
         monkeypatch.setattr(transfer, "_CACHE_BYTES", sum(sizes[-held:]))
         monkeypatch.setattr(transfer, "_DENSE_BYTES", 1)
@@ -430,6 +431,90 @@ class TestRandomUlamCocycle:
         orbit = generate_orbit(driver, seed=11, n_past=400, n_future=400)
         spec = lyapunov_exponents(gen, orbit, 400)
         assert abs(spec.exponents[0]) <= 1e-6
+
+
+def _missed_bins_map():
+    """Two slope-3/2 branches onto [0, 3/4): no bin of [3/4, 1) receives
+    mass, so the density-side matrix has empty rows."""
+    return PiecewiseExpandingMap1D([
+        Branch(0, HALF, Fraction(3, 2), 0),
+        Branch(HALF, 1, Fraction(3, 2), Fraction(-3, 4))])
+
+
+class TestProductHook:
+    """Products from the stored row-slot forms against the dense matrix."""
+
+    MAPS = {
+        "affine-mixture": lambda: full_branch_affine([0, Fraction(3, 10), 1]),
+        "sinusoidal": lambda: sin_doubling(0.03),
+        "missed-bins": _missed_bins_map,
+    }
+
+    @pytest.mark.parametrize("transpose", [False, True],
+                             ids=["A", "A-transposed"])
+    @pytest.mark.parametrize("cols", [1, 2, 8, 256])
+    @pytest.mark.parametrize("name", sorted(MAPS))
+    def test_products_match_dense(self, name, cols, transpose):
+        # 256 bins: one and eight columns and the full frame take the slot
+        # kernel, two columns the dense matrix
+        T = self.MAPS[name]()
+        gen = random_ulam_cocycle(RandomLYSystem(FiniteCycle(1), [T]), 256)
+        A = gen(0).T if transpose else gen(0)
+        if name == "missed-bins" and not transpose:
+            assert not A[192:].any() and not gen._slots(0)[0][1][192:].any()
+        rng = np.random.default_rng(cols)
+        Q = np.linalg.qr(rng.standard_normal((256, cols)))[0]
+        F = gen._factor(0, cols, transpose)
+        assert F.shape == (256, 256)
+        assert isinstance(F, np.ndarray) == (cols == 2)
+        assert np.abs(F @ Q - A @ Q).max() <= 1e-15
+        # into a buffer, from an F-ordered frame, into an F-ordered result
+        out = np.empty((cols, 256)).T
+        assert cocycle._product(F, np.asfortranarray(Q), out) is out
+        assert np.abs(out - A @ Q).max() <= 1e-15
+
+    def test_products_after_eviction(self, monkeypatch):
+        # with room for one state in each store, state 1 evicts state 0's
+        # dense matrix and its row-slot forms before every product of
+        # state 0, which assembles it again (one assembly of each state per
+        # product) and still matches
+        monkeypatch.setattr(transfer, "_CACHE_BYTES", 1)
+        monkeypatch.setattr(transfer, "_DENSE_BYTES", 1)
+        calls = _count_assemblies(monkeypatch)
+        T = sin_doubling(0.03)
+        gen = random_ulam_cocycle(
+            RandomLYSystem(FiniteCycle(2), [T, _missed_bins_map()]), 256)
+        A = ulam_matrix(T, 256).density_matrix()
+        Q = np.linalg.qr(np.random.default_rng(0).standard_normal(
+            (256, 256)))[0]
+        for transpose in (False, True):
+            B = A.T if transpose else A
+            for cols in (1, 2, 256):
+                gen._factor(1, 256)     # state 0's forms out
+                gen(1)                  # and its dense matrix
+                assert np.abs(gen._factor(0, cols, transpose) @ Q[:, :cols]
+                              - B @ Q[:, :cols]).max() <= 1e-15
+        assert len(calls) == 12
+
+    def test_continuum_spectrum_scatters_nothing(self, monkeypatch):
+        # the QR pass and the l1 norm sweep multiply from the row-slot
+        # forms; the dense per-step products scattered 768 matrices here
+        from oseledets.base import IrrationalRotation
+        scatters = []
+        scatter = transfer._scatter
+
+        def counted(n, slots):
+            scatters.append(1)
+            return scatter(n, slots)
+
+        monkeypatch.setattr(transfer, "_scatter", counted)
+        driver = IrrationalRotation()
+        system = RandomLYSystem(driver, _continuum_map)
+        gen = random_ulam_cocycle(system, 128)
+        spec = lyapunov_exponents(gen, generate_orbit(driver, 1, 0, 401),
+                                  400, norm="l1")
+        assert np.isfinite(spec.mle_estimate)
+        assert scatters == []
 
 
 class TestBuzziSwapCocycle:
