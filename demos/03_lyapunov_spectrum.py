@@ -4,10 +4,11 @@ Matrix cocycles and their Lyapunov spectrum
 
 A cocycle generator assigns a matrix to every base state; products along an
 orbit then have well-defined exponential growth rates.  This script builds
-three generators, extracts their spectra, and inspects the slow filtration.
+four generators, extracts their spectra, and inspects the slow filtration.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -15,6 +16,8 @@ from oseledets.base import BernoulliShift, FiniteCycle, generate_orbit
 from oseledets.cocycle import (CocycleGenerator, cocycle_norm_series,
                                scaled_forward_product)
 from oseledets.spectrum import filtration_at, growth_rate, lyapunov_exponents
+from oseledets.transfer import (RandomLYSystem, full_branch_affine,
+                                random_ulam_cocycle)
 
 # Constant cocycle: the exponents are the logs of the eigenvalue moduli.
 A = np.array([[2.0, 1.0], [0.0, 0.5]])
@@ -38,6 +41,20 @@ gen2 = CocycleGenerator.from_table(table)
 orbit2 = generate_orbit(coin, seed=4, n_past=50, n_future=2200)
 spec2 = lyapunov_exponents(gen2, orbit2, 2000)
 print("random exponents   :", [round(x, 4) for x in spec2.exponents])
+
+# An Ulam cocycle at 256 bins: a coin flip picks one of two full-branch
+# maps.  Below 0 and lambda_2 the discretization adds a wide cluster of
+# spurious exponents.  The QR pass carries only as many columns as it
+# needs (the cut), reports the levels above that cluster, and bounds every
+# exponent it does not report by below_cut.
+maps = [full_branch_affine([0, q, 1]) for q in (Fraction(3, 10),
+                                                 Fraction(2, 5))]
+ulam = random_ulam_cocycle(RandomLYSystem(coin, maps), 256)
+orbit3 = generate_orbit(coin, seed=7, n_past=0, n_future=401)
+spec3 = lyapunov_exponents(ulam, orbit3, 400, norm="l1")
+print("Ulam exponents     :", [round(x, 4) for x in spec3.exponents],
+      f"(cut {spec3.cut} of {spec3.ambient_dim} columns; the rest <=",
+      round(spec3.below_cut, 4), ")")
 
 # The slow filtration at a base point: directions that grow no faster than
 # each exponent.  V_1 is the whole plane; for the constant triangular matrix

@@ -52,8 +52,13 @@ TASKS = ("spectrum", "splitting", "ulam", "diagnose", "sobolev")
 
 _EPILOG = ("exit status: 0 every check passed; 1 a check or a batch entry "
            "failed; 2 a config or stage error.  batch reads every entry "
-           "before it runs any.  Set OPENBLAS_NUM_THREADS=1: BLAS threads "
-           "slow the blocked QR pass down.")
+           "before it runs any.  A spectrum reports the levels above its "
+           "cut: report.json gives the columns the QR pass kept as 'cut' "
+           "and, when the exponents go on below them, the top rate of the "
+           "open cluster they end in as 'below_cut', which every "
+           "unreported exponent lies at or below (null when every "
+           "exponent is reported).  Set OPENBLAS_NUM_THREADS=1: BLAS "
+           "threads slow the blocked QR pass down.")
 
 
 class ConfigError(ValueError):
@@ -377,7 +382,7 @@ def _run_spectrum(cfg, gen, timings):
                              float(lam1), 1e-6))
     hist_n, hist_vals = spec.convergence_history
     traces = {"trace_spectrum.csv": (
-        ["n"] + [f"exp_{i + 1}" for i in range(gen.dim)],
+        ["n"] + [f"exp_{i + 1}" for i in range(spec.cut)],
         [[n] + [float(v) for v in vals] for n, vals in
          zip(hist_n, hist_vals)])}
     return {"spectrum": spec.to_dict()}, checks, traces

@@ -14,7 +14,8 @@ the matrix from one hook, ``CocycleGenerator._factor``.  A dense
 generator gives its array, so those products are numpy's gemm, bit for
 bit.  A generator that stores its states sparsely (``random_ulam_cocycle``)
 gives a ``_SlotMatrix``, which multiplies from the stored nonzeros, except
-to narrow frames at small d, where gemm on the dense matrix is faster.
+to narrow frames at small d, where gemm on the dense matrix is faster
+(unless no state repeats, see ``CocycleGenerator._factor``).
 """
 
 import math
@@ -55,7 +56,8 @@ _BLOCK_LOG_SPREAD = 10.0
 # shrinks by more than e^230 leaves and is then redone
 _LOG_RENORM = min(math.log(_RENORM_HI), -math.log(_RENORM_LO))
 # a generator with row slots gives its dense matrix for a product with a
-# frame of 1 < n columns while d^2 n stays below this (see _SlotMatrix)
+# frame of 1 < n columns while d^2 n stays below this (see _SlotMatrix),
+# unless it sets its own bound (CocycleGenerator._dense_work)
 _DENSE_WORK = 2 ** 19
 # floats (128 KiB) one gather of the _SlotMatrix kernel holds at most
 _GATHER_FLOATS = 2 ** 14
@@ -135,9 +137,51 @@ class _SlotMatrix:
         return out
 
 
+class _SlotTranspose:
+    """The transpose of the matrix whose row-slot form is (idx, vals),
+    multiplied from that form without a transposed one: column by column,
+    (A^T x)[j] is the sum of vals[i, s] x[i] over the slots with idx[i, s]
+    = j, one ``np.bincount``, O(nnz).  ``CocycleGenerator._factor`` gives it
+    for transposed products with one or two columns (the l1 norm sweep's
+    rows); wider ones take a _SlotMatrix over the transposed form.
+    """
+
+    __slots__ = ("idx", "vals")
+
+    def __init__(self, idx, vals):
+        self.idx, self.vals = idx, vals
+
+    @property
+    def shape(self):
+        d = self.idx.shape[0]
+        return d, d
+
+    def min(self):
+        """The least entry (0 where a row is padded)."""
+        return self.vals.min()
+
+    def __matmul__(self, x):
+        if x.ndim == 1:
+            return np.bincount(self.idx.ravel(),
+                               weights=(self.vals * x[:, None]).ravel(),
+                               minlength=self.idx.shape[0])
+        return self.product(x)
+
+    def product(self, Q, out=None):
+        """A^T @ Q, written into ``out`` when given."""
+        if out is None:
+            out = np.empty(Q.shape)
+        elif np.may_share_memory(Q, out):
+            Q = Q.copy()
+        for c in range(Q.shape[1]):
+            out[:, c] = self @ Q[:, c]
+        return out
+
+
 def _product(A, Q, out):
     """Write A @ Q into ``out``: numpy's gemm for an array, so the product
-    is bitwise ``A @ Q``; the row-slot kernel for a _SlotMatrix."""
+    is bitwise ``A @ Q``; the row-slot kernel for a _SlotMatrix or a
+    _SlotTranspose."""
     if isinstance(A, np.ndarray):
         out[...] = A @ Q
         return out
@@ -149,9 +193,14 @@ class CocycleGenerator:
 
     Equal states must give bitwise-equal matrices; tabulated generators
     guarantee this by returning stored (read-only) arrays.  ``slots``, if
-    given, maps a state to the row-slot forms (idx, vals) of its matrix
-    and of the transpose (see _SlotMatrix); products then use them.
+    given, maps a state to the row-slot form (idx, vals) of its matrix,
+    and ``slots(state, True)`` to that of the transpose (see _SlotMatrix);
+    products then use them.
     """
+
+    # a generator with slots gives its dense matrix for a product with
+    # 1 < cols and d^2 cols below this; 0 always takes the slot kernels
+    _dense_work = _DENSE_WORK
 
     def __init__(self, evaluator, dim, name="cocycle", slots=None):
         if dim < 1:
@@ -201,13 +250,17 @@ class CocycleGenerator:
         the form every product with a frame of ``cols`` columns takes,
         ``F @ Q`` or ``_product(F, Q, out)``.  That is the array itself
         without ``slots``, and with them for 1 < cols and d^2 cols <
-        _DENSE_WORK, where gemm beats the row-slot kernel; otherwise a
-        _SlotMatrix over the stored form (see _SlotMatrix)."""
+        ``_dense_work`` (_DENSE_WORK unless the generator sets it), where
+        gemm beats the row-slot kernel; otherwise a _SlotMatrix over the
+        stored form, or a _SlotTranspose of it for a transposed product
+        with at most two columns (see _SlotMatrix)."""
         d = self.dim
-        if self._slots is None or 1 < cols and d * d * cols < _DENSE_WORK:
+        if self._slots is None or 1 < cols and d * d * cols < self._dense_work:
             A = self(state)
             return A.T if transpose else A
-        return _SlotMatrix(*self._slots(state)[transpose])
+        if transpose and cols <= 2:
+            return _SlotTranspose(*self._slots(state))
+        return _SlotMatrix(*self._slots(state, transpose))
 
     def __repr__(self):
         return f"CocycleGenerator(dim={self.dim}, name={self.name!r})"

@@ -134,6 +134,22 @@ class Subspace:
         self.norm = norm
         self._onb = onb
 
+    @classmethod
+    def _orthonormal(cls, frame, norm="l2"):
+        """The span of a frame whose columns are orthonormal already (a QR
+        or SVD factor, or a slice of one).  It has full rank, so no rank
+        test runs, and the SVD of the constructor's orthonormal basis runs
+        only when ``orthonormal_basis`` is first read: many frames (hulls,
+        pushed frames) never need it.  The frame itself would serve, but
+        it rounds differently from that SVD, and every l2 value read off
+        the basis would move."""
+        _check_tag(norm)
+        self = cls.__new__(cls)
+        self.basis = np.array(frame, dtype=float)
+        self.norm = norm
+        self._onb = None
+        return self
+
     @property
     def ambient_dim(self):
         return self.basis.shape[0]
@@ -143,11 +159,15 @@ class Subspace:
         return self.basis.shape[1]
 
     def orthonormal_basis(self):
+        if self._onb is None:
+            B = self.basis
+            self._onb, _ = _orthonormalize(B / np.sqrt((B * B).sum(axis=0)))
         return self._onb
 
     def contains(self, x, tol=1e-8):
         x = np.asarray(x, dtype=float)
-        r = x - self._onb @ (self._onb.T @ x)
+        onb = self.orthonormal_basis()
+        r = x - onb @ (onb.T @ x)
         nx = np.sqrt((x * x).sum())
         return np.sqrt((r * r).sum()) <= tol * max(1.0, nx)
 

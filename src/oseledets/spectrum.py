@@ -2,7 +2,11 @@
 
 Exponents come from the blocked QR pass of ``cocycle._qr_pass``, which
 re-orthonormalizes the frame once per block of steps (Benettin, Galgani,
-Giorgilli and Strelcyn 1980) and states the block rule.
+Giorgilli and Strelcyn 1980) and states the block rule.  The pass carries
+only as many columns as the spectrum resolves, from 8 and doubled while
+the kept exponents may go on below the cut; the levels above an open
+bottom cluster are reported, and the cluster's top rate bounds the rest
+(see lyapunov_exponents).
 
 The estimator is a windowed slope (S(n) - S(n/2)) / (n - n/2) of the
 cumulative log R-diagonals rather than the plain (1/n) average: the
@@ -30,7 +34,8 @@ import math
 import numpy as np
 
 from .base import ParameterError
-from .cocycle import _DEATH_REL, ScaledMatrix, _qr_pass, _scaled_products
+from .cocycle import (_DEATH_REL, _RENORM_HI, _RENORM_LO, _qr_pass,
+                      _scaled_products)
 
 __all__ = [
     "LyapunovSpectrum",
@@ -43,22 +48,36 @@ __all__ = [
 
 DEFAULT_GAP_THRESHOLD = 0.05
 DEFAULT_FLOOR = -30.0
+# columns the Lyapunov QR pass starts with; it doubles them while the
+# spectrum they resolve may go on below (see lyapunov_exponents)
+_LEAD_COLUMNS = 8
 
 
 class LyapunovSpectrum:
     """Distinct exponents (descending) with multiplicities and diagnostics.
 
     Directions whose windowed rate falls below `floor` (DEFAULT_FLOOR) are
-    counted in n_infinite and excluded from the exceptional list.
+    counted in n_infinite and excluded from the exceptional list.  The QR
+    pass carried a frame of `cut` columns, so `raw_exponents` has `cut`
+    entries.  When `below_cut` is None every exponent is reported, as a
+    level or in n_infinite; otherwise the reported levels are those above
+    an open bottom cluster of the kept columns, and `below_cut`, that
+    cluster's top rate, estimates the largest exponent not reported: every
+    exponent not reported lies at or below it, up to the cluster's own
+    finite-n spread.
     """
 
     def __init__(self, exponents, multiplicities, n_infinite, raw_exponents,
-                 n_used, window, convergence_history, mle_estimate,
-                 gap_threshold, floor, norm, warnings=()):
+                 ambient_dim, cut, below_cut, n_used, window,
+                 convergence_history, mle_estimate, gap_threshold, floor,
+                 norm, warnings=()):
         self.exponents = list(exponents)
         self.multiplicities = list(multiplicities)
         self.n_infinite = int(n_infinite)
         self.raw_exponents = np.asarray(raw_exponents)
+        self.ambient_dim = int(ambient_dim)
+        self.cut = int(cut)
+        self.below_cut = below_cut
         self.n_used = int(n_used)
         self.window = int(window)
         self.convergence_history = convergence_history
@@ -72,10 +91,6 @@ class LyapunovSpectrum:
         else:
             self.mle_agreement = math.inf
 
-    @property
-    def ambient_dim(self):
-        return int(self.raw_exponents.shape[0])
-
     def total_multiplicity(self):
         return sum(self.multiplicities)
 
@@ -86,6 +101,8 @@ class LyapunovSpectrum:
             "multiplicities": [int(m) for m in self.multiplicities],
             "n_infinite": self.n_infinite,
             "raw_exponents": [float(x) for x in self.raw_exponents],
+            "cut": self.cut,
+            "below_cut": self.below_cut,
             "n_used": self.n_used,
             "window": self.window,
             "mle_estimate": self.mle_estimate,
@@ -102,6 +119,8 @@ class LyapunovSpectrum:
         pairs = ", ".join(f"{x:.4f} (m={m})"
                           for x, m in zip(self.exponents, self.multiplicities))
         tail = f", -inf x {self.n_infinite}" if self.n_infinite else ""
+        if self.below_cut is not None:
+            tail += f", rest <= {self.below_cut:.4f}"
         return f"LyapunovSpectrum({pairs}{tail}; n={self.n_used})"
 
 
@@ -158,25 +177,105 @@ def _log_norm_ends(gen, orbit, n_half, n_eff, norm, sweep):
     ``sweep`` says the norm is l1 and every factor is nonnegative; then
     ||P_k||_1 is the largest entry of 1^T P_k = 1^T A_k ... A_1, so one
     backward sweep from step n_eff down to step 1 carries the two rows
-    (the second starts at step n_half) as log-scaled columns P_k^T 1, whose
-    linf norm is that entry.  Otherwise the ScaledMatrix product is formed
+    P_k^T 1 (the second starts at step n_half) in one array, each with its
+    own log scale, rescaled as a ScaledMatrix is; the largest entry of a
+    row times its scale is the norm.  Each row is one product with the
+    transposed factor.  Otherwise the ScaledMatrix product is formed
     forward.
     """
     if sweep:
-        ones = np.ones((gen.dim, 1))
-        full, half = ScaledMatrix(ones), None
+        rows = np.ones((2, gen.dim))
+        log_scale = [0.0, 0.0]
+        live = 1
         for k in range(n_eff, 0, -1):
             if k == n_half:
-                half = ScaledMatrix(ones)
+                live = 2
             At = gen._factor(orbit.state(k - 1), 1, transpose=True)
-            full = full.left_multiplied(At)
-            if half is not None:
-                half = half.left_multiplied(At)
-        return half.log_norm("linf"), full.log_norm("linf")
+            for r in range(live):
+                row = At @ rows[r]
+                peak = row.max()
+                if not _RENORM_LO < peak < _RENORM_HI and 0 < peak < math.inf:
+                    row = row / peak
+                    log_scale[r] += math.log(peak)
+                rows[r] = row
+        full, half = (-math.inf if peak == 0 else math.log(peak) + ls
+                      for peak, ls in zip(rows.max(axis=1), log_scale))
+        return half, full
     for k, acc in enumerate(_scaled_products(gen, orbit, 0, n_eff), 1):
         if k == n_half:
             log_half = acc.log_norm(norm)
     return log_half, acc.log_norm(norm)
+
+
+def _lead_frame(d, k):
+    """The orthonormal d x k frame a pass that keeps k columns starts from:
+    the identity at k = d, else an orthonormalized frame of fixed
+    pseudorandom entries, uniform on [-1/2, 1/2) (the splitmix64 hash of
+    each entry's index; numpy.random would add 5.5 MB of resident memory
+    to a process that uses nothing else of it).  The first k columns of
+    the identity are not generic: a cocycle that keeps the coordinate
+    axes (a diagonal one, or one whose kernel holds e_1) never moves
+    them, so the levels whose directions they miss would go unseen and a
+    killed axis would pass for a dead tail.  diag(2, 1/2 x 7, 3, 4)
+    reported log 2 above the cut and missed log 3 and log 4, and
+    diag(0, 1 x 11) gave 0 with multiplicity 7 and n_infinite 5."""
+    if k == d:
+        return np.eye(d)
+    z = np.arange(1, k * d + 1, dtype=np.uint64) * np.uint64(
+        0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    G = (z >> np.uint64(11)) * 2.0 ** -53 - 0.5
+    return np.ascontiguousarray(np.linalg.qr(G.reshape(k, d).T)[0])
+
+
+def _leading_slopes(gen, orbit, k, n_half, n_eff, hist_n, sweep):
+    """The QR pass of a k-column frame (_lead_frame) over offsets
+    0..n_eff-1, with a block end at n_half and at every history point.
+
+    Returns the raw windowed slopes (S(n_eff) - S(n_half)) / window of
+    the cumulative log R-diagonals S, -inf for a column that collapsed
+    inside the window, the history S(m) / m at each m of hist_n (one row
+    each), and ``sweep`` kept only while every factor is nonnegative.
+    """
+    d = gen.dim
+    S = np.zeros(k)
+    logs = np.empty(k)    # log diag R, -inf where R has a zero pivot
+    S_half = None
+    dead = np.zeros(k, dtype=bool)
+    hist = np.empty((len(hist_n), k))
+    h = 0
+
+    def factor(i):
+        nonlocal sweep
+        A = gen._factor(orbit.state(i), k)
+        sweep = sweep and A.min() >= 0
+        return A
+
+    for m, _, diags in _qr_pass(factor, _lead_frame(d, k),
+                                sorted(set(hist_n) | {n_half})):
+        for diag in diags:
+            logs.fill(-np.inf)
+            S = S + np.log(diag, out=logs, where=diag != 0)
+            # a collapse inside the measurement window marks the position
+            # dead: its column is recycled float noise whose later slope is
+            # a ghost, not an exponent.  Collapses before the window are
+            # left alone; the reseeded column then tracks a genuine slower
+            # direction and the windowed slope measures it (that
+            # self-healing is the reason the slope is windowed rather than
+            # cumulative)
+            if m > n_half:
+                dead |= diag <= _DEATH_REL * max(float(diag.max()), 1e-300)
+        if m == n_half:
+            S_half = S.copy()
+        if m == hist_n[h]:
+            hist[h] = S / m
+            h += 1
+
+    with np.errstate(invalid="ignore"):
+        raw = (S - S_half) / (n_eff - n_half)
+    return np.where(np.isnan(raw) | dead, -math.inf, raw), hist, sweep
 
 
 def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
@@ -188,15 +287,43 @@ def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
     the two agree within gap_threshold (they estimate the same limit, and
     the norm-based value is exact for norm-preserving cocycles).
 
-    The QR pass is ``_qr_pass`` with a block end at n_half, at n_eff and
-    at every history point, so S_half and convergence_history see the same
-    k as per-step QR.  Against the per-step loop on 3/10, 2/5 Ulam
+    The QR pass carries a frame of only k columns, the cut, from k =
+    min(d, _LEAD_COLUMNS) (Benettin, Galgani, Giorgilli and Strelcyn
+    1980): from a generic start frame (_lead_frame) they track the k
+    fastest directions, so the leading raw exponents are those of the full
+    pass.  At k = d the frame is the identity and the pass is the full
+    one.  The kept raw exponents, sorted, are clustered at gaps >
+    gap_threshold.  k doubles, and the pass runs again, while k < d, no
+    kept column is dead (below the floor) and the bottom cluster holds
+    fewer than k / 2 columns or is the only one.  Then:
+
+    - at k = d, the pass is the full one and every level is reported;
+    - with a dead tail, the exponents below the last kept finite one are
+      -inf: every finite level is reported and n_infinite = d - (finite
+      columns);
+    - otherwise the bottom cluster is open (the columns past the cut may
+      continue it), so only the levels that end at a gap above it are
+      reported.  ``below_cut`` is its top rate; every exponent not
+      reported lies at or below it, up to the cluster's finite-n spread
+      (its rates moved by up to 7e-3 between start frames on the Ulam
+      mixtures).
+
+    On Ulam discretizations this keeps the exceptional exponents and drops
+    the wide cluster of spurious ones below them: the 3/10, 2/5 mixtures
+    at 64 to 256 bins stop at k = 8 with levels [1, 1], a 256-bin pass
+    steps 256 x 8 frames instead of 256 x 256 ones, and the two levels'
+    raw exponents agreed with the full pass to 1e-15.
+
+    The pass is ``_qr_pass`` with a block end at n_half, at n_eff and at
+    every history point, so S_half and convergence_history see the same
+    steps as per-step QR.  Against the per-step loop on 3/10, 2/5 Ulam
     mixtures (64 to 256 bins, 400 and 800 steps, the same products) the
-    raw exponents agreed to 4.1e-11, the largest at a tight pair (gap
-    0.017) deep in the wide level, where a 1e-15 change of the start frame
-    moves the per-step loop's own raw exponents by 3.9e-11.  The 256-bin mixture takes 134
-    factorizations for 400 steps.  Rank-deficient and extreme-scale
-    cocycles in the tests run the per-step loop bit for bit.
+    full pass's raw exponents agreed to 4.1e-11, the largest at a tight
+    pair (gap 0.017) deep in the wide level, where a 1e-15 change of the
+    start frame moves the per-step loop's own raw exponents by 3.9e-11.
+    The 256-bin mixture takes 134 full-width factorizations for 400
+    steps.  Rank-deficient and extreme-scale cocycles in the tests run
+    the per-step loop bit for bit.
 
     The norm slope comes from a second pass after the QR pass, which
     evaluates the generator again at every step (generators give
@@ -209,9 +336,9 @@ def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
     Both passes multiply through the generator's product hook
     (``CocycleGenerator._factor``).  On an Ulam generator the products come
     from the stored nonzeros, so the pass is not the dense one bit for bit:
-    on the same mixtures its raw exponents agreed with a dense twin of the
-    same matrices to 6.3e-11 (the tight pair again; 6e-12 elsewhere), with
-    the same multiplicities.
+    on the same mixtures the full pass's raw exponents agreed with a dense
+    twin of the same matrices to 6.3e-11 (the tight pair again; 6e-12
+    elsewhere), with the same multiplicities.
     """
     if n < 10:
         raise ParameterError("need n >= 10 for a spectrum estimate")
@@ -224,44 +351,21 @@ def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
     if not 0 < n_half < n_eff:
         n_half = max(1, n_eff // 2)
     window = n_eff - n_half
-
-    S = np.zeros(d)
-    logs = np.empty(d)    # log diag R, -inf where R has a zero pivot
-    S_half = None
-    sweep = norm == "l1"
-    dead = np.zeros(d, dtype=bool)
     hist_stride = max(1, n_eff // 64)
     hist_n = list(range(hist_stride, n_eff, hist_stride)) + [n_eff]
-    hist_vals = []
 
-    def factor(i):
-        nonlocal sweep
-        A = gen._factor(orbit.state(i), d)
-        sweep = sweep and A.min() >= 0
-        return A
+    k = min(d, _LEAD_COLUMNS)
+    while True:
+        raw, hist, sweep = _leading_slopes(gen, orbit, k, n_half, n_eff,
+                                           hist_n, norm == "l1")
+        sorted_raw = np.sort(raw)[::-1]
+        finite = sorted_raw[sorted_raw > DEFAULT_FLOOR]
+        clusters = _cluster(finite, gap_threshold) if finite.size else []
+        closed = k == d or finite.size < k
+        if closed or 1 < len(clusters) and 2 * len(clusters[-1]) >= k:
+            break
+        k = min(d, 2 * k)
 
-    for k, _, diags in _qr_pass(factor, np.eye(d),
-                                sorted(set(hist_n) | {n_half})):
-        for diag in diags:
-            logs.fill(-np.inf)
-            S = S + np.log(diag, out=logs, where=diag != 0)
-            # a collapse inside the measurement window marks the position
-            # dead: its column is recycled float noise whose later slope is
-            # a ghost, not an exponent.  Collapses before the window are
-            # left alone; the reseeded column then tracks a genuine slower
-            # direction and the windowed slope measures it (that
-            # self-healing is the reason the slope is windowed rather than
-            # cumulative)
-            if k > n_half:
-                dead |= diag <= _DEATH_REL * max(float(diag.max()), 1e-300)
-        if k == n_half:
-            S_half = S.copy()
-        if k == hist_n[len(hist_vals)]:
-            hist_vals.append(S / k)
-
-    with np.errstate(invalid="ignore"):
-        raw = (S - S_half) / window
-    raw = np.where(np.isnan(raw) | dead, -math.inf, raw)
     mle_half, mle_full = _log_norm_ends(gen, orbit, n_half, n_eff, norm,
                                         sweep)
     if math.isfinite(mle_full) and math.isfinite(mle_half):
@@ -269,30 +373,28 @@ def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
     else:
         mle = -math.inf
 
-    order = np.argsort(raw)[::-1]
-    sorted_raw = raw[order]
-    finite = sorted_raw[sorted_raw > DEFAULT_FLOOR]
-    n_inf = int(d - finite.size)
+    below_cut = None
+    if not closed:
+        below_cut = float(clusters.pop()[0])
+    n_inf = d - finite.size if closed else 0
     warnings = []
-    exponents, multiplicities = [], []
-    if finite.size:
-        clusters = _cluster(finite, gap_threshold)
-        exponents = [float(np.mean(c)) for c in clusters]
-        multiplicities = [len(c) for c in clusters]
-        for a, b in zip(exponents, exponents[1:]):
-            if a - b < 2 * gap_threshold:
-                warnings.append(
-                    f"small spectral gap {a - b:.4f} between {a:.4f} and {b:.4f}; "
-                    "clustering may be ambiguous")
-        if math.isfinite(mle) and abs(mle - exponents[0]) <= gap_threshold:
+    exponents = [float(np.mean(c)) for c in clusters]
+    multiplicities = [len(c) for c in clusters]
+    for a, b in zip(exponents, exponents[1:]):
+        if a - b < 2 * gap_threshold:
+            warnings.append(
+                f"small spectral gap {a - b:.4f} between {a:.4f} and {b:.4f}; "
+                "clustering may be ambiguous")
+    if exponents and math.isfinite(mle):
+        if abs(mle - exponents[0]) <= gap_threshold:
             exponents[0] = float(mle)
-        elif math.isfinite(mle):
+        else:
             warnings.append(
                 f"norm-based top exponent {mle:.4f} disagrees with QR top "
                 f"{exponents[0]:.4f} beyond the gap threshold")
     return LyapunovSpectrum(
-        exponents, multiplicities, n_inf, raw, n_eff, window,
-        (hist_n, hist_vals), mle, gap_threshold, DEFAULT_FLOOR, norm,
+        exponents, multiplicities, n_inf, raw, d, k, below_cut, n_eff,
+        window, (hist_n, hist), mle, gap_threshold, DEFAULT_FLOOR, norm,
         warnings=warnings)
 
 

@@ -177,7 +177,7 @@ def pushforward_space(gen, orbit, U, n, base_offset=0):
                 raise RankCollapseError(
                     f"pushforward of a dim-{U.dim} space lost rank at n={n}",
                     n=n)
-    return Subspace(B, U.norm)
+    return Subspace._orthonormal(B, U.norm)
 
 
 def _cut(filt, j):
@@ -252,7 +252,7 @@ def _near_intersection(QH, F, m, norm, n):
         raise RankCollapseError(
             f"principal cosine {s[m - 1]:.3f} too small for a dim-{m} "
             "overlap", n=n)
-    return Subspace(U[:, :m], norm)
+    return Subspace._orthonormal(U[:, :m], norm)
 
 
 def _g_ratio(Y, pi):
@@ -345,9 +345,9 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
         # sqrt(eps); the level is cut out of its hull, the frame's leading
         # columns, by the forward filtration (whose cuts are every c_j < d),
         # which shares its limit
-        H = pushforward_space(gen, orbit, Subspace(hull, norm), depth,
+        H = pushforward_space(gen, orbit, hull, depth,
                               base_offset=offset).basis
-        return [Subspace(H[:, :ends[0]], norm)] + [
+        return [Subspace._orthonormal(H[:, :ends[0]], norm)] + [
             _near_intersection(H[:, :ends[j]],
                                filt_fwd.frame[:, :filt_fwd.cuts[j]],
                                mult[j], norm, depth)
@@ -375,7 +375,8 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
         avail_fwd = orbit.n_future - offset - 1
         filt_fwd = filtration(offset, min(2 * depth, max(depth, avail_fwd)))
         try:
-            return level_spaces(hull, depth, filt_fwd)
+            return level_spaces(Subspace._orthonormal(hull, norm), depth,
+                                filt_fwd)
         except RankCollapseError as exc:
             # measure-zero under the standing hypotheses; one retry
             warnings.append(
@@ -383,8 +384,8 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
                 "retried from a perturbed hull")
             rng = np.random.default_rng(depth)
             return level_spaces(
-                hull + 1e-6 * rng.standard_normal(hull.shape), depth,
-                filt_fwd)
+                Subspace(hull + 1e-6 * rng.standard_normal(hull.shape), norm),
+                depth, filt_fwd)
 
     history = []          # list of (depth, [Y_1..Y_l])
     dists = [[] for _ in range(l_use)]

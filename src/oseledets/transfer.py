@@ -275,12 +275,12 @@ class UlamOperator:
     numerators over one common denominator: ``entries = (L, {(i, j):
     num})`` with P[i, j] = num / L.  ``_nonzeros`` is the one place they
     become floats: int true division rounds correctly, so every float is
-    the double nearest the exact entry.  ``matrix`` and
-    ``density_matrix()`` are scattered from the row-slot form of those
-    nonzeros, the form ``random_ulam_cocycle`` stores in place of dense
-    matrices, so an evicted dense matrix is rebuilt by a scatter, not a
-    new sweep.  ``exact_rows`` (one ``{j: Fraction}`` dict per row) is
-    built only when read.  Other maps hold the float matrix alone.
+    the double nearest the exact entry.  ``matrix`` is scattered from
+    those nonzeros, and ``density_matrix()`` from the row-slot form of
+    its transpose, the form ``random_ulam_cocycle`` stores in place of
+    dense matrices, so an evicted dense matrix is rebuilt by a scatter,
+    not a new sweep.  ``exact_rows`` (one ``{j: Fraction}`` dict per row)
+    is built only when read.  Other maps hold the float matrix alone.
     """
 
     def __init__(self, n_bins, matrix=None, entries=None):
@@ -295,7 +295,9 @@ class UlamOperator:
     @property
     def matrix(self):
         if self._matrix is None:
-            self._matrix = _scatter(self.n_bins, _slot_forms(self)[1])
+            i, j, vals = self._nonzeros()
+            self._matrix = np.zeros((self.n_bins, self.n_bins))
+            self._matrix[i, j] = vals
         return self._matrix
 
     @functools.cached_property
@@ -322,7 +324,7 @@ class UlamOperator:
 
     def density_matrix(self):
         """Transpose acting on density column vectors (a new array)."""
-        return _scatter(self.n_bins, _slot_forms(self)[0])
+        return _scatter(self.n_bins, _slot_form(self))
 
     def _nonzeros(self):
         """(i, j, vals): the nonzero entries P[i, j] as index arrays and
@@ -355,12 +357,19 @@ def _row_slots(n, rows, cols, vals):
     return idx, out
 
 
-def _slot_forms(op):
-    """Row-slot forms of op's density-side matrix P^T and of P itself, the
-    one entry ``random_ulam_cocycle`` stores per state."""
+def _slot_form(op):
+    """Row-slot form of op's density-side matrix P^T, the entry
+    ``random_ulam_cocycle`` stores for every state."""
     i, j, vals = op._nonzeros()
-    return (_row_slots(op.n_bins, j, i, vals),
-            _row_slots(op.n_bins, i, j, vals))
+    return _row_slots(op.n_bins, j, i, vals)
+
+
+def _transposed(n, slots):
+    """Row-slot form of the transpose of the n×n matrix of a row-slot
+    form: the same nonzeros, so the same floats."""
+    idx, vals = slots
+    rows, s = np.nonzero(vals)
+    return _row_slots(n, idx[rows, s], rows, vals[rows, s])
 
 
 def _scatter(n, slots):
@@ -472,10 +481,11 @@ def ulam_matrix(T, n_bins):
     return UlamOperator(n, matrix=M)
 
 
-# bytes a random_ulam_cocycle generator keeps: the row-slot forms of every
-# state's density matrix and its transpose (12 B per slot, 12 KB at 128
-# bins and 4 slots), and a small window of recent dense matrices.  Each
-# store keeps its latest entry even when that alone is larger.
+# bytes a random_ulam_cocycle generator keeps: the row-slot form of every
+# state's density matrix (12 B per slot, 6 KB at 128 bins and 4 slots) and
+# of its transpose once a product asks for it, and a small window of
+# recent dense matrices.  Each store keeps its latest entry even when that
+# alone is larger.
 _CACHE_BYTES = 32 * 2 ** 20
 _DENSE_BYTES = 4 * 2 ** 20
 
@@ -506,37 +516,58 @@ def random_ulam_cocycle(system, n_bins):
     """Generator of density-side Ulam matrices, one assembly per state.
 
     One store, least recently used first out within ``_CACHE_BYTES``, keeps
-    each assembled state in row-slot form: the density-side matrix and its
-    transpose (``_slot_forms``).  The generator's products (the QR pass,
-    the l1 norm sweep, the scaled products) multiply from it, O(nnz) per
-    column (see cocycle._SlotMatrix).  A dense matrix is scattered from it
-    only for a caller that needs one, ``gen(state)`` or a narrow product
-    at small d, and the latest ones are kept read-only within
-    ``_DENSE_BYTES``; the scatter gives the same matrix bit for bit.  Only
-    a state whose slots were evicted is assembled again.
+    each assembled state in row-slot form: the density-side matrix
+    (``_slot_form``), and its transpose only once a transposed product of
+    more than two columns asks for it (``_transposed``; narrower ones, the
+    l1 norm sweep's, multiply from the forward form).  The generator's
+    products (the QR pass, the l1 norm sweep, the scaled products)
+    multiply from the store, O(nnz) per column (see cocycle._SlotMatrix).
+    A dense matrix is scattered from it only for a caller that needs one,
+    ``gen(state)`` or a narrow product at small d, and the latest ones are
+    kept read-only within ``_DENSE_BYTES``; the scatter gives the same
+    matrix bit for bit.  Over a map family given as a function (a
+    continuum of states, which never repeat) every product takes the slot
+    kernels, so nothing is scattered.  Only a state whose slots were
+    evicted is assembled again.
     """
     store = _ByteLRU(_CACHE_BYTES)
     dense = _ByteLRU(_DENSE_BYTES)
 
-    def slots(state):
-        key = float(state)
-        forms = store.get(key)
-        if forms is None:
-            forms = _slot_forms(ulam_matrix(system.map_at(state), n_bins))
-            store.put(key, forms, sum(a.nbytes for f in forms for a in f))
-        return forms
+    # no function here calls itself: a closure that did would hold itself
+    # in a reference cycle, and the stores would outlive the generator
+    # until the cycle collector ran
+    def assembled(state):
+        key = float(state), False
+        form = store.get(key)
+        if form is None:
+            form = _slot_form(ulam_matrix(system.map_at(state), n_bins))
+            store.put(key, form, form[0].nbytes + form[1].nbytes)
+        return form
+
+    def slots(state, transpose=False):
+        if not transpose:
+            return assembled(state)
+        key = float(state), True
+        form = store.get(key)
+        if form is None:
+            form = _transposed(n_bins, assembled(state))
+            store.put(key, form, form[0].nbytes + form[1].nbytes)
+        return form
 
     def evaluator(state):
         key = float(state)
         mat = dense.get(key)
         if mat is None:
-            mat = _scatter(n_bins, slots(state)[0])
+            mat = _scatter(n_bins, assembled(state))
             mat.setflags(write=False)
             dense.put(key, mat, mat.nbytes)
         return mat
 
-    return CocycleGenerator(evaluator, n_bins, name=f"ulam[{n_bins}]",
-                            slots=slots)
+    gen = CocycleGenerator(evaluator, n_bins, name=f"ulam[{n_bins}]",
+                           slots=slots)
+    if system._maps is None:        # a map family: no state repeats
+        gen._dense_work = 0
+    return gen
 
 
 def buzzi_swap_cocycle(n_bins):

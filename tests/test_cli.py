@@ -515,17 +515,18 @@ class TestMain:
         assert (tmp_path / "out" / "exp_001" / "report.json").is_file()
 
     def test_batch_survives_failing_experiment(self, tmp_path, capsys):
-        # l1 splitting of a 64-bin Ulam mixture without "levels": the last
-        # level is too wide for the exact l1 sup and the stage fails
+        # l1 splitting of a 16-bin Ulam mixture without "levels": its
+        # spectrum is the full pass, level 3 (multiplicity 6 in R^16) is
+        # too wide for the exact l1 sup and the stage fails
         failing = {
             "seed": 7,
             "driver": {"kind": "bernoulli", "probs": [0.5, 0.5]},
-            "generator": {"kind": "ulam", "n_bins": 64,
+            "generator": {"kind": "ulam", "n_bins": 16,
                           "maps": [{"kind": "affine_full_branch",
                                     "breakpoints": ["0", "3/10", "1"]},
                                    {"kind": "affine_full_branch",
                                     "breakpoints": ["0", "2/5", "1"]}]},
-            "analysis": {"task": "splitting", "n_max": 64, "n": 128,
+            "analysis": {"task": "splitting", "n_max": 16, "n": 32,
                          "tol": 1e-6, "norm": "l1"},
         }
         ulam = {

@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import subspace_angles
 
 from lp_oracle import lp_distance
+from oseledets import grassmann
 from oseledets.grassmann import (
     NORM_TAGS,
     ComplementarityError,
@@ -96,6 +97,29 @@ class TestSubspace:
         S = Subspace(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 2.0]]))
         assert S.contains(np.array([2.0, 3.0, 2.0]))
         assert not S.contains(np.array([0.0, 0.0, 1.0]) + np.array([1.0, 1.0, 0.0])* 0)
+
+
+    @pytest.mark.parametrize("d, k", [(3, 1), (16, 3), (128, 2)])
+    def test_orthonormal_frame_path(self, d, k, monkeypatch):
+        # the private path for an orthonormal frame runs no SVD until the
+        # orthonormal basis is read, and then the constructor's, bit for bit
+        Q = np.linalg.qr(np.random.default_rng(d).standard_normal((d, k)))[0]
+        svds = []
+        orthonormalize = grassmann._orthonormalize
+
+        def counted(B):
+            svds.append(1)
+            return orthonormalize(B)
+
+        monkeypatch.setattr(grassmann, "_orthonormalize", counted)
+        S = Subspace._orthonormal(Q, "l1")
+        assert svds == []
+        assert S.dim == k and S.ambient_dim == d and S.norm == "l1"
+        assert np.array_equal(S.basis, Q) and S.basis is not Q
+        assert S.contains(Q @ np.ones(k)) and len(svds) == 1
+        ref = Subspace(Q, "l1")
+        assert np.array_equal(S.orthonormal_basis(), ref.orthonormal_basis())
+        assert len(svds) == 2
 
 
 class TestPointDistance:

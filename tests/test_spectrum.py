@@ -1,5 +1,6 @@
 """Lyapunov spectrum estimation, filtrations, growth rates, kappa bounds."""
 
+import copy
 import math
 from fractions import Fraction
 
@@ -15,9 +16,10 @@ from oseledets.base import (
     generate_orbit,
     shift_view,
 )
+from oseledets import spectrum as spectrum_module
 from oseledets import transfer
-from oseledets.cocycle import (CocycleGenerator, _QRStepper, forward_product,
-                               scaled_forward_product)
+from oseledets.cocycle import (CocycleGenerator, ScaledMatrix, _QRStepper,
+                               forward_product, scaled_forward_product)
 from oseledets.grassmann import Subspace, grassmann_distance, one_sided_hausdorff
 from oseledets.splitting import pushforward_space
 from oseledets.spectrum import (
@@ -194,9 +196,9 @@ def _rank_one_pair():
 def _per_step_diags(gen, orbit, stop, start=0, Q=None):
     """|diag R| of each step of a per-step np.linalg.qr loop over offsets
     start..stop-1, and the frame after it; Q is the frame at start (the
-    identity at 0).  Each product is the generator's own (its product
-    hook, as in the QR pass), so a bitwise match shows that blocking
-    equals stepping."""
+    identity at 0, or its leading columns).  Each product is the
+    generator's own (its product hook, as in the QR pass), so a bitwise
+    match shows that blocking equals stepping."""
     Q = np.eye(gen.dim) if Q is None else Q
     diags = []
     for k in range(start, stop):
@@ -208,10 +210,11 @@ def _per_step_diags(gen, orbit, stop, start=0, Q=None):
 def _reference_qr_pass(gen, orbit, n_eff, n_half, diags=None):
     """The QR pass as a per-step np.linalg.qr loop: raw windowed slopes and
     the history, with the same dead-column rule.  ``diags`` are the loop's
-    per-step |diag R| when already known (at least n_eff of them)."""
+    per-step |diag R| when already known (at least n_eff of them, of the
+    frame's leading columns); the full frame is stepped otherwise."""
     if diags is None:
         diags, _ = _per_step_diags(gen, orbit, n_eff)
-    d = gen.dim
+    d = diags[0].size
     S, S_half = np.zeros(d), None
     dead = np.zeros(d, dtype=bool)
     stride = max(1, n_eff // 64)
@@ -271,9 +274,12 @@ class TestSteppedSpectra:
     history point every step), and zero or noise-level pivots keep the
     block length at one on rank-deficient cocycles: there the pass is the
     per-step loop bit for bit.  Where blocks form, the raw exponents agree
-    to 1e-10.  The 32-bin mixture's deep cluster is rounding-sensitive in
-    the per-step loop itself (a 1e-15 change of the start frame moves its
-    raw exponents by 1e-2), so only its top two levels are compared.
+    to 1e-10.  The loop steps the frame the pass kept, ``spec.cut``
+    columns from the same start frame (8 on the Ulam mixtures), and its
+    levels are clustered by the same rule.  The 32-bin mixture's deep
+    cluster is rounding-sensitive in the per-step loop itself (a 1e-15
+    change of the start frame moves its raw exponents by 1e-2), so only
+    its top two levels are compared.
     """
 
     # build, n, norm, and how the result must match the reference
@@ -298,31 +304,40 @@ class TestSteppedSpectra:
 
     @staticmethod
     def _levels(raw, spec):
-        """Exponents and multiplicities the clustering gives for raw."""
+        """Exponents, multiplicities and n_infinite the clustering gives
+        for the raw exponents of the leading spec.cut columns: every level
+        when the frame is full or ends dead, else those above the bottom
+        one."""
         finite = np.sort(raw)[::-1]
         finite = finite[finite > spec.floor]
         cuts = np.flatnonzero(-np.diff(finite) > spec.gap_threshold) + 1
         bounds = np.r_[0, cuts, finite.size]
+        closed = raw.size == spec.ambient_dim or finite.size < raw.size
+        if not closed:
+            bounds = bounds[:-1]
         return ([float(np.mean(finite[a:b])) for a, b in zip(bounds, bounds[1:])],
-                np.diff(bounds).tolist(), raw.size - finite.size)
+                np.diff(bounds).tolist(),
+                spec.ambient_dim - finite.size if closed else 0)
 
     @pytest.fixture(scope="class")
     def mixture_steps(self):
-        """Per-step reference loops of the _mixture cases by (bins, seed).
-        _mixture draws state k from the seed and k alone, so the loop of a
-        shorter case is a prefix of a longer one's: each loop is run once,
-        extended when a case needs more steps."""
+        """Per-step reference loops of the _mixture cases by (bins, seed,
+        columns).  _mixture draws state k from the seed and k alone, so the
+        loop of a shorter case is a prefix of a longer one's: each loop is
+        run once, extended when a case needs more steps."""
         return {}
 
     def _reference(self, gen, orbit, spec, mixture_steps):
         n_eff = spec.n_used
         diags = None
         if gen.name.startswith("ulam"):       # only _mixture builds these
-            diags, Q = mixture_steps.get((gen.name, orbit.seed), ([], None))
+            key = gen.name, orbit.seed, spec.cut
+            diags, Q = mixture_steps.get(
+                key, ([], spectrum_module._lead_frame(gen.dim, spec.cut)))
             if len(diags) < n_eff:
                 more, Q = _per_step_diags(gen, orbit, n_eff, len(diags), Q)
                 diags = diags + more
-                mixture_steps[gen.name, orbit.seed] = (diags, Q)
+                mixture_steps[key] = (diags, Q)
         return _reference_qr_pass(gen, orbit, n_eff, n_eff - spec.window,
                                   diags)
 
@@ -427,6 +442,126 @@ class TestSteppedSpectra:
             assert calls == {"step": spec.n_used, "product": 0}
 
 
+def _continuum(n_bins=128, seed=1, n=400):
+    """perturbed_doubling(theta / 2) over the golden rotation at n_bins:
+    every state is new."""
+    driver = IrrationalRotation()
+    system = RandomLYSystem(
+        driver, lambda th: perturbed_doubling(Fraction(float(th)) / 2))
+    return (random_ulam_cocycle(system, n_bins),
+            generate_orbit(driver, seed, 0, n + 1))
+
+
+def _full_pass(gen, orbit, n, monkeypatch, **kw):
+    """The spectrum of the pass that starts from every column of R^d."""
+    with monkeypatch.context() as m:
+        m.setattr(spectrum_module, "_LEAD_COLUMNS", gen.dim)
+        return lyapunov_exponents(gen, orbit, n, **kw)
+
+
+class TestLeadingColumns:
+    """The pass carries as many columns as it needs: 8, doubled while the
+    kept spectrum may go on below them."""
+
+    BUILDS = {
+        "mixture-64": lambda: _mixture(64),
+        "mixture-128": lambda: _mixture(128),
+        "mixture-256": lambda: _mixture(256),
+        "continuum-128": _continuum,
+    }
+
+    @pytest.mark.parametrize("name", sorted(BUILDS))
+    def test_reported_levels_match_full_pass(self, name, monkeypatch):
+        # the 8 columns of a generic frame track the 8 fastest directions,
+        # so the reported levels' raw exponents are those of the full pass
+        # (1.2e-15 apart on these inputs) and the norm slope is the same
+        # computation
+        gen, orbit = self.BUILDS[name]()
+        spec = lyapunov_exponents(gen, orbit, 400, norm="l1")
+        full = _full_pass(gen, orbit, 400, monkeypatch, norm="l1")
+        assert full.cut == gen.dim and full.below_cut is None
+        assert spec.cut == 8 and spec.raw_exponents.shape == (8,)
+        assert spec.ambient_dim == gen.dim
+        c = sum(spec.multiplicities)
+        ours = np.sort(spec.raw_exponents)[::-1]
+        theirs = np.sort(full.raw_exponents)[::-1]
+        assert np.abs(ours[:c] - theirs[:c]).max() <= 1e-12
+        assert spec.multiplicities == full.multiplicities[:2] == [1, 1]
+        assert spec.exponents == pytest.approx(full.exponents[:2], rel=0,
+                                               abs=1e-12)
+        assert spec.mle_estimate == full.mle_estimate
+        # the open cluster's top estimates the largest exponent below the
+        # reported levels, as well as the full pass resolves that cluster:
+        # its rates move by up to 7e-3 with the start frame on these inputs
+        assert spec.below_cut == pytest.approx(theirs[c], rel=0, abs=0.01)
+        assert spec.n_infinite == full.n_infinite == 0
+
+    @pytest.mark.parametrize("build, n, cut, mult, n_inf", [
+        (lambda: _mixture(64), 400, 8, [1, 1], 0),
+        (lambda: _mixture(128), 400, 8, [1, 1], 0),
+        (lambda: _mixture(256), 400, 8, [1, 1], 0),
+        (_continuum, 400, 8, [1, 1], 0),
+        # a dead tail: every exponent past the top one is -inf
+        (lambda: (random_ulam_cocycle(RandomLYSystem(
+            FiniteCycle(1), [transfer.doubling_map()]), 64),
+          _cycle_orbit(1)),
+         400, 8, [1], 63),
+        # the bottom cluster of the 8 kept columns holds 2: all 16 columns
+        (lambda: _mixture(16, n=800), 800, 16, [1, 1, 4, 2] + [1] * 8, 0),
+        # a separated spectrum doubles to the full frame
+        (lambda: _constant(np.diag(np.exp(-0.2 * np.arange(12)))), 200,
+         12, [1] * 12, 0),
+        # cocycles that keep the coordinate axes: the first 8 identity
+        # columns would miss log 3 and log 4, report 0 seven times with
+        # n_infinite 5, and see nothing but dead columns
+        (lambda: _constant(np.diag([2.0] + [0.5] * 7 + [3.0, 4.0])), 200,
+         8, [1, 1, 1], 0),
+        (lambda: _constant(np.diag([0.0] + [1.0] * 11)), 200, 12, [11], 1),
+        (lambda: _constant(np.diag([0.0] * 8 + [1.0] * 4)), 200, 8, [4],
+         8),
+    ], ids=["mixture-64", "mixture-128", "mixture-256", "continuum-128",
+            "doubling-64", "mixture-16", "separated-12", "axes-missed",
+            "axis-killed", "axes-killed"])
+    def test_stop_rule(self, build, n, cut, mult, n_inf):
+        gen, orbit = build()
+        spec = lyapunov_exponents(gen, orbit, n, norm="l1")
+        assert spec.cut == cut and spec.raw_exponents.shape == (cut,)
+        assert spec.multiplicities == mult
+        assert spec.n_infinite == n_inf
+        assert (spec.below_cut is None) == (cut == gen.dim or n_inf > 0)
+        if spec.below_cut is None:
+            assert spec.total_multiplicity() + n_inf == gen.dim
+        else:
+            # an open bottom cluster of at least half the kept columns
+            rest = np.sort(spec.raw_exponents)[::-1][sum(mult):]
+            assert rest[0] == spec.below_cut and 2 * rest.size >= cut
+            assert spec.exponents[-1] - spec.below_cut > spec.gap_threshold
+        assert spec.to_dict()["cut"] == cut
+        assert spec.to_dict()["below_cut"] == spec.below_cut
+
+    def test_full_pass_when_the_cut_reaches_d(self, monkeypatch):
+        # at k = d the stop rule's pass is the full one, bit for bit
+        gen, orbit = _mixture(16, n=800)
+        spec = lyapunov_exponents(gen, orbit, 800, norm="l1")
+        full = _full_pass(gen, orbit, 800, monkeypatch, norm="l1")
+        assert spec.to_dict() == full.to_dict()
+
+    def test_no_frame_wider_than_eight(self, monkeypatch):
+        # the default 256-bin spectrum steps 256 x 8 frames only
+        widths = []
+        init = _QRStepper.__init__
+
+        def spy(self, m, n):
+            widths.append(n)
+            init(self, m, n)
+
+        monkeypatch.setattr(_QRStepper, "__init__", spy)
+        gen, orbit = _mixture(256)
+        spec = lyapunov_exponents(gen, orbit, 400, norm="l1")
+        assert spec.multiplicities == [1, 1]
+        assert widths == [8]
+
+
 class TestNormSlope:
     """The operator-norm slope: a backward vector sweep for nonnegative l1
     cocycles, the ScaledMatrix product otherwise."""
@@ -444,6 +579,37 @@ class TestNormSlope:
         assert spec.mle_estimate > 0.5
         assert abs(spec.mle_estimate
                    - _reference_slope(gen, orbit, spec, "l1")) < 1e-12
+
+    @pytest.mark.parametrize("build, bitwise", [
+        (lambda: _mixture(64, scale=3.0), True),
+        (lambda: (CocycleGenerator.from_table(
+            [np.random.default_rng(1).uniform(0.1, 2.0, (4, 4)),
+             np.random.default_rng(2).uniform(0.1, 2.0, (4, 4))]),
+            generate_orbit(BernoulliShift([0.5, 0.5]), 5, 0, 401)), True),
+        (lambda: _mixture(128), False),
+    ], ids=["mixture-64-times-3", "positive-4x4", "ulam-128"])
+    def test_sweep_rows_are_scaled_vectors(self, build, bitwise):
+        # the two rows of one array, each with its own log scale, are the
+        # two log-scaled d x 1 products of a per-row ScaledMatrix sweep: bit
+        # for bit with gemv products; from row slots np.bincount sums each
+        # entry in the same order without a fused multiply-add
+        gen, orbit = build()
+        spec = lyapunov_exponents(gen, orbit, 400, norm="l1")
+        n_half = spec.n_used - spec.window
+        ones = np.ones((gen.dim, 1))
+        full, half = ScaledMatrix(ones), None
+        for k in range(spec.n_used, 0, -1):
+            if k == n_half:
+                half = ScaledMatrix(ones)
+            At = gen(orbit.state(k - 1)).T
+            full = full.left_multiplied(At)
+            if half is not None:
+                half = half.left_multiplied(At)
+        ref = (full.log_norm("linf") - half.log_norm("linf")) / spec.window
+        if bitwise:
+            assert spec.mle_estimate == ref
+        else:
+            assert abs(spec.mle_estimate - ref) <= 1e-15
 
     @pytest.mark.parametrize("build, norm", [
         (_signed_table, "l1"), (_signed_table, "l2"),
@@ -592,9 +758,17 @@ class TestTruncatedFiltration:
         assert part.warnings == full.warnings
 
     def test_mixture_levels_match_full_width(self, mixture):
+        # the spectrum reports levels [1, 1] above an open cluster, and its
+        # flag is those levels' (three tracked directions); a full-width
+        # flag takes the rest of R^128 as a third level at the cluster's
+        # top rate
         gen, orbit, spec = mixture
-        full = filtration_at(gen, orbit, -64, 64, spec)
-        part = filtration_at(gen, orbit, -64, 64, spec, levels=2)
+        assert filtration_at(gen, orbit, -64, 64, spec).rates.shape == (3,)
+        wide = copy.copy(spec)
+        wide.exponents = spec.exponents + [spec.below_cut]
+        wide.multiplicities = spec.multiplicities + [128 - 2]
+        full = filtration_at(gen, orbit, -64, 64, wide)
+        part = filtration_at(gen, orbit, -64, 64, wide, levels=2)
         assert full.rates.shape == (128,)
         self._assert_matches(full, part, 3)
 

@@ -306,6 +306,22 @@ class TestUlamL1:
         for Y, Yr in zip(base.spaces, rot.spaces):
             assert grassmann_distance(Y, Yr) < 1e-8
 
+    def test_frames_take_the_orthonormal_path(self, monkeypatch):
+        # every Subspace the splitting builds is an orthonormal frame (a
+        # hull of co-frame slices, a pushed QR frame, a level cut out of
+        # one), so none runs the public constructor's SVD and rank test
+        gen, orbit, spec = _ulam_mixture(64, 128)
+        built = []
+        init = Subspace.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Subspace, "__init__", counted)
+        res = compute_splitting(gen, orbit, spec, 128, norm="l1", levels=2)
+        assert len(res.spaces) == 2 and built == []
+
     def test_uniqueness_probe_with_levels(self):
         # without levels the probe reaches the multiplicity-54 level and
         # raises at the enumeration guard
@@ -314,31 +330,35 @@ class TestUlamL1:
         assert math.isfinite(probe) and probe < 1e-6
 
     def test_blurred_boundary_warned_once_per_level(self):
-        # the benchmark's splitting input: every filtration of the call
-        # (6 backward, 6 forward) finds the level-3 boundary rate above the
-        # midpoint of lambda_2 and lambda_3, each at its own rate
+        # the 12-bin mixture's spectrum is the full pass, so it reports
+        # lambda_3; 5 of the call's 12 filtrations (6 backward, 6 forward)
+        # find the level-3 boundary rate above the midpoint of lambda_2 and
+        # lambda_3, each at its own rate, and one warning counts them
         driver = BernoulliShift([0.5, 0.5])
         system = RandomLYSystem(driver, [full_branch_affine([0, q, 1]) for q
                                          in (Fraction(3, 10), Fraction(2, 5))])
-        orbit = generate_orbit(driver, 1, 257, 802)
-        gen = random_ulam_cocycle(system, 128)
+        orbit = generate_orbit(driver, 2, 257, 802)
+        gen = random_ulam_cocycle(system, 12)
         spec = lyapunov_exponents(gen, orbit, 800, norm="l1")
+        assert spec.cut == 12 and len(spec.exponents) > 2
         memo = {}
         res = compute_splitting(gen, orbit, spec, 256, 1e-6, norm="l1",
                                 levels=2, _filtrations=memo)
         blurred = [w for w in res.warnings if "boundary blurred" in w]
         assert len(blurred) == 1
-        rates = [f.blurred[3] for f in memo.values()]
-        assert len(rates) == 12 and len(set(rates)) == 12
+        rates = [f.blurred[3] for f in memo.values() if 3 in f.blurred]
+        assert len(memo) == 12
+        assert len(rates) == 5 and len(set(rates)) == 5
         assert blurred[0].startswith(
-            f"level 3 boundary blurred in 12 of 12 filtrations: rate up to "
+            f"level 3 boundary blurred in 5 of 12 filtrations: rate up to "
             f"{max(rates):.4f} above midpoint ")
 
     def test_wide_level_fails_before_work(self):
-        # level 3 has multiplicity 54 in R^64: its l1 distances are past the
-        # vertex enumeration guard
-        gen, orbit, spec = _ulam_mixture(64, 16)
-        assert spec.multiplicities[2] > 6
+        # the 16-bin mixture's spectrum is the full pass, and its level 3
+        # has multiplicity 6 in R^16: its l1 distances are past the vertex
+        # enumeration guard
+        gen, orbit, spec = _ulam_mixture(16, 16)
+        assert spec.cut == 16 and spec.multiplicities[2] == 6
         with pytest.raises(ValueError, match="l1 ball of a dim-"):
             compute_splitting(gen, orbit, spec, 16, norm="l1")
 

@@ -365,8 +365,8 @@ class TestRandomUlamCocycle:
     def test_nonzero_store_stays_within_byte_budget(self, monkeypatch):
         n = 64
         states = _golden_states(12)
-        sizes = [sum(a.nbytes for form in transfer._slot_forms(
-                     ulam_matrix(_continuum_map(s), n)) for a in form)
+        sizes = [sum(a.nbytes for a in transfer._slot_form(
+                     ulam_matrix(_continuum_map(s), n)))
                  for s in states]
         held = 5
         monkeypatch.setattr(transfer, "_CACHE_BYTES", sum(sizes[-held:]))
@@ -461,7 +461,7 @@ class TestProductHook:
         gen = random_ulam_cocycle(RandomLYSystem(FiniteCycle(1), [T]), 256)
         A = gen(0).T if transpose else gen(0)
         if name == "missed-bins" and not transpose:
-            assert not A[192:].any() and not gen._slots(0)[0][1][192:].any()
+            assert not A[192:].any() and not gen._slots(0)[1][192:].any()
         rng = np.random.default_rng(cols)
         Q = np.linalg.qr(rng.standard_normal((256, cols)))[0]
         F = gen._factor(0, cols, transpose)
@@ -495,6 +495,59 @@ class TestProductHook:
                 assert np.abs(gen._factor(0, cols, transpose) @ Q[:, :cols]
                               - B @ Q[:, :cols]).max() <= 1e-15
         assert len(calls) == 12
+
+    @pytest.mark.parametrize("transpose", [False, True],
+                             ids=["A", "A-transposed"])
+    def test_continuum_takes_kernels_at_every_width(self, transpose):
+        # over a map family no state repeats, so a scatter to a dense
+        # matrix would be paid per step: every width takes the slot
+        # kernels.  A table generator keeps gemm for 1 < cols and d^2 cols
+        # < 2^19 (cols <= 31 at 128 bins)
+        table = random_ulam_cocycle(RandomLYSystem(FiniteCycle(1), [
+            full_branch_affine([0, Fraction(3, 10), 1])]), 128)
+        gen = random_ulam_cocycle(RandomLYSystem(FiniteCycle(1),
+                                                 _continuum_map), 128)
+        state = 0.3
+        A = ulam_matrix(_continuum_map(state), 128).density_matrix()
+        A = A.T if transpose else A
+        rng = np.random.default_rng(4)
+        for cols in (1, 2, 3, 8, 31, 128):
+            assert isinstance(table._factor(0, cols, transpose),
+                              np.ndarray) == (1 < cols < 32)
+            F = gen._factor(state, cols, transpose)
+            assert not isinstance(F, np.ndarray)
+            Q = np.linalg.qr(rng.standard_normal((128, cols)))[0]
+            assert np.abs(F @ Q - A @ Q).max() <= 1e-15
+            # chained in the stepper's buffer, as a block of the QR pass
+            stepper = cocycle._QRStepper(128, cols)
+            Q1, diag = stepper.step(F, stepper.product(F, Q))
+            Q_ref, R = np.linalg.qr(A @ (A @ Q))
+            assert np.abs(np.abs(Q1.T @ Q_ref) - np.eye(cols)).max() <= 1e-12
+            assert np.abs(diag - np.abs(np.diag(R))).max() <= 1e-14
+
+    def test_transposed_forms_built_on_demand(self, monkeypatch):
+        # a state's transposed row-slot form is built only for a transposed
+        # product of more than two columns; the l1 sweep's one-column
+        # products come from the forward form
+        from oseledets.base import IrrationalRotation
+        forms = []
+        row_slots = transfer._row_slots
+
+        def counted(*args):
+            forms.append(1)
+            return row_slots(*args)
+
+        monkeypatch.setattr(transfer, "_row_slots", counted)
+        driver = IrrationalRotation()
+        gen = random_ulam_cocycle(RandomLYSystem(driver, _continuum_map), 128)
+        orbit = generate_orbit(driver, 1, 0, 401)
+        lyapunov_exponents(gen, orbit, 400, norm="l1")
+        assert len(forms) == 400
+        Q = np.eye(128, 3)
+        state = orbit.state(5)
+        for _ in range(2):
+            gen._factor(state, 3, transpose=True) @ Q
+        assert len(forms) == 401
 
     def test_continuum_spectrum_scatters_nothing(self, monkeypatch):
         # the QR pass and the l1 norm sweep multiply from the row-slot
