@@ -11,7 +11,7 @@ Layout:
 
 - base: driving systems and two-sided orbit windows
 - grassmann: subspace geometry in l1/l2/linf (distances, nice bases,
-  projections, good complements)
+  good complements)
 - cocycle: matrix cocycle products with overflow-safe scaling
 - spectrum: Lyapunov exponents, Oseledets filtrations, Hennion's bound
   on the index of compactness
@@ -32,7 +32,7 @@ from .grassmann import (ComplementarityError, DegenerateSubspaceError,
                         NiceBasisError, Subspace, distance_point_subspace,
                         good_complement, grassmann_distance, is_eps_nice,
                         nice_basis, one_sided_hausdorff, operator_norm,
-                        projection, vector_norm)
+                        vector_norm)
 from .spectrum import (FiltrationAt, LyapunovSpectrum, filtration_at,
                        growth_rate, hennion_kappa_bound, lyapunov_exponents)
 from .splitting import (ConvergenceReport, RankCollapseError, SplittingResult,

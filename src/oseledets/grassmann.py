@@ -8,10 +8,11 @@ every distance is the best basic solution of its linear program, found by
 enumeration in batched numpy solves (ValueError past the guard).
 
 Also provides nice bases (unit vectors each at distance exactly 1 from the
-span of the previous ones), oblique projections, and good complements of
-nested filtrations given as lists of Subspace bases.  projection inverts
-the d x d matrix [Y, Z]; the private _CoframeProjection takes Z as F^perp
-for an orthonormal co-frame F, as the splitting layer holds filtrations.
+span of the previous ones) and good complements of nested filtrations
+given as lists of Subspace bases.  The one oblique projection is the
+private _CoframeProjection, onto span(Y) along F^perp for an orthonormal
+co-frame F, as the splitting layer holds filtrations; it holds nothing
+d x d.
 """
 
 import itertools
@@ -23,7 +24,6 @@ import numpy as np
 __all__ = [
     "NORM_TAGS",
     "Subspace",
-    "ProjectionPair",
     "vector_norm",
     "operator_norm",
     "distance_point_subspace",
@@ -31,7 +31,6 @@ __all__ = [
     "one_sided_hausdorff",
     "nice_basis",
     "is_eps_nice",
-    "projection",
     "good_complement",
 ]
 
@@ -646,69 +645,23 @@ def is_eps_nice(vectors, eps, norm="l2"):
 # oblique projections
 
 
-class ProjectionPair:
-    """The projection onto Y along Z, with its basic quality diagnostics."""
-
-    def __init__(self, Y, Z, matrix, condition):
-        self.Y = Y
-        self.Z = Z
-        self.matrix = matrix
-        self.condition = condition
-        nrm = operator_norm(matrix, Y.norm)
-        self.norm_value = nrm
-        resid = operator_norm(matrix @ matrix - matrix, Y.norm)
-        self.idempotency_error = resid / max(nrm, 1e-300)
-
-    def __repr__(self):
-        return (f"ProjectionPair(dim Y={self.Y.dim}, dim Z={self.Z.dim}, "
-                f"norm={self.norm_value:.6g})")
-
-
-def _check_condition(condition):
-    if not np.isfinite(condition) or condition > COMPLEMENT_CONDITION:
-        raise ComplementarityError(
-            f"Y and Z are not numerically complementary (condition {condition:.3e})")
-
-
-def _check_idempotency(error):
-    if error > IDEMPOTENCY_TOL:
-        raise ComplementarityError(
-            f"projection failed idempotency check ({error:.3e})")
-
-
-def projection(Y, Z):
-    """Matrix Pi with Pi y = y on Y and Pi z = 0 on Z (dim Y + dim Z = d)."""
-    if Y.ambient_dim != Z.ambient_dim:
-        raise DimensionMismatchError("ambient dims differ")
-    d = Y.ambient_dim
-    if Y.dim + Z.dim != d:
-        raise DimensionMismatchError(
-            f"dim(Y)+dim(Z) = {Y.dim}+{Z.dim} != ambient {d}")
-    B = np.column_stack([Y.basis, Z.basis])
-    condition = np.linalg.cond(B)
-    _check_condition(condition)
-    target = np.column_stack([Y.basis, np.zeros((d, Z.dim))])
-    Pi = target @ np.linalg.inv(B)
-    pair = ProjectionPair(Y, Z, Pi, condition)
-    _check_idempotency(pair.idempotency_error)
-    return pair
-
-
 class _CoframeProjection:
     """The projection onto span(Y) along Z = F^perp, for F with orthonormal
     columns and Y with as many: Pi = A F^T with A = Y (F^T Y)^-1, kept as
     its d x k factors so that nothing d x d is decomposed or held.
 
-    It refuses on the two checks of projection.  Complementarity: in the
-    orthonormal basis [F, Q_Z], [Y, Q_Z] is [[F^T Y, 0], [Q_Z^T Y, I]], and
-    Q_Z^T Y has the Gram matrix T^T T of the R factor T of (I - F F^T) Y,
-    so its singular values are those of the 2k x 2k block
-    [[F^T Y, 0], [T, I]] plus ones; the block maps (0, e) to itself, so the
-    ones lie between its extremes and cond([Y, Q_Z]) is the block's.
-    Idempotency: Pi^2 - Pi = A (F^T A - I) F^T.  That residual carries the
-    rounding of the k x k inverse of F^T Y only, not of the d x d inverse
-    of [Y, Z] that projection forms, so near the condition cutoff this
-    form accepts some pairs that projection refuses as not idempotent.
+    It refuses (ComplementarityError) on two checks.  Complementarity:
+    in the orthonormal basis [F, Q_Z], [Y, Q_Z] is
+    [[F^T Y, 0], [Q_Z^T Y, I]], and Q_Z^T Y has the Gram matrix T^T T of
+    the R factor T of (I - F F^T) Y, so its singular values are those of
+    the 2k x 2k block [[F^T Y, 0], [T, I]] plus ones; the block maps
+    (0, e) to itself, so the ones lie between its extremes and
+    cond([Y, Q_Z]) is the block's, refused past COMPLEMENT_CONDITION.
+    Idempotency: Pi^2 - Pi = A (F^T A - I) F^T, refused past
+    IDEMPOTENCY_TOL relative to ||Pi||.  That residual carries the
+    rounding of the k x k inverse of F^T Y only, not of a d x d inverse of
+    [Y, Z], so near the condition cutoff it accepts pairs that a d x d
+    form would refuse as not idempotent.
     """
 
     def __init__(self, Y, F, norm):
@@ -717,13 +670,19 @@ class _CoframeProjection:
         T = np.linalg.qr(Y - F @ G, mode="r")
         self.condition = np.linalg.cond(
             np.block([[G, np.zeros((k, k))], [T, np.eye(k)]]))
-        _check_condition(self.condition)
+        if not self.condition <= COMPLEMENT_CONDITION:
+            raise ComplementarityError(
+                "Y and Z are not numerically complementary "
+                f"(condition {self.condition:.3e})")
         self.A = Y @ np.linalg.inv(G)
         self.F = F
         self.norm = norm
         self.norm_value = self._norm(self.A)
-        resid = self._norm(self.A @ (F.T @ self.A - np.eye(k)))
-        _check_idempotency(resid / max(self.norm_value, 1e-300))
+        error = self._norm(self.A @ (F.T @ self.A - np.eye(k))) \
+            / max(self.norm_value, 1e-300)
+        if error > IDEMPOTENCY_TOL:
+            raise ComplementarityError(
+                f"projection failed idempotency check ({error:.3e})")
 
     def _norm(self, L, shift=0.0):
         """Operator norm of L F^T - shift I: ||L||_2 in l2 (shift 0; F^T is
@@ -795,9 +754,7 @@ def good_complement(filtration, eps=0.9):
     eps : float
         Acceptance floor: every chosen vector must satisfy d(u, W) > 1-eps.
 
-    Returns a list of (U_j, diagnostics) pairs; diagnostics carry the
-    measured distances and the projection norm of Pi_{U_j || V_{j+1}+U_{<j}}
-    when the chain spans the ambient space.
+    Returns a list of (U_j, {"distances": [d(u, W) per chosen u]}) pairs.
 
     Every choice is exact and needs one point distance (ValueError past
     the guard of _primal_form), except the first m-1 vectors of a level
@@ -811,7 +768,6 @@ def good_complement(filtration, eps=0.9):
     if len(filtration) < 1:
         raise FiltrationError("empty filtration")
     norm = filtration[0].norm
-    d = filtration[0].ambient_dim
     for V, Vn in zip(filtration, filtration[1:]):
         if Vn.dim > V.dim:
             raise FiltrationError("filtration dimensions must be non-increasing")
@@ -843,19 +799,8 @@ def good_complement(filtration, eps=0.9):
                     f"d={du:.3e} <= {1 - eps}")
             level_vecs.append(u)
             dists.append(du)
-        U = Subspace(np.column_stack(level_vecs), norm)
-        diag = {"distances": dists,
-                "per_factor_bound": float(np.prod([1.0 / x for x in dists]))}
-        # projection norm is ambient-defined once the chain spans everything
-        other = ([Vn.basis] if Vn.dim else []) + [v[:, None] for v in chosen_prior]
-        Wfull = np.column_stack(other) if other else np.zeros((d, 0))
-        if U.dim + Wfull.shape[1] == d:
-            try:
-                diag["projection_norm"] = projection(
-                    U, Subspace(Wfull, norm)).norm_value
-            except ComplementarityError:
-                diag["projection_norm"] = math.inf
-        out.append((U, diag))
+        out.append((Subspace(np.column_stack(level_vecs), norm),
+                    {"distances": dists}))
         chosen_prior.extend(level_vecs)
     return out
 

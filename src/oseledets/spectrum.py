@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .base import ParameterError
+from .base import ParameterError, prf_uniform
 from .cocycle import (_DEATH_REL, _RENORM_HI, _RENORM_LO, _qr_pass,
                       _scaled_products)
 
@@ -136,17 +136,14 @@ class FiltrationAt:
     ever formed as a d x (d - c_j) basis: a vector g is moved into V_{j+1}
     as g - F (F^T g) with F = frame[:, :c_j].  `blurred` maps each level
     k whose boundary rate (of direction c_{k-1}) lies above the midpoint
-    of the exponents either side of it to that rate; each such level also
-    has a warning.
+    of the exponents either side of it to that rate.
     """
 
-    def __init__(self, offset, frame, cuts, rates, warnings=(),
-                 blurred=None):
+    def __init__(self, offset, frame, cuts, rates, blurred=None):
         self.offset = int(offset)
         self.frame = frame
         self.cuts = [int(c) for c in cuts]
         self.rates = np.asarray(rates)
-        self.warnings = list(warnings)
         self.blurred = dict(blurred or {})
 
     def __len__(self):
@@ -208,31 +205,31 @@ def _log_norm_ends(gen, orbit, n_half, n_eff, norm, sweep):
 
 
 def _lead_frame(d, k):
-    """The orthonormal d x k frame a pass that keeps k columns starts from:
-    the identity at k = d, else an orthonormalized frame of fixed
-    pseudorandom entries, uniform on [-1/2, 1/2) (the splitmix64 hash of
-    each entry's index; numpy.random would add 5.5 MB of resident memory
-    to a process that uses nothing else of it).  The first k columns of
-    the identity are not generic: a cocycle that keeps the coordinate
-    axes (a diagonal one, or one whose kernel holds e_1) never moves
-    them, so the levels whose directions they miss would go unseen and a
-    killed axis would pass for a dead tail.  diag(2, 1/2 x 7, 3, 4)
-    reported log 2 above the cut and missed log 3 and log 4, and
-    diag(0, 1 x 11) gave 0 with multiplicity 7 and n_infinite 5."""
-    if k == d:
-        return np.eye(d)
-    z = np.arange(1, k * d + 1, dtype=np.uint64) * np.uint64(
-        0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    G = (z >> np.uint64(11)) * 2.0 ** -53 - 0.5
+    """The orthonormal d x k frame a QR pass of k columns starts from: an
+    orthonormalized frame of fixed pseudorandom entries, uniform on
+    [-1/2, 1/2) (prf_uniform at seed 0 over offsets 0, -1, 1, -2, ...,
+    the first k d offsets in zigzag order; numpy.random would add 5.5 MB
+    of resident memory to a process that uses nothing else of it).
+    Column j draws the same entries for every k > j, so the first j
+    columns of any wider frame span what the j-column frame spans.
+
+    The leading columns of the identity are not generic: a cocycle that
+    keeps the coordinate axes (a diagonal one, or one whose kernel holds
+    e_1) never moves them, so the levels whose directions they miss would
+    go unseen and a killed axis would pass for a dead tail.  In the
+    spectrum diag(2, 1/2 x 7, 3, 4) reported log 2 above the cut and
+    missed log 3 and log 4, and diag(0, 1 x 11) gave 0 with multiplicity
+    7 and n_infinite 5; in a filtration, even at k = d, the columns of
+    diag(2, 1/2, 3) stayed in coordinate order and Y_1 came out e_1."""
+    i = np.arange(k * d)
+    G = prf_uniform(0, np.where(i % 2, -(i + 1) // 2, i // 2)) - 0.5
     return np.ascontiguousarray(np.linalg.qr(G.reshape(k, d).T)[0])
 
 
 def _leading_slopes(gen, orbit, k, n_half, n_eff, hist_n, sweep):
-    """The QR pass of a k-column frame (_lead_frame) over offsets
-    0..n_eff-1, with a block end at n_half and at every history point.
+    """The QR pass of a k-column frame (the identity at k = d, else
+    _lead_frame) over offsets 0..n_eff-1, with a block end at n_half and
+    at every history point.
 
     Returns the raw windowed slopes (S(n_eff) - S(n_half)) / window of
     the cumulative log R-diagonals S, -inf for a column that collapsed
@@ -253,8 +250,8 @@ def _leading_slopes(gen, orbit, k, n_half, n_eff, hist_n, sweep):
         sweep = sweep and A.min() >= 0
         return A
 
-    for m, _, diags in _qr_pass(factor, _lead_frame(d, k),
-                                sorted(set(hist_n) | {n_half})):
+    Q = np.eye(d) if k == d else _lead_frame(d, k)
+    for m, _, diags in _qr_pass(factor, Q, sorted(set(hist_n) | {n_half})):
         for diag in diags:
             logs.fill(-np.inf)
             S = S + np.log(diag, out=logs, where=diag != 0)
@@ -434,18 +431,19 @@ def filtration_at(gen, orbit, offset, n, spectrum, levels=None):
     # level more than sixteen digits below the top (a block's pivots
     # spread over only about e^10).  The first w columns of a QR depend
     # only on the first w input columns, so the trailing ones are never
-    # formed
+    # formed.  The walk starts from the spectrum pass's generic frame at
+    # every w (see _lead_frame): from the identity the columns of an
+    # axis-preserving cocycle keep coordinate order, not rate order
     log_diag = np.zeros(w)
     logs = np.empty(w)
     for _, Q, diags in _qr_pass(
             lambda k: gen._factor(orbit.state(offset + n - 1 - k), w,
                                   transpose=True),
-            np.eye(d, w), [n]):
+            _lead_frame(d, w), [n]):
         for diag in diags:
             logs.fill(-np.inf)
             log_diag += np.log(diag, out=logs, where=diag != 0)
     rates = log_diag / n
-    warnings = list(spectrum.warnings)
     midpoints = [(a + b) / 2.0 for a, b in zip(lam, lam[1:])]
     cuts = [0]
     blurred = {}
@@ -455,11 +453,8 @@ def filtration_at(gen, orbit, offset, n, spectrum, levels=None):
             break
         if j < len(midpoints) and rates[cut] > midpoints[j]:
             blurred[j + 2] = float(rates[cut])
-            warnings.append(
-                f"level {j + 2} boundary blurred: rate {rates[cut]:.4f} "
-                f"above midpoint {midpoints[j]:.4f}")
         cuts.append(cut)
-    return FiltrationAt(offset, Q, cuts, rates, warnings, blurred)
+    return FiltrationAt(offset, Q, cuts, rates, blurred)
 
 
 def growth_rate(gen, orbit, v, n, offset=0):

@@ -296,8 +296,10 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
     track only the leading m_1 + ... + m_levels + 1 directions through
     their backward QR steps (see filtration_at).  Every level is handled
     through its co-frame (see the module docstring): no d x d array is
-    decomposed, and only the l1/linf projection norms form the d x d
-    projection, in O(d^2 k).  The complements are frame slices; a
+    decomposed or held; the l1/linf projection norms are the largest
+    column (row) sums of the projection, formed a block of columns at a
+    time from its d x k factors, in O(d^2 k) (see
+    grassmann._CoframeProjection).  The complements are frame slices; a
     rotation_seed turns them by a fixed angle toward seeded directions of
     the next filtration space (see _complements), which changes the
     approximants but not their limit.

@@ -15,12 +15,12 @@ from oseledets.grassmann import (
     DegenerateSubspaceError,
     DimensionMismatchError,
     FiltrationError,
-    ProjectionPair,
     Subspace,
     _ball_sup_batch,
     _check_sup_enumeration,
     _check_vertex_enumeration,
     _codim_dist_batch,
+    _CoframeProjection,
     distance_point_subspace,
     good_complement,
     grassmann_distance,
@@ -28,7 +28,6 @@ from oseledets.grassmann import (
     nice_basis,
     one_sided_hausdorff,
     operator_norm,
-    projection,
     vector_norm,
 )
 
@@ -575,47 +574,46 @@ class TestIsEpsNice:
         assert not is_eps_nice([np.eye(2)[:, 0]], 0.0)
 
 
+def _along(Y, Z):
+    """The co-frame projection onto span(Y) along span(Z) (columns, with
+    as many of Y as Z has codimension): Z^perp from a complete QR of Z."""
+    F = np.linalg.qr(Z, mode="complete")[0][:, Z.shape[1]:]
+    return _CoframeProjection(Y, F, "l2")
+
+
 class TestProjection:
     def test_axis_aligned(self):
-        Y = Subspace(np.eye(2)[:, :1])
-        Z = Subspace(np.eye(2)[:, 1:])
-        pair = projection(Y, Z)
-        assert np.allclose(pair.matrix, np.diag([1.0, 0.0]))
-        assert pair.norm_value == pytest.approx(1.0)
+        pi = _along(np.eye(2)[:, :1], np.eye(2)[:, 1:])
+        assert np.allclose(pi(np.eye(2)), np.diag([1.0, 0.0]))
+        assert pi.norm_value == pytest.approx(1.0)
 
     def test_oblique_example(self):
         # project onto span(e1) along span(e1+e2): kills e1+e2, fixes e1
-        Y = Subspace(np.eye(2)[:, :1])
-        Z = Subspace(np.array([[1.0], [1.0]]))
-        pair = projection(Y, Z)
-        assert np.allclose(pair.matrix, np.array([[1.0, -1.0], [0.0, 0.0]]))
+        pi = _along(np.eye(2)[:, :1], np.array([[1.0], [1.0]]))
+        assert np.allclose(pi(np.eye(2)), np.array([[1.0, -1.0], [0.0, 0.0]]))
 
     def test_range_and_kernel(self):
         rng = np.random.default_rng(11)
-        Y = Subspace(rng.standard_normal((4, 2)))
-        Z = Subspace(rng.standard_normal((4, 2)))
-        pair = projection(Y, Z)
-        P = pair.matrix
-        assert np.allclose(P @ Y.basis, Y.basis)
-        assert np.allclose(P @ Z.basis, 0.0, atol=1e-10)
-        assert pair.idempotency_error < 1e-8
-        assert isinstance(pair, ProjectionPair)
+        Y, Z = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
+        pi = _along(Y, Z)
+        P = pi(np.eye(4))
+        assert np.allclose(P @ Y, Y)
+        assert np.allclose(P @ Z, 0.0, atol=1e-10)
+        assert operator_norm(P @ P - P, "l2") / pi.norm_value < 1e-8
 
     def test_norm_grows_as_spaces_close(self):
         th_wide, th_thin = 0.5, 1e-3
-        Y = Subspace(np.eye(2)[:, :1])
-        mk = lambda th: Subspace(np.array([[math.cos(th)], [math.sin(th)]]))
-        assert projection(Y, mk(th_thin)).norm_value > \
-            projection(Y, mk(th_wide)).norm_value
+        Y = np.eye(2)[:, :1]
+        mk = lambda th: np.array([[math.cos(th)], [math.sin(th)]])
+        assert _along(Y, mk(th_thin)).norm_value > \
+            _along(Y, mk(th_wide)).norm_value
 
     def test_non_complementary_raises(self):
-        Y = Subspace(np.eye(3)[:, :1])
-        with pytest.raises(DimensionMismatchError):
-            projection(Y, Subspace(np.eye(3)[:, :1]))
-        nearly = Subspace(np.column_stack([np.eye(3)[:, 0] + 1e-15 * np.eye(3)[:, 1],
-                                           np.eye(3)[:, 2]]))
-        with pytest.raises(ComplementarityError):
-            projection(Y, nearly)
+        Y = np.eye(3)[:, :1]
+        nearly = np.column_stack([np.eye(3)[:, 0] + 1e-15 * np.eye(3)[:, 1],
+                                  np.eye(3)[:, 2]])
+        with pytest.raises(ComplementarityError, match="complementary"):
+            _along(Y, nearly)
 
 
 class TestGoodComplement:

@@ -755,7 +755,7 @@ class TestTruncatedFiltration:
             assert _l2_sine(full_flag[j], part_flag[j]) < 1e-12
         assert part.rates.shape == (w,)
         assert part.rates == pytest.approx(full.rates[:w], abs=1e-12)
-        assert part.warnings == full.warnings
+        assert part.blurred == full.blurred
 
     def test_mixture_levels_match_full_width(self, mixture):
         # the spectrum reports levels [1, 1] above an open cluster, and its
@@ -884,7 +884,7 @@ class TestSteppedWalks:
         levels = 2 if name.startswith("mixture") else None
         filt = filtration_at(gen, orbit, 0, n, spec, levels=levels)
         w = filt.frame.shape[1]
-        Q, logs = np.eye(gen.dim, w), np.zeros(w)
+        Q, logs = spectrum_module._lead_frame(gen.dim, w), np.zeros(w)
         for A in reversed(self._factors(gen, orbit, n)):
             Q, R = np.linalg.qr(A.T @ Q)
             logs += np.log(np.abs(np.diag(R)))

@@ -20,7 +20,7 @@ from oseledets import grassmann, splitting
 from oseledets.cocycle import CocycleGenerator
 from oseledets.grassmann import (ComplementarityError, Subspace,
                                  _CoframeProjection, grassmann_distance,
-                                 operator_norm, projection)
+                                 operator_norm)
 from oseledets.spectrum import FiltrationAt, lyapunov_exponents
 from oseledets.transfer import (RandomLYSystem, full_branch_affine,
                                 random_ulam_cocycle)
@@ -34,6 +34,7 @@ from oseledets.splitting import (
     temperedness_test,
     uniqueness_probe,
 )
+from projection_oracle import projection
 from test_spectrum import _ref_flag
 
 A_TRI = np.array([[2.0, 1.0], [0.0, 0.5]])
@@ -112,6 +113,23 @@ class TestComputeSplitting:
         assert grassmann_distance(res.spaces[0], Subspace(np.eye(2)[:, :1])) < 1e-8
         assert grassmann_distance(res.spaces[1],
                                   Subspace(np.array([[2.0], [-3.0]]))) < 1e-8
+
+    def test_axis_preserving_levels_in_rate_order(self):
+        # a diagonal cocycle never moves the coordinate axes, so a
+        # filtration walk started from them keeps coordinate order; from
+        # a generic frame its columns sort by rate, and Y_1 is e_3 (log 3)
+        gen = CocycleGenerator.constant(np.diag([2.0, 0.5, 3.0]))
+        orbit = _orbit(period=1, n=400)
+        spec = lyapunov_exponents(gen, orbit, 400)
+        assert spec.exponents == pytest.approx(
+            [math.log(3), math.log(2), -math.log(2)], abs=1e-12)
+        axes = [Subspace(np.eye(3)[:, [i]]) for i in (2, 0, 1)]
+        for levels in (1, None):
+            res = compute_splitting(gen, orbit, spec, n_max=64, levels=levels)
+            assert res.converged and not res.warnings
+            assert len(res.spaces) == (levels or 3)
+            for Y, axis in zip(res.spaces, axes):
+                assert grassmann_distance(Y, axis) < 1e-12
 
     def test_identity_single_level(self):
         gen = CocycleGenerator.constant(np.eye(3))
@@ -331,9 +349,11 @@ class TestUlamL1:
 
     def test_blurred_boundary_warned_once_per_level(self):
         # the 12-bin mixture's spectrum is the full pass, so it reports
-        # lambda_3; 5 of the call's 12 filtrations (6 backward, 6 forward)
-        # find the level-3 boundary rate above the midpoint of lambda_2 and
-        # lambda_3, each at its own rate, and one warning counts them
+        # lambda_3; of the call's 12 filtrations (6 backward, 6 forward)
+        # one finds the level-2 boundary rate above the midpoint of
+        # lambda_1 and lambda_2, and 4 the level-3 one above the midpoint
+        # of lambda_2 and lambda_3, each at its own rate; one warning per
+        # level counts them
         driver = BernoulliShift([0.5, 0.5])
         system = RandomLYSystem(driver, [full_branch_affine([0, q, 1]) for q
                                          in (Fraction(3, 10), Fraction(2, 5))])
@@ -345,13 +365,14 @@ class TestUlamL1:
         res = compute_splitting(gen, orbit, spec, 256, 1e-6, norm="l1",
                                 levels=2, _filtrations=memo)
         blurred = [w for w in res.warnings if "boundary blurred" in w]
-        assert len(blurred) == 1
-        rates = [f.blurred[3] for f in memo.values() if 3 in f.blurred]
-        assert len(memo) == 12
-        assert len(rates) == 5 and len(set(rates)) == 5
-        assert blurred[0].startswith(
-            f"level 3 boundary blurred in 5 of 12 filtrations: rate up to "
-            f"{max(rates):.4f} above midpoint ")
+        assert len(memo) == 12 and len(blurred) == 2
+        for warning, level, count in zip(blurred, (2, 3), (1, 4)):
+            rates = [f.blurred[level] for f in memo.values()
+                     if level in f.blurred]
+            assert len(rates) == count and len(set(rates)) == count
+            assert warning.startswith(
+                f"level {level} boundary blurred in {count} of 12 "
+                f"filtrations: rate up to {max(rates):.4f} above midpoint ")
 
     def test_wide_level_fails_before_work(self):
         # the 16-bin mixture's spectrum is the full pass, and its level 3
@@ -491,7 +512,7 @@ class TestTemperedness:
 # The references below are the helpers compute_splitting used when every
 # filtration level was a d x (d - cut) Subspace: complements, principal
 # vectors and separations by d x d SVDs, and the oblique projection by
-# grassmann.projection, which inverts the d x d matrix [Y, V].
+# projection_oracle.projection, which inverts the d x d matrix [Y, V].
 
 
 def _ref_orthogonal_complements(flag):
@@ -770,8 +791,7 @@ class TestCoframeOracle:
         def tilted(gen, orbit, offset, n, *args, **kwargs):
             filt = real(gen, orbit, offset, n, *args, **kwargs)
             if (offset, n) == (0, 8):
-                filt = FiltrationAt(offset, frame, filt.cuts, filt.rates,
-                                    filt.warnings)
+                filt = FiltrationAt(offset, frame, filt.cuts, filt.rates)
             return filt
 
         monkeypatch.setattr(splitting, "filtration_at", tilted)
