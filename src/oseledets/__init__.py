@@ -12,7 +12,7 @@ Layout:
 - base: driving systems and two-sided orbit windows
 - grassmann: subspace geometry in l1/l2/linf (distances, nice bases,
   good complements)
-- cocycle: matrix cocycle products with overflow-safe scaling
+- cocycle: matrix cocycle generators and the blocked QR walk of a frame
 - spectrum: Lyapunov exponents, Oseledets filtrations, Hennion's bound
   on the index of compactness
 - splitting: the pushforward construction, convergence-rate fits,
@@ -25,8 +25,7 @@ Layout:
 from .base import (BernoulliShift, FiniteCycle, IrrationalRotation,
                    MarkovShift, OrbitWindow, ParameterError, RangeError,
                    birkhoff_average, generate_orbit, shift_view)
-from .cocycle import (CocycleGenerator, ScaledMatrix, cocycle_norm_series,
-                      forward_product)
+from .cocycle import CocycleGenerator
 from .grassmann import (ComplementarityError, DegenerateSubspaceError,
                         DimensionMismatchError, FiltrationError,
                         NiceBasisError, Subspace, distance_point_subspace,

@@ -7,7 +7,8 @@ reads a config in one pass: it checks every field and builds the driver,
 the maps and any constant or tabulated matrices, reporting a rejected
 value as a ``ConfigError`` that names its field.  Each run writes
 report.json plus trace_*.csv files into the output directory and returns
-a report dict.
+a report dict.  report.json is strict JSON: a non-finite float (a dead
+column's exponent, say) is written as the string "inf", "-inf" or "nan".
 
 Subcommands: spectrum, splitting, ulam, diagnose, sobolev, batch, presets.
 Exit status: 0 every check passed; 1 a check or a batch entry failed;
@@ -374,8 +375,11 @@ def _run_spectrum(cfg, gen, timings):
                               gap_threshold=a["gap_threshold"],
                               norm=a["norm"])
     timings["spectrum_s"] = time.perf_counter() - t0
-    checks = [_check("mle_agreement", spec.mle_agreement <= a["gap_threshold"],
-                     float(spec.mle_agreement), a["gap_threshold"])]
+    checks = []
+    if spec.mle_agreement is not None:
+        checks.append(_check("mle_agreement",
+                             spec.mle_agreement <= a["gap_threshold"],
+                             spec.mle_agreement, a["gap_threshold"]))
     if cfg.generator_kind in ("ulam", "buzzi_swap"):
         lam1 = spec.exponents[0] if spec.exponents else math.inf
         checks.append(_check("ulam_top_exponent_zero", abs(lam1) <= 1e-6,
@@ -520,7 +524,8 @@ _RUNNERS = {"spectrum": _run_spectrum, "splitting": _run_splitting,
 
 
 def run(config, out_dir=None):
-    """Execute one parsed config; returns the report dict.
+    """Execute one parsed config; returns the report dict, which equals
+    report.json apart from its "traces" entry.
 
     Builds the Ulam generator, whose stores of assembled states are
     per-run state, then runs the task; any failure is raised as a ``StageError``.
@@ -547,12 +552,16 @@ def run(config, out_dir=None):
         "passed": all(c["passed"] for c in checks),
         "timings": timings,
     }
+    # strict JSON: each non-finite float becomes the string "inf", "-inf" or
+    # "nan", and the round trip makes the returned report equal the file
+    report = json.loads(json.dumps(report),
+                        parse_constant=lambda name: str(float(name)))
     target = out_dir or config.out
     if target is not None:
         target = Path(target)
         target.mkdir(parents=True, exist_ok=True)
         with open(target / "report.json", "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+            json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         for name, (header, rows) in traces.items():
             _write_csv(target / name, header, rows)

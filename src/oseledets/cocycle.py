@@ -1,18 +1,17 @@
-"""Matrix cocycles over a driven base: products and overflow-safe scaling.
+"""Matrix cocycles over a driven base: generators and the QR walk.
 
 A generator maps base states to d x d matrices (not necessarily
-invertible).  Products are accumulated newest-factor-on-the-left; long
-products are renormalized through a log-scale accumulator so only the
-scale, never the entries, can overflow.  ``_qr_pass`` is the one blocked
+invertible).  Products along the orbit put the newest factor on the
+left, and no d x d product is ever formed: every product is one of a
+matrix into a frame of a few columns.  ``_qr_pass`` is the one blocked
 QR walk of an orthonormal frame along the orbit: the Lyapunov spectrum,
 the backward filtration steps, the pushforwards and the growth rates all
 run through it, and it alone uses the LAPACK workspace of ``_QRStepper``.
 
-Every product of a generator's matrix into a frame (the QR walk, the l1
-norm sweep, the scaled forward products, the equivariance check) takes
-the matrix from one hook, ``CocycleGenerator._factor``.  A dense
-generator gives its array, so those products are numpy's gemm, bit for
-bit.  A generator that stores its states sparsely (``random_ulam_cocycle``)
+Every product of a generator's matrix into a frame or a vector (the QR
+walk, the spectrum's norm chain, the equivariance check) takes the matrix
+from one hook, ``CocycleGenerator._factor``.  A dense generator gives its
+array, so those products are numpy's gemm, bit for bit.  A generator that stores its states sparsely (``random_ulam_cocycle``)
 gives a ``_SlotMatrix``, which multiplies from the stored nonzeros, except
 to narrow frames at small d, where gemm on the dense matrix is faster
 (unless no state repeats, see ``CocycleGenerator._factor``).
@@ -24,17 +23,11 @@ import numpy as np
 from numpy.linalg import lapack_lite
 
 from .base import OrbitWindow, ParameterError
-from .grassmann import operator_norm
 
-__all__ = [
-    "CocycleGenerator",
-    "ScaledMatrix",
-    "forward_product",
-    "scaled_forward_product",
-    "cocycle_norm_series",
-]
+__all__ = ["CocycleGenerator"]
 
-# running products are rescaled once their max entry leaves this range
+# the spectrum's norm chain rescales its vector once the max entry leaves
+# this range, and the QR pass keeps its block pivots inside it
 _RENORM_HI = 1e100
 _RENORM_LO = 1e-100
 # one-step image below this fraction of the frame's dominant factor counts
@@ -68,10 +61,11 @@ class _SlotMatrix:
     column idx[i, s] for s < w, w the largest nonzero count of a row, and
     shorter rows are padded with zeros at column 0.
 
-    ``A @ Q`` and ``product(Q, out)`` multiply a d x n frame.  The kernel
-    gathers, for a chunk of rows, the w rows of Q that each meets and
-    contracts them with one batched ``np.matmul``: O(d w n), against
-    O(d^2 n) for gemm.  Each gather holds at most 2^14 floats (128 KiB),
+    ``A @ x`` multiplies a vector, one sum of vals[i, s] x[idx[i, s]] over
+    each row's slots.  ``A @ Q`` and ``product(Q, out)`` multiply a d x n
+    frame: the kernel gathers, for a chunk of rows, the w rows of Q that
+    each meets and contracts them with one batched ``np.matmul``: O(d w
+    n), against O(d^2 n) for gemm.  Each gather holds at most 2^14 floats (128 KiB),
     no more than the d x n array a full-frame product allocates from
     d = 128 on.  Q is copied first when it shares memory with ``out``, as
     a chained product in the QR stepper's buffer does; the copy is the
@@ -116,6 +110,8 @@ class _SlotMatrix:
         return self.vals.min()
 
     def __matmul__(self, Q):
+        if Q.ndim == 1:
+            return (self.vals * Q[self.idx]).sum(axis=1)
         return self.product(Q)
 
     def product(self, Q, out=None):
@@ -142,8 +138,9 @@ class _SlotTranspose:
     multiplied from that form without a transposed one: column by column,
     (A^T x)[j] is the sum of vals[i, s] x[i] over the slots with idx[i, s]
     = j, one ``np.bincount``, O(nnz).  ``CocycleGenerator._factor`` gives it
-    for transposed products with one or two columns (the l1 norm sweep's
-    rows); wider ones take a _SlotMatrix over the transposed form.
+    for transposed products with one or two columns, the l1 norm chain's
+    rows 1^T P among them; wider ones take a _SlotMatrix over the
+    transposed form.
     """
 
     __slots__ = ("idx", "vals")
@@ -264,45 +261,6 @@ class CocycleGenerator:
 
     def __repr__(self):
         return f"CocycleGenerator(dim={self.dim}, name={self.name!r})"
-
-
-class ScaledMatrix:
-    """A matrix stored as mantissa * exp(log_scale)."""
-
-    __slots__ = ("matrix", "log_scale")
-
-    def __init__(self, matrix, log_scale=0.0):
-        self.matrix = np.asarray(matrix, dtype=float)
-        self.log_scale = float(log_scale)
-
-    @classmethod
-    def identity(cls, d):
-        return cls(np.eye(d), 0.0)
-
-    def _rescaled(self):
-        peak = np.abs(self.matrix).max() if self.matrix.size else 0.0
-        if peak == 0.0 or not np.isfinite(peak):
-            return self
-        if _RENORM_LO < peak < _RENORM_HI:
-            return self
-        return ScaledMatrix(self.matrix / peak, self.log_scale + math.log(peak))
-
-    def left_multiplied(self, A):
-        return ScaledMatrix(A @ self.matrix, self.log_scale)._rescaled()
-
-    def dense(self):
-        """Plain array; overflows to inf if the scale is extreme."""
-        with np.errstate(over="ignore"):
-            return self.matrix * np.exp(self.log_scale)
-
-    def log_norm(self, norm="l2"):
-        n = operator_norm(self.matrix, norm)
-        if n == 0.0:
-            return -math.inf
-        return math.log(n) + self.log_scale
-
-    def __repr__(self):
-        return f"ScaledMatrix(log_scale={self.log_scale:.6g})"
 
 
 def _aligned_empty(shape):
@@ -427,43 +385,3 @@ def _qr_pass(factor, Q, stops):
         if k == stops[s]:
             s += 1
         yield k, Q, diags
-
-
-def _scaled_products(gen, orbit, start, n):
-    """Yield L^(k)(sigma^start w) = L(sigma^(start+k-1) w) ... L(sigma^start w)
-    as a ScaledMatrix for k = 1..n."""
-    acc = ScaledMatrix.identity(gen.dim)
-    for i in range(start, start + n):
-        acc = acc.left_multiplied(gen._factor(orbit.state(i), gen.dim))
-        yield acc
-
-
-def scaled_forward_product(gen, orbit, start, n):
-    """L(sigma^(start+n-1) w) ... L(sigma^start w) as a ScaledMatrix."""
-    if n < 0:
-        raise ParameterError("n must be >= 0")
-    acc = ScaledMatrix.identity(gen.dim)
-    for acc in _scaled_products(gen, orbit, start, n):
-        pass
-    return acc
-
-
-def forward_product(gen, orbit, start, n):
-    """Dense left-to-right product over offsets start..start+n-1.
-
-    n=0 gives the identity.  For very long products prefer
-    scaled_forward_product to avoid overflow.
-    """
-    return scaled_forward_product(gen, orbit, start, n).dense()
-
-
-def cocycle_norm_series(gen, orbit, n_max, norm="l2"):
-    """(1/n) log ||L^(n)(w)|| for n = 1..n_max; -inf where the product
-    vanishes (nilpotent directions)."""
-    if n_max < 1:
-        raise ParameterError("n_max must be >= 1")
-    out = np.empty(n_max)
-    for n, acc in enumerate(_scaled_products(gen, orbit, 0, n_max), 1):
-        ln = acc.log_norm(norm)
-        out[n - 1] = ln / n if np.isfinite(ln) else -math.inf
-    return out

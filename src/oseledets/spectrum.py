@@ -13,15 +13,15 @@ cumulative log R-diagonals rather than the plain (1/n) average: the
 window cancels the O(1/n) transient bias, and when the base driver
 exposes a finite period the window endpoints are aligned to it, which
 makes the estimate geometrically exact for constant and periodic
-cocycles.  The top cluster is reconciled with an independent windowed
-estimate of the maximal exponent from operator norms of the full
-product; for column-stochastic generators in l1 that estimate is exact.
-The norms are taken in a second pass over the orbit, after the QR pass:
-for nonnegative generators in l1, ||P||_1 is the largest entry of the row
-1^T P, so one backward sweep of two log-scaled rows gives both window
-ends without forming the d x d product; every other case forms the
-product forward.  Either way the generator is evaluated twice per step,
-and every product goes through its product hook (see ``cocycle``).
+cocycles.  When every factor is nonnegative, the top cluster is
+reconciled with an independent windowed estimate of the maximal exponent
+from operator norms of the product P, exact in l1 for column-stochastic
+generators.  The norms come from a chain of one log-scaled vector in a
+second pass over the orbit: ||P||_1 is the largest entry of the row
+1^T P, swept backward, and ||P||_inf that of the column P 1, run
+forward; l2 takes the linf chain (see lyapunov_exponents).  The
+generator is evaluated twice per step, and every product goes through
+its product hook (see ``cocycle``).
 
 Filtrations come back as co-frames (FiltrationAt): the leading
 directions of the same pass run backward on the transposed factors,
@@ -34,8 +34,7 @@ import math
 import numpy as np
 
 from .base import ParameterError, prf_uniform
-from .cocycle import (_DEATH_REL, _RENORM_HI, _RENORM_LO, _qr_pass,
-                      _scaled_products)
+from .cocycle import _DEATH_REL, _RENORM_HI, _RENORM_LO, _qr_pass
 
 __all__ = [
     "LyapunovSpectrum",
@@ -65,6 +64,12 @@ class LyapunovSpectrum:
     cluster's top rate, estimates the largest exponent not reported: every
     exponent not reported lies at or below it, up to the cluster's own
     finite-n spread.
+
+    `mle_estimate` is the windowed operator-norm slope (see
+    lyapunov_exponents) and `mle_agreement` its distance from the top
+    exponent.  Both are None when a factor has a negative entry: a chain
+    of one vector then gives no norm of the product, and the top level
+    keeps its QR mean.
     """
 
     def __init__(self, exponents, multiplicities, n_infinite, raw_exponents,
@@ -81,13 +86,15 @@ class LyapunovSpectrum:
         self.n_used = int(n_used)
         self.window = int(window)
         self.convergence_history = convergence_history
-        self.mle_estimate = float(mle_estimate)
+        self.mle_estimate = mle_estimate
         self.gap_threshold = float(gap_threshold)
         self.floor = float(floor)
         self.norm = norm
         self.warnings = list(warnings)
-        if self.exponents:
-            self.mle_agreement = abs(self.exponents[0] - self.mle_estimate)
+        if mle_estimate is None:
+            self.mle_agreement = None
+        elif self.exponents:
+            self.mle_agreement = abs(self.exponents[0] - mle_estimate)
         else:
             self.mle_agreement = math.inf
 
@@ -106,7 +113,7 @@ class LyapunovSpectrum:
             "n_used": self.n_used,
             "window": self.window,
             "mle_estimate": self.mle_estimate,
-            "mle_agreement": float(self.mle_agreement),
+            "mle_agreement": self.mle_agreement,
             "gap_threshold": self.gap_threshold,
             "floor": self.floor,
             "norm": self.norm,
@@ -167,41 +174,38 @@ def _cluster(values, threshold):
     return clusters
 
 
-def _log_norm_ends(gen, orbit, n_half, n_eff, norm, sweep):
-    """log ||P_k|| at k = n_half and k = n_eff, where P_k is the product of
-    the factors at offsets 0..k-1.
+def _log_norm_ends(gen, orbit, n_half, n_eff, transpose):
+    """log of the largest entry of P_k^T 1 (``transpose``) or of P_k 1 at
+    k = n_half and k = n_eff, where P_k is the product of the factors at
+    offsets 0..k-1.  For a product with nonnegative factors these are
+    ||P_k||_1 and ||P_k||_inf.
 
-    ``sweep`` says the norm is l1 and every factor is nonnegative; then
-    ||P_k||_1 is the largest entry of 1^T P_k = 1^T A_k ... A_1, so one
-    backward sweep from step n_eff down to step 1 carries the two rows
-    P_k^T 1 (the second starts at step n_half) in one array, each with its
-    own log scale, rescaled as a ScaledMatrix is; the largest entry of a
-    row times its scale is the norm.  Each row is one product with the
-    transposed factor.  Otherwise the ScaledMatrix product is formed
-    forward.
+    Each chain carries one vector, one product ``A @ v`` with the factor
+    (its transpose for the rows) per step, and a log scale: a vector whose
+    largest entry leaves [_RENORM_LO, _RENORM_HI] is divided by it.  The
+    row 1^T P_k = 1^T A_k ... A_1 is swept backward from step n_eff down
+    to step 1, and a second row, in the same array, starts at step n_half;
+    the column P_k 1 runs forward and is copied at step n_half.
     """
-    if sweep:
-        rows = np.ones((2, gen.dim))
-        log_scale = [0.0, 0.0]
-        live = 1
-        for k in range(n_eff, 0, -1):
-            if k == n_half:
-                live = 2
-            At = gen._factor(orbit.state(k - 1), 1, transpose=True)
-            for r in range(live):
-                row = At @ rows[r]
-                peak = row.max()
-                if not _RENORM_LO < peak < _RENORM_HI and 0 < peak < math.inf:
-                    row = row / peak
-                    log_scale[r] += math.log(peak)
-                rows[r] = row
-        full, half = (-math.inf if peak == 0 else math.log(peak) + ls
-                      for peak, ls in zip(rows.max(axis=1), log_scale))
-        return half, full
-    for k, acc in enumerate(_scaled_products(gen, orbit, 0, n_eff), 1):
-        if k == n_half:
-            log_half = acc.log_norm(norm)
-    return log_half, acc.log_norm(norm)
+    vecs = np.ones((2, gen.dim))
+    log_scale = [0.0, 0.0]
+    live = 1
+    for k in range(n_eff, 0, -1) if transpose else range(1, n_eff + 1):
+        if transpose and k == n_half:
+            live = 2
+        A = gen._factor(orbit.state(k - 1), 1, transpose)
+        for r in range(live):
+            vec = A @ vecs[r]
+            peak = vec.max()
+            if not _RENORM_LO < peak < _RENORM_HI and 0 < peak < math.inf:
+                vec = vec / peak
+                log_scale[r] += math.log(peak)
+            vecs[r] = vec
+        if not transpose and k == n_half:
+            vecs[1], log_scale[1] = vecs[0], log_scale[0]
+    full, half = (-math.inf if peak == 0 else math.log(peak) + ls
+                  for peak, ls in zip(vecs.max(axis=1), log_scale))
+    return half, full
 
 
 def _lead_frame(d, k):
@@ -226,7 +230,7 @@ def _lead_frame(d, k):
     return np.ascontiguousarray(np.linalg.qr(G.reshape(k, d).T)[0])
 
 
-def _leading_slopes(gen, orbit, k, n_half, n_eff, hist_n, sweep):
+def _leading_slopes(gen, orbit, k, n_half, n_eff, hist_n):
     """The QR pass of a k-column frame (the identity at k = d, else
     _lead_frame) over offsets 0..n_eff-1, with a block end at n_half and
     at every history point.
@@ -234,7 +238,7 @@ def _leading_slopes(gen, orbit, k, n_half, n_eff, hist_n, sweep):
     Returns the raw windowed slopes (S(n_eff) - S(n_half)) / window of
     the cumulative log R-diagonals S, -inf for a column that collapsed
     inside the window, the history S(m) / m at each m of hist_n (one row
-    each), and ``sweep`` kept only while every factor is nonnegative.
+    each), and whether every factor is nonnegative.
     """
     d = gen.dim
     S = np.zeros(k)
@@ -243,11 +247,12 @@ def _leading_slopes(gen, orbit, k, n_half, n_eff, hist_n, sweep):
     dead = np.zeros(k, dtype=bool)
     hist = np.empty((len(hist_n), k))
     h = 0
+    nonnegative = True
 
     def factor(i):
-        nonlocal sweep
+        nonlocal nonnegative
         A = gen._factor(orbit.state(i), k)
-        sweep = sweep and A.min() >= 0
+        nonnegative = nonnegative and A.min() >= 0
         return A
 
     Q = np.eye(d) if k == d else _lead_frame(d, k)
@@ -272,7 +277,7 @@ def _leading_slopes(gen, orbit, k, n_half, n_eff, hist_n, sweep):
 
     with np.errstate(invalid="ignore"):
         raw = (S - S_half) / (n_eff - n_half)
-    return np.where(np.isnan(raw) | dead, -math.inf, raw), hist, sweep
+    return np.where(np.isnan(raw) | dead, -math.inf, raw), hist, nonnegative
 
 
 def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
@@ -280,9 +285,10 @@ def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
     """Estimate the Lyapunov spectrum over offsets 0..n-1.
 
     Returns a LyapunovSpectrum whose exponents are the clustered windowed
-    QR slopes; the top cluster is replaced by the operator-norm slope when
-    the two agree within gap_threshold (they estimate the same limit, and
-    the norm-based value is exact for norm-preserving cocycles).
+    QR slopes; when every factor is nonnegative, the top cluster is
+    replaced by the operator-norm slope if the two agree within
+    gap_threshold (they estimate the same limit, and the norm-based value
+    is exact for norm-preserving cocycles).
 
     The QR pass carries a frame of only k columns, the cut, from k =
     min(d, _LEAD_COLUMNS) (Benettin, Galgani, Giorgilli and Strelcyn
@@ -322,13 +328,16 @@ def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
     steps.  Rank-deficient and extreme-scale cocycles in the tests run
     the per-step loop bit for bit.
 
-    The norm slope comes from a second pass after the QR pass, which
-    evaluates the generator again at every step (generators give
-    bitwise-equal matrices for equal states).  In l1 with every factor
-    nonnegative it is a backward sweep of two vectors, O(d^2) per step for
-    a dense generator and O(nnz) for one stored as row slots (Ulam);
-    otherwise it is the d x d product, O(d^3) per step (O(d nnz) from row
-    slots).
+    The norm slope, the windowed slope of log ||P_k||, comes from a second
+    pass after the QR pass, which evaluates the generator again at every
+    step (generators give bitwise-equal matrices for equal states).  It is
+    a chain of one vector (_log_norm_ends), O(d^2) per step for a dense
+    generator and O(nnz) for one stored as row slots (Ulam), and exact for
+    nonnegative factors in l1 and linf.  l2 takes the linf chain: no
+    vector chain gives ||P||_2, but ||P||_inf / sqrt(d) <= ||P||_2 <=
+    sqrt(d) ||P||_inf, so the two slopes differ by at most log(d) / window
+    and both estimate lambda_1.  With a factor that has a negative entry,
+    mle_estimate is None and the top level keeps its QR mean.
 
     Both passes multiply through the generator's product hook
     (``CocycleGenerator._factor``).  On an Ulam generator the products come
@@ -353,8 +362,8 @@ def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
 
     k = min(d, _LEAD_COLUMNS)
     while True:
-        raw, hist, sweep = _leading_slopes(gen, orbit, k, n_half, n_eff,
-                                           hist_n, norm == "l1")
+        raw, hist, nonnegative = _leading_slopes(gen, orbit, k, n_half,
+                                                 n_eff, hist_n)
         sorted_raw = np.sort(raw)[::-1]
         finite = sorted_raw[sorted_raw > DEFAULT_FLOOR]
         clusters = _cluster(finite, gap_threshold) if finite.size else []
@@ -363,12 +372,12 @@ def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
             break
         k = min(d, 2 * k)
 
-    mle_half, mle_full = _log_norm_ends(gen, orbit, n_half, n_eff, norm,
-                                        sweep)
-    if math.isfinite(mle_full) and math.isfinite(mle_half):
-        mle = (mle_full - mle_half) / window
-    else:
+    mle = None
+    if nonnegative:
+        half, full = _log_norm_ends(gen, orbit, n_half, n_eff, norm == "l1")
         mle = -math.inf
+        if math.isfinite(half) and math.isfinite(full):
+            mle = (full - half) / window
 
     below_cut = None
     if not closed:
@@ -382,7 +391,7 @@ def lyapunov_exponents(gen, orbit, n, gap_threshold=DEFAULT_GAP_THRESHOLD,
             warnings.append(
                 f"small spectral gap {a - b:.4f} between {a:.4f} and {b:.4f}; "
                 "clustering may be ambiguous")
-    if exponents and math.isfinite(mle):
+    if exponents and mle is not None and math.isfinite(mle):
         if abs(mle - exponents[0]) <= gap_threshold:
             exponents[0] = float(mle)
         else:

@@ -86,6 +86,10 @@ MALFORMED = {
 }
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def _write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -99,7 +103,7 @@ def test_every_preset_runs_and_passes(name, tmp_path, capsys):
     capsys.readouterr()
     assert rc == 0
     with open(tmp_path / "report.json") as fh:
-        assert json.load(fh)["passed"] is True
+        assert json.load(fh, parse_constant=_reject_constant)["passed"] is True
 
 
 class TestConfigValidation:
@@ -292,6 +296,16 @@ class TestRun:
             on_disk = json.load(fh)
         for key in ("config", "task", "results", "checks", "passed"):
             assert on_disk[key] == report[key]
+
+    def test_returned_report_equals_strict_file(self, tmp_path):
+        # a dead column's exponent is -inf, written as the string "-inf"
+        raw = _spectrum_config()
+        raw["generator"]["matrix"] = [[2.0, 0.0], [0.0, 0.0]]
+        report = run(ExperimentConfig(raw), tmp_path)
+        with open(tmp_path / "report.json", encoding="utf-8") as fh:
+            on_disk = json.load(fh, parse_constant=_reject_constant)
+        assert on_disk == {k: v for k, v in report.items() if k != "traces"}
+        assert "-inf" in on_disk["results"]["spectrum"]["raw_exponents"]
 
     def test_deterministic_given_seed(self, tmp_path):
         raw = {

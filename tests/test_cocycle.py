@@ -1,20 +1,11 @@
-"""Matrix cocycles: generators, products, scaling."""
-
-import math
+"""Matrix cocycles: generators, products, QR steps."""
 
 import numpy as np
 import pytest
 
 from oseledets.base import FiniteCycle, ParameterError, generate_orbit
-from oseledets.cocycle import (
-    CocycleGenerator,
-    ScaledMatrix,
-    _QRStepper,
-    cocycle_norm_series,
-    forward_product,
-    scaled_forward_product,
-)
-from oseledets.grassmann import Subspace, operator_norm
+from oseledets.cocycle import CocycleGenerator, _QRStepper
+from oseledets.grassmann import Subspace
 from oseledets.splitting import pushforward_space
 
 A2 = np.array([[2.0, 1.0], [0.0, 0.5]])
@@ -68,108 +59,6 @@ class TestGenerators:
     def test_state_function_bitwise(self):
         gen = CocycleGenerator.from_table([A2, A2.T])
         assert np.array_equal(gen(0), gen(0.0))
-
-
-class TestProducts:
-    def test_zero_length_is_identity(self):
-        gen = CocycleGenerator.constant(A2)
-        assert np.array_equal(forward_product(gen, _orbit(), 0, 0), np.eye(2))
-
-    def test_constant_cube(self):
-        gen = CocycleGenerator.constant(A2)
-        got = forward_product(gen, _orbit(), 0, 3)
-        assert np.allclose(got, A2 @ A2 @ A2, rtol=0, atol=1e-14)
-
-    def test_pullback_order_alternating(self):
-        # base point is state 0; the 2-step product from offset -2 (the
-        # order pushforward_space relies on) multiplies the matrix at offset
-        # -1 (state 1) on the LEFT of the matrix at offset -2 (state 0)
-        A = np.array([[1.0, 1.0], [0.0, 1.0]])
-        B = np.array([[2.0, 0.0], [0.0, 3.0]])
-        gen = CocycleGenerator.from_table([A, B])
-        got = forward_product(gen, _orbit(), -2, 2)
-        assert np.allclose(got, B @ A, atol=1e-14)
-        assert not np.allclose(got, A @ B)
-
-    def test_cocycle_property(self):
-        rng = np.random.default_rng(3)
-        mats = [rng.standard_normal((3, 3)) for _ in range(4)]
-        gen = CocycleGenerator.from_table(mats)
-        orbit = generate_orbit(FiniteCycle(4), seed=0, n_past=20, n_future=20)
-        for start in (-6, 0, 2):
-            for n in (0, 1, 3):
-                for m in (0, 2, 5):
-                    whole = forward_product(gen, orbit, start, n + m)
-                    split = forward_product(gen, orbit, start + n, m) @ \
-                        forward_product(gen, orbit, start, n)
-                    scale = max(np.abs(whole).max(), 1.0)
-                    assert np.allclose(whole, split, atol=1e-12 * scale)
-
-    def test_log_norm_subadditive(self):
-        rng = np.random.default_rng(4)
-        gen = CocycleGenerator.from_table([rng.standard_normal((2, 2))
-                                           for _ in range(3)])
-        orbit = generate_orbit(FiniteCycle(3), seed=0, n_past=12, n_future=12)
-        for norm in ("l1", "l2", "linf"):
-            for n in (1, 2, 4):
-                for m in (1, 3):
-                    a = scaled_forward_product(gen, orbit, 0, n + m).log_norm(norm)
-                    b = scaled_forward_product(gen, orbit, 0, n).log_norm(norm)
-                    c = scaled_forward_product(gen, orbit, n, m).log_norm(norm)
-                    assert a <= b + c + 1e-9
-
-    def test_negative_length_rejected(self):
-        gen = CocycleGenerator.constant(A2)
-        with pytest.raises(ParameterError):
-            forward_product(gen, _orbit(), 0, -1)
-
-
-class TestScaledMatrix:
-    def test_long_product_no_overflow(self):
-        gen = CocycleGenerator.constant(np.diag([1e3, 1e-3]))
-        acc = scaled_forward_product(gen, _orbit(n=500), 0, 400)
-        got = acc.log_norm("l2")
-        assert math.isclose(got, 400 * math.log(1e3), rel_tol=1e-12)
-        assert np.all(np.isfinite(acc.matrix))
-
-    def test_dense_matches_plain_product(self):
-        rng = np.random.default_rng(5)
-        M = rng.standard_normal((2, 2))
-        gen = CocycleGenerator.constant(M)
-        dense = forward_product(gen, _orbit(), 0, 6)
-        assert np.allclose(dense, np.linalg.matrix_power(M, 6), rtol=1e-12)
-
-    def test_dense_overflows_to_inf(self):
-        # 2^1500 exceeds the float range: the product reads inf, not an error
-        gen = CocycleGenerator.constant(np.array([[2.0]]))
-        dense = forward_product(gen, _orbit(n=1600), 0, 1500)
-        assert dense.shape == (1, 1) and dense[0, 0] == math.inf
-
-    def test_zero_matrix_log_norm(self):
-        assert ScaledMatrix(np.zeros((2, 2))).log_norm() == -math.inf
-
-
-class TestNormSeries:
-    def test_identity_is_zero(self):
-        gen = CocycleGenerator.constant(np.eye(3))
-        assert np.allclose(cocycle_norm_series(gen, _orbit(), 10), 0.0)
-
-    def test_diagonal_rate(self):
-        gen = CocycleGenerator.constant(np.diag([2.0, 0.5]))
-        series = cocycle_norm_series(gen, _orbit(), 12)
-        assert np.allclose(series, math.log(2.0), atol=1e-12)
-
-    def test_nilpotent_hits_minus_infinity(self):
-        gen = CocycleGenerator.constant(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        series = cocycle_norm_series(gen, _orbit(), 5)
-        assert series[0] == pytest.approx(0.0)
-        assert np.all(np.isneginf(series[1:]))
-
-    def test_norm_tag_passthrough(self):
-        M = np.array([[1.0, 1.0], [0.0, 1.0]])
-        gen = CocycleGenerator.constant(M)
-        s = cocycle_norm_series(gen, _orbit(), 1, norm="linf")
-        assert s[0] == pytest.approx(math.log(operator_norm(M, "linf")))
 
 
 def _numpy_qr_steps(factors, Q):

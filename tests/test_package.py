@@ -58,10 +58,11 @@ assert "scipy.optimize" not in sys.modules
     assert proc.returncode == 0, proc.stderr
 
 
-def test_256_bin_l1_spectrum_loads_no_scipy():
-    # the QR pass and the norm sweep multiply the Ulam matrices from their
+@pytest.mark.parametrize("norm", ["l1", "linf", "l2"])
+def test_256_bin_spectrum_loads_no_scipy(norm):
+    # the QR pass and the norm chain multiply the Ulam matrices from their
     # stored row-slot forms with numpy alone
-    code = """
+    code = f"""
 import sys
 from fractions import Fraction
 import oseledets as ose
@@ -70,7 +71,7 @@ system = ose.RandomLYSystem(driver, [ose.full_branch_affine([0, q, 1])
                                      for q in (Fraction(3, 10), Fraction(2, 5))])
 gen = ose.random_ulam_cocycle(system, 256)
 spec = ose.lyapunov_exponents(gen, ose.generate_orbit(driver, 1, 0, 401),
-                              400, norm="l1")
+                              400, norm="{norm}")
 assert abs(spec.exponents[0]) < 1e-6
 """
     proc = _run(["-c", code + NO_SCIPY_LINALG])

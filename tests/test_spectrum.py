@@ -18,8 +18,7 @@ from oseledets.base import (
 )
 from oseledets import spectrum as spectrum_module
 from oseledets import transfer
-from oseledets.cocycle import (CocycleGenerator, ScaledMatrix, _QRStepper,
-                               forward_product, scaled_forward_product)
+from oseledets.cocycle import CocycleGenerator, _QRStepper
 from oseledets.grassmann import Subspace, grassmann_distance, one_sided_hausdorff
 from oseledets.splitting import pushforward_space
 from oseledets.spectrum import (
@@ -31,6 +30,7 @@ from oseledets.spectrum import (
 )
 from oseledets.transfer import (RandomLYSystem, full_branch_affine,
                                 perturbed_doubling, random_ulam_cocycle)
+from product_oracle import factors, log_norm, scaled_product
 
 
 def _cycle_orbit(period=2, n=2000):
@@ -132,7 +132,8 @@ class TestLyapunovExponents:
         for k in range(n):
             Q, R = np.linalg.qr(gen.matrix_at(orbit, k) @ Q)
             logs += np.log(np.abs(np.diag(R)))
-        sv = np.linalg.svd(forward_product(gen, orbit, 0, n), compute_uv=False)
+        P, log_scale = scaled_product(factors(gen, orbit, 0, n), np.eye(5))
+        sv = np.linalg.svd(P * math.exp(log_scale), compute_uv=False)
         for k in range(1, 6):
             assert logs[:k].sum() <= np.log(sv[:k]).sum() + 1e-6
         det_sum = sum(np.linalg.slogdet(gen.matrix_at(orbit, k))[1]
@@ -235,10 +236,10 @@ def _reference_qr_pass(gen, orbit, n_eff, n_half, diags=None):
 
 
 def _reference_slope(gen, orbit, spec, norm):
-    """Windowed slope of log ||P_k|| from the ScaledMatrix product."""
-    n_half = spec.n_used - spec.window
-    full = scaled_forward_product(gen, orbit, 0, spec.n_used).log_norm(norm)
-    half = scaled_forward_product(gen, orbit, 0, n_half).log_norm(norm)
+    """Windowed slope of log ||P_k|| from the oracle's d x d products."""
+    full, half = (log_norm(scaled_product(factors(gen, orbit, 0, n),
+                                          np.eye(gen.dim)), norm)
+                  for n in (spec.n_used, spec.n_used - spec.window))
     return (full - half) / spec.window
 
 
@@ -562,63 +563,134 @@ class TestLeadingColumns:
         assert widths == [8]
 
 
-class TestNormSlope:
-    """The operator-norm slope: a backward vector sweep for nonnegative l1
-    cocycles, the ScaledMatrix product otherwise."""
+def _positive_4x4():
+    return (CocycleGenerator.from_table(
+        [np.random.default_rng(1).uniform(0.1, 2.0, (4, 4)),
+         np.random.default_rng(2).uniform(0.1, 2.0, (4, 4))]),
+        generate_orbit(BernoulliShift([0.5, 0.5]), 5, 0, 401))
 
-    @pytest.mark.parametrize("build", [
-        lambda: _mixture(64, scale=3.0),
-        lambda: (CocycleGenerator.from_table(
-            [np.random.default_rng(1).uniform(0.1, 2.0, (4, 4)),
-             np.random.default_rng(2).uniform(0.1, 2.0, (4, 4))]),
-            generate_orbit(BernoulliShift([0.5, 0.5]), 5, 0, 401)),
-    ], ids=["mixture-64-times-3", "positive-4x4"])
-    def test_sweep_matches_product_on_nonnegative(self, build):
+
+class TestNormSlope:
+    """The operator-norm slope: a chain of one vector, the row 1^T P swept
+    backward in l1 and the column P 1 run forward in linf and l2; None
+    when a factor has a negative entry."""
+
+    @pytest.mark.parametrize("build, norm", [
+        (lambda: _mixture(64, scale=3.0), "l1"),
+        (_positive_4x4, "l1"),
+        (lambda: _mixture(64, scale=3.0), "linf"),
+        (_positive_4x4, "linf"),
+    ], ids=["mixture-64-times-3", "positive-4x4", "mixture-64-times-3-linf",
+            "positive-4x4-linf"])
+    def test_sweep_matches_product_on_nonnegative(self, build, norm):
         gen, orbit = build()
-        spec = lyapunov_exponents(gen, orbit, 400, norm="l1")
+        spec = lyapunov_exponents(gen, orbit, 400, norm=norm)
         assert spec.mle_estimate > 0.5
         assert abs(spec.mle_estimate
-                   - _reference_slope(gen, orbit, spec, "l1")) < 1e-12
+                   - _reference_slope(gen, orbit, spec, norm)) <= 1e-12
 
     @pytest.mark.parametrize("build, bitwise", [
         (lambda: _mixture(64, scale=3.0), True),
-        (lambda: (CocycleGenerator.from_table(
-            [np.random.default_rng(1).uniform(0.1, 2.0, (4, 4)),
-             np.random.default_rng(2).uniform(0.1, 2.0, (4, 4))]),
-            generate_orbit(BernoulliShift([0.5, 0.5]), 5, 0, 401)), True),
+        (_positive_4x4, True),
         (lambda: _mixture(128), False),
     ], ids=["mixture-64-times-3", "positive-4x4", "ulam-128"])
     def test_sweep_rows_are_scaled_vectors(self, build, bitwise):
         # the two rows of one array, each with its own log scale, are the
-        # two log-scaled d x 1 products of a per-row ScaledMatrix sweep: bit
-        # for bit with gemv products; from row slots np.bincount sums each
-        # entry in the same order without a fused multiply-add
+        # oracle's two log-scaled d x 1 products: bit for bit with gemv
+        # products; from row slots np.bincount sums each entry in the same
+        # order without a fused multiply-add
         gen, orbit = build()
         spec = lyapunov_exponents(gen, orbit, 400, norm="l1")
         n_half = spec.n_used - spec.window
         ones = np.ones((gen.dim, 1))
-        full, half = ScaledMatrix(ones), None
-        for k in range(spec.n_used, 0, -1):
-            if k == n_half:
-                half = ScaledMatrix(ones)
-            At = gen(orbit.state(k - 1)).T
-            full = full.left_multiplied(At)
-            if half is not None:
-                half = half.left_multiplied(At)
-        ref = (full.log_norm("linf") - half.log_norm("linf")) / spec.window
+        full, half = (scaled_product((gen(orbit.state(k - 1)).T
+                                      for k in range(n, 0, -1)), ones)
+                      for n in (spec.n_used, n_half))
+        ref = (log_norm(full, "linf") - log_norm(half, "linf")) / spec.window
         if bitwise:
             assert spec.mle_estimate == ref
         else:
             assert abs(spec.mle_estimate - ref) <= 1e-15
 
-    @pytest.mark.parametrize("build, norm", [
-        (_signed_table, "l1"), (_signed_table, "l2"),
-        (lambda: _mixture(32), "l2"), (_rank_one_pair, "l2"),
-    ], ids=["signed-l1", "signed-l2", "mixture-l2", "rank-one-l2"])
-    def test_product_slope_unchanged(self, build, norm):
-        gen, orbit = build()
+    @pytest.mark.parametrize("norm", ["l1", "l2"],
+                             ids=["signed-l1", "signed-l2"])
+    def test_signed_factor_gives_no_slope(self, norm):
+        # a chain of one vector gives no norm of a product with negative
+        # entries: the top level keeps its QR mean
+        gen, orbit = _signed_table()
         spec = lyapunov_exponents(gen, orbit, 200, norm=norm)
-        assert spec.mle_estimate == _reference_slope(gen, orbit, spec, norm)
+        assert spec.mle_estimate is None and spec.mle_agreement is None
+        assert spec.to_dict()["mle_estimate"] is None
+        raw = np.sort(spec.raw_exponents)[::-1]
+        top = spectrum_module._cluster(raw[raw > spec.floor],
+                                       spec.gap_threshold)[0]
+        assert spec.exponents[0] == float(np.mean(top))
+
+    @pytest.mark.parametrize("build", [lambda: _mixture(32), _rank_one_pair],
+                             ids=["mixture-l2", "rank-one-l2"])
+    def test_l2_slope_within_log_d_of_product(self, build):
+        # l2 takes the linf chain; ||P||_inf / sqrt(d) <= ||P||_2 <= sqrt(d)
+        # ||P||_inf bounds the two windowed slopes' distance by log(d) / window
+        gen, orbit = build()
+        spec = lyapunov_exponents(gen, orbit, 200, norm="l2")
+        linf = lyapunov_exponents(gen, orbit, 200, norm="linf")
+        assert spec.mle_estimate == linf.mle_estimate
+        assert abs(spec.mle_estimate - _reference_slope(
+            gen, orbit, spec, "l2")) <= math.log(gen.dim) / spec.window
+
+    @pytest.mark.parametrize("transpose, norm, ends", [
+        (False, "linf", (2.0, 4.0)), (True, "l1", (2.0, 5.0))],
+        ids=["column", "row"])
+    def test_chain_multiplies_in_orbit_order(self, transpose, norm, ends):
+        # offset 0 is state 0 (A) and offset 1 state 1 (B), so P_2 = B A:
+        # ||B A||_inf = 4 and ||B A||_1 = 5, where A B would give 5 and 6
+        A = np.array([[1.0, 1.0], [0.0, 1.0]])
+        B = np.array([[2.0, 0.0], [0.0, 3.0]])
+        gen, orbit = CocycleGenerator.from_table([A, B]), _cycle_orbit()
+        got = spectrum_module._log_norm_ends(gen, orbit, 1, 2, transpose)
+        assert got == tuple(math.log(x) for x in ends)
+        assert got[1] == log_norm(
+            scaled_product(factors(gen, orbit, 0, 2), np.eye(2)), norm)
+
+    @pytest.mark.parametrize("transpose", [False, True],
+                             ids=["column", "row"])
+    def test_chain_rescales_past_overflow(self, transpose):
+        # the 400-step product reaches 1e1200; the chain's log scale keeps
+        # it finite
+        gen = CocycleGenerator.constant(np.diag([1e3, 1e-3]))
+        half, full = spectrum_module._log_norm_ends(gen, _cycle_orbit(), 200,
+                                                    400, transpose)
+        assert math.isclose(half, 200 * math.log(1e3), rel_tol=1e-12)
+        assert math.isclose(full, 400 * math.log(1e3), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("norm", ["l1", "linf", "l2"])
+    def test_nilpotent_slope_is_minus_infinity(self, norm):
+        # N 1 = (1, 0) and 1^T N = (0, 1), but N^2 = 0
+        gen = CocycleGenerator.constant(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert spectrum_module._log_norm_ends(
+            gen, _cycle_orbit(), 1, 2, norm == "l1") == (0.0, -math.inf)
+        spec = lyapunov_exponents(gen, _cycle_orbit(), 100, norm=norm)
+        assert spec.mle_estimate == -math.inf
+
+    def test_1024_bin_spectrum_memory(self):
+        # every norm takes a chain of one vector: the d x d products that
+        # the linf and l2 slopes formed peaked at 24 MiB
+        import tracemalloc
+        gen, orbit = _mixture(1024, n=200)
+        gen(0), gen(1)    # both states assembled before tracing
+        spectra = []
+        for norm in ("l1", "linf", "l2"):
+            tracemalloc.start()
+            try:
+                spectra.append(lyapunov_exponents(gen, orbit, 200, norm=norm))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2 ** 20, norm
+        for spec in spectra[1:]:
+            assert spec.multiplicities == spectra[0].multiplicities == [1, 1]
+            assert spec.exponents == pytest.approx(spectra[0].exponents,
+                                                   rel=0, abs=1e-12)
 
     def test_sweep_assembles_each_state_once(self, monkeypatch):
         # a continuum of states, so every step is a new matrix; with room
