@@ -46,16 +46,17 @@ print("random exponents   :", [round(x, 4) for x in spec2.exponents])
 # An Ulam cocycle at 256 bins: a coin flip picks one of two full-branch
 # maps.  Below 0 and lambda_2 the discretization adds a wide cluster of
 # spurious exponents.  The QR pass carries only as many columns as it
-# needs (the cut), reports the levels above that cluster, and bounds every
-# exponent it does not report by below_cut.
+# needs (the cut), reports the levels above that cluster, and estimates
+# the largest exponent it does not report by below_cut (an estimate, not a
+# certified bound).
 maps = [full_branch_affine([0, q, 1]) for q in (Fraction(3, 10),
                                                  Fraction(2, 5))]
 ulam = random_ulam_cocycle(RandomLYSystem(coin, maps), 256)
 orbit3 = generate_orbit(coin, seed=7, n_past=0, n_future=401)
 spec3 = lyapunov_exponents(ulam, orbit3, 400, norm="l1")
 print("Ulam exponents     :", [round(x, 4) for x in spec3.exponents],
-      f"(cut {spec3.cut} of {spec3.ambient_dim} columns; the rest <=",
-      round(spec3.below_cut, 4), ")")
+      f"(cut {spec3.cut} of {spec3.ambient_dim} columns; the rest below",
+      f"~{spec3.below_cut:.4f}, an estimate)")
 
 # The slow filtration at a base point: directions that grow no faster than
 # each exponent.  V_1 is the whole plane; for the constant triangular matrix

@@ -7,7 +7,8 @@ reads a config in one pass: it checks every field and builds the driver,
 the maps and any constant or tabulated matrices, reporting a rejected
 value as a ``ConfigError`` that names its field.  Each run writes
 report.json plus trace_*.csv files into the output directory and returns
-a report dict.  report.json is strict JSON: a non-finite float (a dead
+a report dict; the ulam task's trace of each matrix lists its nonzeros as
+row, col, value triplets.  report.json is strict JSON: a non-finite float (a dead
 column's exponent, say) is written as the string "inf", "-inf" or "nan".
 
 Subcommands: spectrum, splitting, ulam, diagnose, sobolev, batch, presets.
@@ -56,10 +57,11 @@ _EPILOG = ("exit status: 0 every check passed; 1 a check or a batch entry "
            "before it runs any.  A spectrum reports the levels above its "
            "cut: report.json gives the columns the QR pass kept as 'cut' "
            "and, when the exponents go on below them, the top rate of the "
-           "open cluster they end in as 'below_cut', which every "
-           "unreported exponent lies at or below (null when every "
-           "exponent is reported).  Set OPENBLAS_NUM_THREADS=1: BLAS "
-           "threads slow the blocked QR pass down.")
+           "open cluster they end in as 'below_cut', an estimate "
+           "(below_cut_label) of the largest unreported exponent, not a "
+           "certified bound (null when every exponent is reported).  Set "
+           "OPENBLAS_NUM_THREADS=1: BLAS threads slow the blocked QR pass "
+           "down.")
 
 
 class ConfigError(ValueError):
@@ -446,10 +448,11 @@ def _run_ulam(cfg, gen, timings):
         checks.append(_check(f"row_stochastic_map_{i}",
                              err <= 1e-12 and exact_ok, err, 1e-12,
                              exact=op.exact))
-        rows = [[j] + [float(x) for x in op.matrix[j]]
-                for j in range(op.n_bins)]
+        # the nonzeros as (row, col, value) triplets, row-major
+        r, c = np.nonzero(op.matrix)
         traces[f"trace_ulam_matrix_{i}.csv"] = (
-            ["row"] + [f"col_{j}" for j in range(op.n_bins)], rows)
+            ["row", "col", "value"],
+            list(zip(r.tolist(), c.tolist(), op.matrix[r, c].tolist())))
     results = {"ulam": [{"n_bins": op.n_bins, "exact": op.exact}
                         for op in ops]}
     return results, checks, traces

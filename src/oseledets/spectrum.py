@@ -63,7 +63,8 @@ class LyapunovSpectrum:
     an open bottom cluster of the kept columns, and `below_cut`, that
     cluster's top rate, estimates the largest exponent not reported: every
     exponent not reported lies at or below it, up to the cluster's own
-    finite-n spread.
+    finite-n spread.  Nothing certifies that bound, so ``to_dict`` labels
+    it ``below_cut_label: "estimate"`` (None when `below_cut` is None).
 
     `mle_estimate` is the windowed operator-norm slope (see
     lyapunov_exponents) and `mle_agreement` its distance from the top
@@ -110,6 +111,8 @@ class LyapunovSpectrum:
             "raw_exponents": [float(x) for x in self.raw_exponents],
             "cut": self.cut,
             "below_cut": self.below_cut,
+            "below_cut_label": (None if self.below_cut is None
+                                else "estimate"),
             "n_used": self.n_used,
             "window": self.window,
             "mle_estimate": self.mle_estimate,
@@ -127,7 +130,7 @@ class LyapunovSpectrum:
                           for x, m in zip(self.exponents, self.multiplicities))
         tail = f", -inf x {self.n_infinite}" if self.n_infinite else ""
         if self.below_cut is not None:
-            tail += f", rest <= {self.below_cut:.4f}"
+            tail += f", rest below ~{self.below_cut:.4f} (estimate)"
         return f"LyapunovSpectrum({pairs}{tail}; n={self.n_used})"
 
 

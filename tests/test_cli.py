@@ -481,10 +481,14 @@ class TestMain:
         trace = tmp_path / "out" / "trace_ulam_matrix_0.csv"
         with open(trace, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert len(rows) == 17       # header + one row per bin
-        assert rows[0][:2] == ["row", "col_0"]
-        body = np.array([[float(x) for x in r[1:]] for r in rows[1:]])
-        assert np.allclose(body.sum(axis=1), 1.0, atol=1e-15)
+        # sparse: one (row, col, value) triplet per nonzero, two per row
+        assert rows[0] == ["row", "col", "value"]
+        assert len(rows) == 1 + 2 * 16
+        sums = np.zeros(16)
+        for i, j, value in rows[1:]:
+            assert 0 <= int(j) < 16
+            sums[int(i)] += float(value)
+        assert np.allclose(sums, 1.0, atol=1e-15)
 
     def test_diagnose_preset_certifies_doubling(self, tmp_path, capsys):
         rc = main(["diagnose", "--preset", "doubling-diagnose",

@@ -562,6 +562,21 @@ class TestLeadingColumns:
         assert spec.multiplicities == [1, 1]
         assert widths == [8]
 
+    def test_below_cut_is_labelled_an_estimate(self):
+        # nothing certifies that the unreported exponents lie below
+        # below_cut, so neither the report nor the repr calls it a bound
+        gen, orbit = _mixture(64)
+        cut = lyapunov_exponents(gen, orbit, 400, norm="l1")
+        assert cut.below_cut is not None
+        assert cut.to_dict()["below_cut_label"] == "estimate"
+        assert "<=" not in repr(cut)
+        assert f"~{cut.below_cut:.4f} (estimate)" in repr(cut)
+        gen, orbit = _constant(np.diag(np.exp(-0.2 * np.arange(12))))
+        full = lyapunov_exponents(gen, orbit, 200, norm="l1")
+        assert full.below_cut is None
+        assert full.to_dict()["below_cut_label"] is None
+        assert "estimate" not in repr(full)
+
 
 def _positive_4x4():
     return (CocycleGenerator.from_table(

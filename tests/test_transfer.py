@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oseledets import cocycle, transfer
 from oseledets.base import BernoulliShift, FiniteCycle, ParameterError, \
@@ -318,6 +320,67 @@ def _continuum_map(theta):
 
 def _golden_states(count):
     return [(0.3 + k * 0.6180339887498949) % 1.0 for k in range(count)]
+
+
+# breakpoints and image shapes drawn as floats: their exact binary
+# fractions have denominators of 2^53 to 2^59, so L runs to hundreds of
+# bits
+_POINT = st.floats(min_value=1 / 64, max_value=63 / 64)
+_SHARE = st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def _float_affine_maps(draw):
+    """2 to 4 affine branches (one branch on (0, 1) cannot expand inside
+    [0, 1]), each rising or falling, with an image of random length and
+    position inside [0, 1]."""
+    cuts = draw(st.lists(_POINT, min_size=1, max_size=3, unique=True))
+    pts = [Fraction(0)] + sorted(Fraction(x) for x in cuts) + [Fraction(1)]
+    branches = []
+    for a, b in zip(pts, pts[1:]):
+        w = b - a
+        ell = w + (1 - w) * Fraction(draw(st.floats(0.01, 1.0)))
+        lo = (1 - ell) * Fraction(draw(_SHARE))
+        s = ell / w
+        if draw(st.booleans()):
+            branches.append(Branch(a, b, s, lo - s * a))
+        else:
+            branches.append(Branch(a, b, -s, lo + ell + s * a))
+    return PiecewiseExpandingMap1D(branches)
+
+
+def _assert_matches_oracle(T, n):
+    rows = _oracle_rows(T, n)
+    op = ulam_matrix(T, n)
+    M = np.zeros((n, n))
+    for i, row in enumerate(rows):
+        for j, val in row.items():
+            M[i, j] = float(val)
+    assert op.exact_rows == rows
+    assert all(s == 1 for s in op.exact_row_sums())
+    assert np.array_equal(op.matrix, M)
+    assert np.array_equal(op.density_matrix(), M.T)
+
+
+class TestUlamSweepRandomMaps:
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(T=_float_affine_maps(), n=st.integers(2, 300))
+    def test_matches_fraction_oracle(self, T, n):
+        _assert_matches_oracle(T, n)
+
+    @pytest.mark.parametrize("theta", [0.1, 0.7180339887498949])
+    def test_continuum_map_at_1024_bins(self, theta):
+        _assert_matches_oracle(_continuum_map(theta), 1024)
+
+    def test_least_common_denominator(self):
+        # the grid spacing G = L / n is the least one in which every cut
+        # point is an integer: n = 5 bins of the 3/10 map cut at 3/10,
+        # the grid and the preimages k/5 * 3/10, all tenths or fiftieths
+        op = ulam_matrix(full_branch_affine([0, Fraction(3, 10), 1]), 5)
+        G, nums = op.entries
+        assert G == 10
+        assert math.gcd(G, *nums.values()) == 1
 
 
 def _count_assemblies(monkeypatch):
