@@ -449,10 +449,10 @@ def _run_ulam(cfg, gen, timings):
                              err <= 1e-12 and exact_ok, err, 1e-12,
                              exact=op.exact))
         # the nonzeros as (row, col, value) triplets, row-major
-        r, c = np.nonzero(op.matrix)
+        r, c, vals = op._nonzeros()
         traces[f"trace_ulam_matrix_{i}.csv"] = (
             ["row", "col", "value"],
-            list(zip(r.tolist(), c.tolist(), op.matrix[r, c].tolist())))
+            list(zip(r.tolist(), c.tolist(), vals.tolist())))
     results = {"ulam": [{"n_bins": op.n_bins, "exact": op.exact}
                         for op in ops]}
     return results, checks, traces

@@ -4,8 +4,9 @@ Subspace distance is the Hausdorff distance between intersections of
 subspaces with the unit ball of the chosen norm (l1, l2 or linf).  For l2
 the one-sided sups have exact singular-value expressions; for l1/linf they
 are exact maxima over the vertices of the polytope Y intersect ball, and
-every distance is the best basic solution of its linear program, found by
-enumeration in batched numpy solves (ValueError past the guard).
+every point distance is enumerated in batched numpy solves (ValueError past
+the guard): the best basic solution of its LP in l1, the dual optimum over
+the circuits of the orthogonal complement in linf.
 
 Also provides nice bases (unit vectors each at distance exactly 1 from the
 span of the previous ones) and good complements of nested filtrations
@@ -40,8 +41,8 @@ RANK_SV_CUTOFF = 1e-10      # smallest singular value of an orthonormalized basi
 COMPLEMENT_CONDITION = 1e12  # condition-number cutoff for oblique projections
 IDEMPOTENCY_TOL = 1e-8      # relative ||Pi^2 - Pi|| cutoff for oblique projections
 
-# enumeration guard: beyond this many candidates (index subsets, ball
-# vertices or chord lines), or beyond the entries of that many 4 x 4
+# enumeration guard: beyond this many candidates (index subsets, circuits,
+# ball vertices or chord lines), or beyond the entries of that many 4 x 4
 # systems, an l1/linf distance raises ValueError
 _MAX_SUBSETS = 20000
 _MAX_ENTRIES = 16 * _MAX_SUBSETS
@@ -178,12 +179,12 @@ class Subspace:
 # exact point-to-subspace distances
 #
 # l1: some minimizer of ||x - Bc||_1 has >= k zero residuals (an LP basic
-#     solution), so the optimum is the best candidate over k-subsets.
-# linf: some minimizer has k+1 residuals of equal magnitude with fixed
-#     signs, enumerated over (k+1)-subsets and sign patterns.
-# Every candidate is scored by its true objective, so the minimum over
-# candidates is an upper bound that is attained in the generic case.
-# Past the guard for these systems, _codim_dist_batch works on W^perp.
+#     solution), so the optimum is the best candidate over k-subsets, or,
+#     past the guard for those systems, over (d-k)-subsets on W^perp.
+# linf: by LP duality the distance is max |z^T x| over the circuits z of
+#     W^perp (its vectors of minimal support) scaled to unit l1 norm, one
+#     per (k+1)-subset of rows; complementary slackness gives the residual.
+# Every distance is scored at the coefficients it returns, so it is attained.
 
 
 def _subsets(d, k):
@@ -203,22 +204,28 @@ def _check_count(count, size, what):
                          "system entries)")
 
 
-def _primal_form(d, k, norm):
-    """Whether distances to a dim-k span in R^d (0 < k < d) enumerate its
-    basic solutions (True) or take the codimension form (False);
-    ValueError past both guards."""
-    count, size = ((math.comb(d, k), k) if norm == "l1"
-                   else (math.comb(d, k + 1) * 2 ** k, k + 1))
-    if _enumerable(count, size):
+def _primal_form(d, k):
+    """Whether l1 distances to a dim-k span in R^d (0 < k < d) enumerate
+    its basic solutions as k x k systems (True) or take the codimension
+    form (False); ValueError past both guards."""
+    count = math.comb(d, k)
+    if _enumerable(count, k):
         return True
-    lead = f"{norm} distance to a dim-{k} subspace of R^{d}: {count} basic "
-    if norm == "l1":
-        _check_count(count, d - k, f"{lead}solutions, as {k} x {k} or "
-                     f"{d - k} x {d - k} systems,")
-    else:
-        dual = math.comb(d, d - k - 1)    # _ball_vertices(A, "l1"), A d x m
-        _check_count(dual, d - k, f"{lead}solutions, {dual} dual vertices,")
+    _check_count(count, d - k, f"l1 distance to a dim-{k} subspace of R^{d}: "
+                 f"{count} basic solutions, as {k} x {k} or {d - k} x {d - k} "
+                 "systems,")
     return False
+
+
+def _circuit_side(d, k):
+    """Whether the C(d, k+1) circuits of W^perp, W a dim-k span in R^d
+    (0 < k < d), come from the (k+1) x k row blocks of an orthonormal basis
+    of W (True) or, where those are larger, from _ball_vertices on one of
+    W^perp (False); ValueError past the guard."""
+    count = math.comb(d, k + 1)
+    _check_count(count, min(k + 1, d - k), f"linf distance to a dim-{k} "
+                 f"subspace of R^{d}: {count} circuits")
+    return k + 1 <= d - k
 
 
 def _l2_dist_batch(X, B):
@@ -231,28 +238,26 @@ def _l2_dist_batch(X, B):
     return dist, coef.T
 
 
-def _best_solves(X, B, S, M, score):
-    """Best of the candidate coefficient vectors per row x of X: for each
-    square system M_s, c = the first k entries of M_s^-1 x[S_s], scored by
-    score(|x - B c|).  Systems with |det| <= 1e-300 are dropped before
-    the batched solve: an exactly singular member raises instead of
-    returning inf.  Rows with no finite candidate get dist inf, coef 0."""
-    m, d = X.shape
-    k = B.shape[1]
-    ok = np.abs(np.linalg.det(M)) > 1e-300
-    S, M = S[ok], M[ok]
-    ns, q = S.shape
+def _best_solves(X, B, S):
+    """The best l1 basic solution per row x of X: for each k-subset S_s of
+    rows, c = B_S^-1 x[S_s], scored by ||x - B c||_1.  Systems with
+    |det| <= 1e-300 are dropped before the batched solve: an exactly
+    singular member raises instead of returning inf.  Rows with no finite
+    candidate get dist inf, coef 0."""
+    (m, d), k = X.shape, B.shape[1]
+    S = S[np.abs(np.linalg.det(B[S])) > 1e-300]
+    M, ns = B[S], len(S)
     dist = np.full(m, np.inf)
     coef = np.zeros((m, k))
     # chunk over candidate points: the intermediates are (chunk, ns, d)
-    step = max(1, int(4e6 / max(ns * (q + d), 1)))
+    step = max(1, int(4e6 / max(ns * (k + d), 1)))
     for lo in range(0 if ns else m, m, step):
         Xc = X[lo:lo + step]
         with np.errstate(all="ignore"):
-            XS = Xc[:, S]                                # (mc, ns, q)
-            C = np.linalg.solve(M[None], XS[..., None])[..., :k, 0]
+            XS = Xc[:, S]                                # (mc, ns, k)
+            C = np.linalg.solve(M[None], XS[..., None])[..., 0]
             R = Xc[:, None, :] - np.einsum("msk,dk->msd", C, B)
-            obj = score(np.abs(R), axis=2)               # (mc, ns)
+            obj = np.abs(R).sum(axis=2)                  # (mc, ns)
         obj = np.where(np.isfinite(obj), obj, np.inf)
         best = obj.argmin(axis=1)
         rows = np.arange(Xc.shape[0])
@@ -261,91 +266,85 @@ def _best_solves(X, B, S, M, score):
     return dist, coef
 
 
-def _linf_dist_batch(X, B):
-    d, k = B.shape
-    S = np.array(_subsets(d, k + 1))                     # (ns, k+1)
-    signs = np.array(list(itertools.product([1.0], *([[-1.0, 1.0]] * k))))
-    ns, nsig = S.shape[0], signs.shape[0]
-    M = np.empty((ns, nsig, k + 1, k + 1))
-    M[:, :, :, :k] = B[S, :][:, None, :, :]
-    M[:, :, :, k] = signs[None, :, :]
-    dist, coef = _best_solves(X, B, np.repeat(S, nsig, axis=0),
-                              M.reshape(ns * nsig, k + 1, k + 1),
-                              np.maximum.reduce)
-    # lstsq candidate catches the x-in-span case exactly
-    ls, *_ = np.linalg.lstsq(B, X.T, rcond=None)
-    ls = ls.T
-    with np.errstate(all="ignore"):
-        obj_ls = np.abs(X - ls @ B.T).max(axis=1)
-    better = obj_ls < dist
-    dist = np.where(better, obj_ls, dist)
-    coef[better] = ls[better]
-    return dist, coef
-
-
-def _codim_dist_batch(X, B, norm):
-    """The distances of _dist_batch from m x m systems on W^perp = span(A),
-    A an orthonormal d x m basis, m = d - k: the residuals r = x - Bc are
-    the points of x + W, those with A^T r = A^T x.
-
-    l1: a basic solution has r supported on m coordinates T, with
-    r_T = (A_T^T)^-1 A^T x.
-    linf: by LP duality the distance delta is max |z^T x| over the
-    vertices z of span(A) intersected with the l1 ball (_ball_vertices).
-    By complementary slackness r_i = delta sign(z_i) wherever z_i != 0,
-    and a least-norm solve of A^T r = A^T x sets the other coordinates F.
-    Where that leaves some above delta (z has zeros beyond the m - 1 that
-    make it a vertex), their best values are a linf distance in R^F to
-    null(A_F^T), taken by _dist_batch.
-    Each distance is scored at the coefficients of x - r.
-    """
+def _codim_dist_batch(X, B):
+    """The l1 distances of _dist_batch from m x m systems on
+    W^perp = span(A), A an orthonormal d x m basis, m = d - k: the
+    residuals r = x - Bc are the points of x + W, those with
+    A^T r = A^T x, and a basic solution has r supported on m coordinates
+    T, with r_T = (A_T^T)^-1 A^T x.  Each distance is scored at the
+    coefficients of x - r."""
     d, k = B.shape
     A = np.linalg.svd(B)[0][:, k:]
     AX = X @ A
     R = np.zeros_like(X)
-    if norm == "l1":
-        T = np.array(_subsets(d, d - k))
-        M = A[T].transpose(0, 2, 1)                      # A_T^T
-        ok = np.abs(np.linalg.det(M)) > 1e-300
-        T, M = T[ok], M[ok]
-        step = max(1, int(4e6 / (T.shape[0] * (d - k + 1))))
-        for lo in range(0, X.shape[0], step):
-            with np.errstate(all="ignore"):
-                RT = np.linalg.solve(M[None], AX[lo:lo + step, None, :, None])
-                obj = np.abs(RT[..., 0]).sum(axis=2)
-            best = np.where(np.isfinite(obj), obj, np.inf).argmin(axis=1)
-            rows = np.arange(best.shape[0])
-            R[(lo + rows)[:, None], T[best]] = RT[rows, best, :, 0]
+    T = np.array(_subsets(d, d - k))
+    M = A[T].transpose(0, 2, 1)                          # A_T^T
+    ok = np.abs(np.linalg.det(M)) > 1e-300
+    T, M = T[ok], M[ok]
+    step = max(1, int(4e6 / (T.shape[0] * (d - k + 1))))
+    for lo in range(0, X.shape[0], step):
+        with np.errstate(all="ignore"):
+            RT = np.linalg.solve(M[None], AX[lo:lo + step, None, :, None])
+            obj = np.abs(RT[..., 0]).sum(axis=2)
+        best = np.where(np.isfinite(obj), obj, np.inf).argmin(axis=1)
+        rows = np.arange(best.shape[0])
+        R[(lo + rows)[:, None], T[best]] = RT[rows, best, :, 0]
+    coef = np.linalg.lstsq(B, (X - R).T, rcond=None)[0].T
+    return vector_norm(X - coef @ B.T, "l1", axis=1), coef
+
+
+def _circuit_dist_batch(X, B):
+    """The linf distances of _dist_batch.  By LP duality the distance
+    delta is max |z^T x| over the vertices z of W^perp intersected with
+    the l1 ball: the circuits of W^perp (its vectors of minimal support,
+    at most k + 1 nonzeros) scaled to unit l1 norm (Rockafellar 1969).
+    By complementary slackness r = x - Bc has r_i = delta sign(z_i)
+    wherever z_i != 0; a least-norm solve of A^T r = A^T x, A an
+    orthonormal basis of W^perp, sets the other coordinates F.  Where some
+    end above delta (z has fewer than k + 1 nonzeros), their best values
+    are a linf distance in R^F to null(A_F^T).  At delta = 0 (x in W)
+    every coordinate is free and the least-norm r is exact.
+    """
+    d, k = B.shape
+    U, sb, Vb = np.linalg.svd(B)
+    A = U[:, k:]
+    if _circuit_side(d, k):
+        S = np.array(_subsets(d, k + 1))
+        u, s, _ = np.linalg.svd(U[S, :k])                # Q_S, (k+1) x k
+        ok = s[:, -1] > RANK_SV_CUTOFF                   # rank k: one circuit
+        S, u = S[ok], u[ok, :, -1]                       # spans null(Q_S^T)
+        Z = np.zeros((len(S), d))
+        Z[np.arange(len(S))[:, None], S] = u / np.abs(u).sum(axis=1)[:, None]
     else:
         Z = _ball_vertices(A, "l1")
-        step = max(1, int(4e6 / Z.shape[0]))
-        z = np.concatenate([Z[np.abs(X[lo:lo + step] @ Z.T).argmax(axis=1)]
-                            for lo in range(0, X.shape[0], step)])
-        delta = np.einsum("nd,nd->n", X, z)
-        z *= np.sign(delta)[:, None]
-        delta = np.abs(delta)
-        free = np.abs(z) <= 1e-12 * np.abs(z).max(axis=1, keepdims=True)
-        R = np.where(free, 0.0, delta[:, None] * np.sign(z))
-        # r_F = pinv(A_F^T) A^T (x - r); A is orthonormal, so singular
-        # values of A_F below the cutoff are rounding, whatever their ratio
-        U, sv, Vt = np.linalg.svd(A * free[:, :, None], full_matrices=False)
-        sv = np.where(sv > RANK_SV_CUTOFF,
-                      1.0 / np.maximum(sv, RANK_SV_CUTOFF), 0.0)
-        R += (U @ (sv[:, :, None] * (Vt @ (AX - R @ A)[:, :, None])))[..., 0]
-        # (z = 0 leaves every coordinate free: x is in W and r_F is exact)
-        over = np.abs(R).max(axis=1) > delta * (1 + 1e-9)
-        for i in np.flatnonzero(over & ~free.all(axis=1)):
-            F = free[i]
-            _, sf, vt = np.linalg.svd(A[F].T)
-            N = vt[(sf > RANK_SV_CUTOFF).sum():].T       # null(A_F^T)
-            R[i, F] -= N @ _dist_batch(R[i, F][None], N, "linf")[1][0]
-    coef = np.linalg.lstsq(B, (X - R).T, rcond=None)[0].T
-    return vector_norm(X - coef @ B.T, norm, axis=1), coef
+    step = max(1, int(4e6 / Z.shape[0]))
+    z = np.concatenate([Z[np.abs(X[lo:lo + step] @ Z.T).argmax(axis=1)]
+                        for lo in range(0, X.shape[0], step)])
+    delta = np.einsum("nd,nd->n", X, z)
+    z *= np.sign(delta)[:, None]
+    delta = np.abs(delta)
+    free = (np.abs(z) <= 1e-12 * np.abs(z).max(axis=1, keepdims=True)) \
+        | (delta == 0.0)[:, None]
+    R = np.where(free, 0.0, delta[:, None] * np.sign(z))
+    # r_F = pinv(A_F^T) A^T (x - r); A is orthonormal, so singular
+    # values of A_F below the cutoff are rounding, whatever their ratio
+    P, sv, Vt = np.linalg.svd(A * free[:, :, None], full_matrices=False)
+    sv = np.where(sv > RANK_SV_CUTOFF,
+                  1.0 / np.maximum(sv, RANK_SV_CUTOFF), 0.0)
+    R += (P @ (sv[:, :, None] * (Vt @ (X @ A - R @ A)[:, :, None])))[..., 0]
+    over = np.abs(R).max(axis=1) > delta * (1 + 1e-9)
+    for i in np.flatnonzero(over & ~free.all(axis=1)):
+        F = free[i]
+        _, sf, vt = np.linalg.svd(A[F].T)
+        N = vt[(sf > RANK_SV_CUTOFF).sum():].T           # null(A_F^T)
+        R[i, F] -= N @ _dist_batch(R[i, F][None], N, "linf")[1][0]
+    coef = (X - R) @ U[:, :k] / sb @ Vb                 # pinv(B) (x - r)
+    return vector_norm(X - coef @ B.T, "linf", axis=1), coef
 
 
 def _dist_batch(X, B, norm):
     """Distances (and coefficients) from rows of X to span(B), exact per
-    norm; for l1/linf ValueError past the guards of _primal_form."""
+    norm; ValueError past the guards of _primal_form and _circuit_side."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     d, k = B.shape
     if k == 0:
@@ -354,18 +353,17 @@ def _dist_batch(X, B, norm):
         return _l2_dist_batch(X, B)
     if k == d:
         return np.zeros(X.shape[0]), np.linalg.solve(B, X.T).T
-    if not _primal_form(d, k, norm):
-        return _codim_dist_batch(X, B, norm)
     if norm == "linf":
-        return _linf_dist_batch(X, B)
-    S = np.array(_subsets(d, k))                         # (ns, k)
-    return _best_solves(X, B, S, B[S, :], np.add.reduce)
+        return _circuit_dist_batch(X, B)
+    if not _primal_form(d, k):
+        return _codim_dist_batch(X, B)
+    return _best_solves(X, B, np.array(_subsets(d, k)))
 
 
 def distance_point_subspace(x, W):
     """min over w in W of ||x - w|| in the norm of the Subspace W, exact:
-    the orthogonal residual in l2, the best basic solution of the l1/linf
-    linear program (ValueError past the enumeration guard)."""
+    the orthogonal residual in l2, the l1 LP's best basic solution, linf's
+    largest circuit product (ValueError past the enumeration guard)."""
     if not isinstance(W, Subspace):
         raise TypeError("distance_point_subspace expects a Subspace")
     x = np.asarray(x, dtype=float)
@@ -496,7 +494,7 @@ def _check_sup_enumeration(d, k_y, k_w, norm):
     if k_y:
         _check_vertex_enumeration(d, k_y, norm)
         if 0 < k_w < d:
-            _primal_form(d, k_w, norm)
+            (_primal_form if norm == "l1" else _circuit_side)(d, k_w)
             _check_chords(d, k_w, norm)
 
 
@@ -608,13 +606,12 @@ def nice_basis(Y):
         if nr < 1e-12:
             raise NiceBasisError("rank-deficient input basis")
         out.append(_sign_fix(r / nr))
-    vecs = out
-    for i in range(1, len(vecs)):
-        d = distance_point_subspace(vecs[i], Subspace(np.column_stack(vecs[:i]), norm))
+    for i in range(1, len(out)):
+        d = distance_point_subspace(out[i], Subspace(np.column_stack(out[:i]), norm))
         if d < 1.0 - 1e-8:
             raise NiceBasisError(
                 f"nice basis construction achieved distance {d} < 1 - 1e-8")
-    return vecs
+    return out
 
 
 def is_eps_nice(vectors, eps, norm="l2"):
@@ -757,7 +754,7 @@ def good_complement(filtration, eps=0.9):
     Returns a list of (U_j, {"distances": [d(u, W) per chosen u]}) pairs.
 
     Every choice is exact and needs one point distance (ValueError past
-    the guard of _primal_form), except the first m-1 vectors of a level
+    the guards of _dist_batch), except the first m-1 vectors of a level
     j >= 2 of multiplicity m >= 2 in l1/linf: they enumerate the ball
     vertices of V_j too (ValueError past _check_vertex_enumeration).
 

@@ -309,7 +309,7 @@ def compute_splitting(gen, orbit, spectrum, n_max, tol=DEFAULT_TOL,
     grassmann._check_sup_enumeration), so a level of multiplicity m in R^d
     raises ValueError before any work once one of them is past its guard:
     l1 from d = 201 (m = 2), 51 (m = 3), 26 (m = 4), 13 (m = 5), 10 (m = 6)
-    and for m >= 7 at every d > m; linf from d = 142 (m = 1), 33 (m = 2),
+    and for m >= 7 at every d > m; linf from d = 201 (m = 1), 51 (m = 2),
     14 (m = 3), 7 (m = 4) and for m >= 5 at every d > m.  Multiplicity-1
     levels stay exact in l1 below d = 20,001.  check_equivariance and uniqueness_probe take the same
     distances.

@@ -323,7 +323,8 @@ class UlamOperator:
         return out
 
     def row_sums(self):
-        return self.matrix.sum(axis=1)
+        i, _, vals = self._nonzeros()
+        return np.bincount(i, weights=vals, minlength=self.n_bins)
 
     def exact_row_sums(self):
         if self._sweep is None:

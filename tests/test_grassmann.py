@@ -2,11 +2,13 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
+from guard_thresholds import SUP_THRESHOLDS
 from lp_oracle import lp_distance
 from oseledets import grassmann
 from oseledets.grassmann import (
@@ -19,6 +21,7 @@ from oseledets.grassmann import (
     _ball_sup_batch,
     _check_sup_enumeration,
     _check_vertex_enumeration,
+    _circuit_dist_batch,
     _codim_dist_batch,
     _CoframeProjection,
     distance_point_subspace,
@@ -30,6 +33,7 @@ from oseledets.grassmann import (
     operator_norm,
     vector_norm,
 )
+from oseledets.transfer import perturbed_doubling, ulam_matrix
 
 
 class TestNorms:
@@ -305,10 +309,7 @@ class TestExactPolyhedralSup:
         with pytest.raises(ValueError):
             _check_vertex_enumeration(d, k, norm)
 
-    @pytest.mark.parametrize("norm, k, d", [
-        ("l1", 2, 201), ("l1", 3, 51), ("l1", 4, 26), ("l1", 5, 13),
-        ("l1", 6, 10), ("l1", 7, 8), ("linf", 1, 142), ("linf", 2, 33),
-        ("linf", 3, 14), ("linf", 4, 7), ("linf", 5, 6)])
+    @pytest.mark.parametrize("norm, k, d", SUP_THRESHOLDS)
     def test_sup_thresholds(self, norm, k, d):
         # the thresholds listed in the compute_splitting docstring: the
         # first ambient dimension whose level distances raise, and every
@@ -318,13 +319,13 @@ class TestExactPolyhedralSup:
             with pytest.raises(ValueError):
                 _check_sup_enumeration(dd, k, k, norm)
 
-    def test_linf_plane_in_r40_raises(self):
+    def test_linf_plane_in_r51_raises(self):
         # the vertices are enumerable, the point distances are not
         rng = np.random.default_rng(16)
-        Y = Subspace(rng.standard_normal((40, 2)), "linf")
-        W = Subspace(rng.standard_normal((40, 2)), "linf")
+        Y = Subspace(rng.standard_normal((51, 2)), "linf")
+        W = Subspace(rng.standard_normal((51, 2)), "linf")
         with pytest.raises(ValueError, match=r"^linf distance to a dim-2 "
-                           r"subspace of R\^40: 39520 basic solutions"):
+                           r"subspace of R\^51: 20825 circuits"):
             grassmann_distance(Y, W)
 
 
@@ -473,8 +474,10 @@ class TestMatchesLPOracle:
     def test_codimension_form(self, norm):
         # W of codimension 1-3 in R^4..R^24: random, coordinate-aligned,
         # integer with points on a 0.1 grid, and W inside a coordinate
-        # hyperplane; the last two give linf dual vertices zeros beyond
-        # the m - 1 that define them
+        # hyperplane; the last two give circuits of W^perp fewer than
+        # k + 1 nonzeros.  l1 takes its codimension form; linf has one
+        # form, here on W^perp's side of the circuits (k + 1 > d - k)
+        dist_batch = _codim_dist_batch if norm == "l1" else _circuit_dist_batch
         rng = np.random.default_rng(33)
         dims = list(zip(rng.integers(4, 25, 100), rng.integers(1, 4, 100)))
         cases = [(rng.standard_normal((d, d - m)), False) for d, m in dims[:60]]
@@ -492,7 +495,7 @@ class TestMatchesLPOracle:
             X = rng.standard_normal((4, B.shape[0]))
             if grid:
                 X = np.round(X, 1)
-            dist, coef = _codim_dist_batch(X, B, norm)
+            dist, coef = dist_batch(X, B)
             for x, got, c in zip(X, dist, coef):
                 ref, _ = lp_distance(x, B, norm)
                 scale = max(1.0, ref)
@@ -500,6 +503,88 @@ class TestMatchesLPOracle:
                 # the distance is attained at the returned coefficients
                 assert vector_norm(x - B @ c, norm) == pytest.approx(
                     got, rel=1e-14)
+
+
+def _assert_linf_oracle(X, B, slack=2e-11):
+    """Each linf distance from a row of X to span(B) lies within the LP
+    oracle's tolerances of it: at most `slack` (relative) below, where the
+    oracle stops short, never above.  It is attained at its coefficients,
+    and the point alone reads the value of the batch."""
+    dist, coef = grassmann._dist_batch(X, B, "linf")
+    for x, got, c in zip(X, dist, coef):
+        ref, _ = lp_distance(x, B, "linf")
+        scale = max(1.0, ref)
+        assert ref - slack * scale <= got <= ref + 1e-12 * scale
+        for alone in (distance_point_subspace(x, Subspace(B, "linf")),
+                      vector_norm(x - B @ c, "linf")):
+            assert alone == pytest.approx(got, rel=1e-14, abs=1e-14 * scale)
+
+
+class TestLinfCircuits:
+    """linf distances from the circuits of W^perp: past the dimensions the
+    2^k sign systems reached (d = 142 for k = 1, 33 for k = 2), and on
+    the degenerate inputs of Ulam cocycles, whose exact zeros and repeated
+    entries tie circuits and residuals."""
+
+    @pytest.mark.parametrize("d, k", [(150, 1), (40, 2)])
+    def test_past_the_sign_systems(self, d, k):
+        rng = np.random.default_rng(d + k)
+        B = rng.standard_normal((d, k))
+        _assert_linf_oracle(rng.standard_normal((4, d)), B)
+
+    def test_line_pair_in_r150(self):
+        # a multiplicity-1 level of a 150-bin linf splitting
+        rng = np.random.default_rng(150)
+        b = rng.standard_normal(150)
+        c = b + 1e-2 * rng.standard_normal(150)
+        got = grassmann_distance(Subspace(b, "linf"), Subspace(c, "linf"))
+        ref = max(lp_distance(y / vector_norm(y, "linf"), w[:, None],
+                              "linf", ball=True)[0]
+                  for y, w in ((b, c), (c, b)))
+        assert ref - 2e-11 <= got <= ref + 1e-12
+        assert got > 1e-3
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_ulam_density_columns(self, k):
+        # W spanned by columns of a 16-bin Ulam density matrix (82% exact
+        # zeros, the rest multiples of 1/15; columns 1 and 9 share their
+        # support), at rows of that matrix, at integer points and at random
+        # ones
+        D = ulam_matrix(perturbed_doubling(Fraction(1, 7)), 16) \
+            .density_matrix()
+        B = D[:, [1, 4, 9, 14][:k]]
+        rng = np.random.default_rng(k)
+        X = np.vstack([D.T[::3], rng.integers(-2, 3, (4, 16)),
+                       rng.standard_normal((4, 16))])
+        _assert_linf_oracle(X, B)
+
+    @pytest.mark.parametrize("d, k", [(5, 1), (7, 2), (6, 3), (9, 5)])
+    def test_points_in_w(self, d, k):
+        # delta = 0 leaves every coordinate free; x = 0 is exactly there
+        rng = np.random.default_rng(d * k)
+        B = rng.integers(-2, 3, (d, k)).astype(float)
+        B[0] = B[1]
+        X = np.vstack([np.zeros(d), B.T, (B @ rng.integers(-3, 4, (k, 3))).T,
+                       (B @ rng.standard_normal((k, 3))).T])
+        dist, coef = grassmann._dist_batch(X, B, "linf")
+        assert dist[0] == 0.0 and not coef[0].any()
+        assert np.all(dist <= 1e-14 * np.abs(X).max(axis=1))
+        assert np.allclose(X, coef @ B.T, rtol=0, atol=1e-14)
+
+    def test_tied_residuals(self):
+        # every residual of the optimum ties with the distance: the all-ones
+        # line against alternating signs, coordinate planes against points
+        # with repeated entries, and a 0/1 basis with its own columns' sums
+        alt = np.array([[1.0, -1.0] * 3, [2.0, -2.0, 2.0, 2.0, -2.0, 2.0]])
+        _assert_linf_oracle(alt, np.ones((6, 1)))
+        E = np.eye(7)[:, [0, 3]]
+        _assert_linf_oracle(np.array([[1.0, 1.0, -1.0, 1.0, 1.0, -1.0, 1.0],
+                                      [3.0, 0.5, 0.5, 3.0, -0.5, 0.5, 0.0]]),
+                            E + np.eye(7)[:, [1, 4]])
+        B = np.array([[1, 0, 1], [1, 1, 0], [0, 1, 1], [1, 1, 1], [0, 0, 1],
+                      [1, 0, 0]], dtype=float)
+        _assert_linf_oracle(np.vstack([B.sum(axis=1), B.sum(axis=1) - 1.0,
+                                       np.arange(6.0) % 2]), B)
 
 
 class TestOneSidedHausdorff:

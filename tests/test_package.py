@@ -108,14 +108,20 @@ def test_benchmark_counters_read_the_splitting():
 
 def test_every_distance_path_loads_no_scipy():
     # the sinusoidal branch inverses bisect, and every l1/linf distance
-    # enumerates: near pairs take chord ends, the R^60 flag the
-    # codimension form
+    # enumerates: near pairs take chord ends, linf point distances the
+    # circuits of W^perp on W's side (k = 2) and on W^perp's (k = 3), the
+    # R^60 flag the l1 codimension form
     code = """
 import sys
 import numpy as np
 import oseledets
+from oseledets import grassmann
 from oseledets.grassmann import Subspace, good_complement, grassmann_distance
 from oseledets.transfer import sin_doubling, ulam_matrix
+side, codim = grassmann._circuit_side, grassmann._codim_dist_batch
+reached = []
+grassmann._circuit_side = lambda d, k: reached.append(side(d, k)) or reached[-1]
+grassmann._codim_dist_batch = lambda X, B: reached.append("l1") or codim(X, B)
 ulam_matrix(sin_doubling(0.04), 32)
 rng = np.random.default_rng(0)
 for norm in ("l1", "linf"):
@@ -125,6 +131,7 @@ for norm in ("l1", "linf"):
         assert 0 < grassmann_distance(Subspace(B, norm), Subspace(C, norm))
 G = rng.standard_normal((60, 60))
 good_complement([Subspace(G[:, :m], "l1") for m in (60, 59, 58)])
+assert set(reached) == {True, False, "l1"}, reached
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
 """

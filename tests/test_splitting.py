@@ -1,6 +1,7 @@
 """Equivariant splittings: pushforwards, convergence, checks, temperedness."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -34,6 +35,7 @@ from oseledets.splitting import (
     temperedness_test,
     uniqueness_probe,
 )
+from guard_thresholds import SUP_THRESHOLDS
 from projection_oracle import projection
 from test_spectrum import _ref_flag
 
@@ -385,10 +387,7 @@ class TestUlamL1:
 
 
 class TestEnumerationGuard:
-    @pytest.mark.parametrize("norm, m, d", [
-        ("l1", 2, 201), ("l1", 3, 51), ("l1", 4, 26), ("l1", 5, 13),
-        ("l1", 6, 10), ("l1", 7, 8), ("linf", 1, 142), ("linf", 2, 33),
-        ("linf", 3, 14), ("linf", 4, 7), ("linf", 5, 6)])
+    @pytest.mark.parametrize("norm, m, d", SUP_THRESHOLDS)
     def test_past_guard_raises_before_first_qr_step(self, monkeypatch, norm,
                                                     m, d):
         # the cases past the guard in the compute_splitting docstring
@@ -403,6 +402,17 @@ class TestEnumerationGuard:
         with pytest.raises(ValueError, match=rf"^{norm} .*R\^{d}\b"):
             compute_splitting(gen, _orbit(n=40), spec, 16, norm=norm,
                               levels=1)
+
+    def test_docstring_states_every_threshold(self):
+        doc = " ".join(compute_splitting.__doc__.split())
+        for norm in ("l1", "linf"):
+            listed, last = re.search(rf"\b{norm} from d = (.*?) and for "
+                                     r"m >= (\d+) at every d > m", doc).groups()
+            stated = {(int(m), int(d)) for d, m
+                      in re.findall(r"(\d+) \(m = (\d+)\)", listed)}
+            stated.add((int(last), int(last) + 1))
+            assert stated == {(m, d) for n, m, d in SUP_THRESHOLDS
+                              if n == norm}
 
 
 class TestRankCollapseRetry:
