@@ -449,7 +449,7 @@ def _run_ulam(cfg, gen, timings):
                              err <= 1e-12 and exact_ok, err, 1e-12,
                              exact=op.exact))
         # the nonzeros as (row, col, value) triplets, row-major
-        r, c, vals = op._nonzeros()
+        r, c, vals = op._nonzeros
         traces[f"trace_ulam_matrix_{i}.csv"] = (
             ["row", "col", "value"],
             list(zip(r.tolist(), c.tolist(), vals.tolist())))

@@ -11,10 +11,10 @@ run through it, and it alone uses the LAPACK workspace of ``_QRStepper``.
 Every product of a generator's matrix into a frame or a vector (the QR
 walk, the spectrum's norm chain, the equivariance check) takes the matrix
 from one hook, ``CocycleGenerator._factor``.  A dense generator gives its
-array, so those products are numpy's gemm, bit for bit.  A generator that stores its states sparsely (``random_ulam_cocycle``)
-gives a ``_SlotMatrix``, which multiplies from the stored nonzeros, except
-to narrow frames at small d, where gemm on the dense matrix is faster
-(unless no state repeats, see ``CocycleGenerator._factor``).
+array, so those products are numpy's gemm, bit for bit.  A generator with
+``forms`` chooses the form of each product itself: ``random_ulam_cocycle``
+(in ``transfer``, which owns the row-slot format and its policy) gives
+kernels that multiply from the stored nonzeros.
 """
 
 import math
@@ -48,137 +48,12 @@ _BLOCK_LOG_SPREAD = 10.0
 # stays inside [_RENORM_LO, _RENORM_HI], which a block that grows or
 # shrinks by more than e^230 leaves and is then redone
 _LOG_RENORM = min(math.log(_RENORM_HI), -math.log(_RENORM_LO))
-# a generator with row slots gives its dense matrix for a product with a
-# frame of 1 < n columns while d^2 n stays below this (see _SlotMatrix),
-# unless it sets its own bound (CocycleGenerator._dense_work)
-_DENSE_WORK = 2 ** 19
-# floats (128 KiB) one gather of the _SlotMatrix kernel holds at most
-_GATHER_FLOATS = 2 ** 14
-
-
-class _SlotMatrix:
-    """A d x d matrix in row-slot (ELL) form: row i holds vals[i, s] at
-    column idx[i, s] for s < w, w the largest nonzero count of a row, and
-    shorter rows are padded with zeros at column 0.
-
-    ``A @ x`` multiplies a vector, one sum of vals[i, s] x[idx[i, s]] over
-    each row's slots.  ``A @ Q`` and ``product(Q, out)`` multiply a d x n
-    frame: the kernel gathers, for a chunk of rows, the w rows of Q that
-    each meets and contracts them with one batched ``np.matmul``: O(d w
-    n), against O(d^2 n) for gemm.  Each gather holds at most 2^14 floats (128 KiB),
-    no more than the d x n array a full-frame product allocates from
-    d = 128 on.  Q is copied first when it shares memory with ``out``, as
-    a chained product in the QR stepper's buffer does; the copy is the
-    d x n temporary the gemm path makes for every product.  The batched
-    matmul has a fixed cost of 10-20 us, so for a frame of 1 < n columns
-    with d^2 n < 2^19 ``CocycleGenerator._factor`` gives the dense matrix,
-    which gemm multiplies, instead.  Medians on a 2-core VM with one BLAS
-    thread, 3/10 mixture matrices (w = 4):
-
-    ======  =====  =========  ===========
-    d       n      gemm       slot kernel
-    ======  =====  =========  ===========
-    128     3      9 us       20 us
-    128     32     19 us      19 us
-    128     128    96 us      54 us
-    256     3      19 us      23 us
-    256     8      27 us      22 us
-    256     256    0.85 ms    0.29 ms
-    512     2      86 us      52 us
-    512     512    5.5 ms     0.85 ms
-    1024    1024   52 ms      6.2 ms
-    ======  =====  =========  ===========
-
-    A single column (n = 1) always takes the kernel, O(nnz): 12 us at
-    d = 128 against 7 us for gemv, 9 against 12 at 256 and 24 against 84
-    at 512, and a generator that has to scatter the dense matrix first
-    pays more than the difference.
-    """
-
-    __slots__ = ("idx", "vals")
-
-    def __init__(self, idx, vals):
-        self.idx, self.vals = idx, vals
-
-    @property
-    def shape(self):
-        d = self.idx.shape[0]
-        return d, d
-
-    def min(self):
-        """The least entry (0 where a row is padded)."""
-        return self.vals.min()
-
-    def __matmul__(self, Q):
-        if Q.ndim == 1:
-            return (self.vals * Q[self.idx]).sum(axis=1)
-        return self.product(Q)
-
-    def product(self, Q, out=None):
-        """A @ Q, written into ``out`` when given."""
-        d, n = Q.shape
-        if out is None:
-            out = np.empty((d, n))
-        elif np.may_share_memory(Q, out):
-            Q = Q.copy()
-        idx, vals = self.idx, self.vals
-        w = idx.shape[1]
-        rows = max(1, _GATHER_FLOATS // (w * n))
-        for r in range(0, d, rows):
-            # one expression, so a chunk's gather is freed before the next
-            out[r:r + rows] = np.matmul(
-                vals[r:r + rows, None, :],
-                Q.take(idx[r:r + rows].ravel(), axis=0).reshape(-1, w, n)
-            )[:, 0]
-        return out
-
-
-class _SlotTranspose:
-    """The transpose of the matrix whose row-slot form is (idx, vals),
-    multiplied from that form without a transposed one: column by column,
-    (A^T x)[j] is the sum of vals[i, s] x[i] over the slots with idx[i, s]
-    = j, one ``np.bincount``, O(nnz).  ``CocycleGenerator._factor`` gives it
-    for transposed products with one or two columns, the l1 norm chain's
-    rows 1^T P among them; wider ones take a _SlotMatrix over the
-    transposed form.
-    """
-
-    __slots__ = ("idx", "vals")
-
-    def __init__(self, idx, vals):
-        self.idx, self.vals = idx, vals
-
-    @property
-    def shape(self):
-        d = self.idx.shape[0]
-        return d, d
-
-    def min(self):
-        """The least entry (0 where a row is padded)."""
-        return self.vals.min()
-
-    def __matmul__(self, x):
-        if x.ndim == 1:
-            return np.bincount(self.idx.ravel(),
-                               weights=(self.vals * x[:, None]).ravel(),
-                               minlength=self.idx.shape[0])
-        return self.product(x)
-
-    def product(self, Q, out=None):
-        """A^T @ Q, written into ``out`` when given."""
-        if out is None:
-            out = np.empty(Q.shape)
-        elif np.may_share_memory(Q, out):
-            Q = Q.copy()
-        for c in range(Q.shape[1]):
-            out[:, c] = self @ Q[:, c]
-        return out
 
 
 def _product(A, Q, out):
     """Write A @ Q into ``out``: numpy's gemm for an array, so the product
-    is bitwise ``A @ Q``; the row-slot kernel for a _SlotMatrix or a
-    _SlotTranspose."""
+    is bitwise ``A @ Q``; otherwise A's own ``product(Q, out)``, as a
+    generator's ``forms`` give it."""
     if isinstance(A, np.ndarray):
         out[...] = A @ Q
         return out
@@ -189,23 +64,19 @@ class CocycleGenerator:
     """State -> matrix evaluator with a fixed ambient dimension.
 
     Equal states must give bitwise-equal matrices; tabulated generators
-    guarantee this by returning stored (read-only) arrays.  ``slots``, if
-    given, maps a state to the row-slot form (idx, vals) of its matrix,
-    and ``slots(state, True)`` to that of the transpose (see _SlotMatrix);
-    products then use them.
+    guarantee this by returning stored (read-only) arrays.  ``forms``, if
+    given, is the generator's product policy: ``forms(state, cols,
+    transpose)`` is the matrix at ``state``, or its transpose, in the form
+    a product with a frame of ``cols`` columns takes (see ``_factor``).
     """
 
-    # a generator with slots gives its dense matrix for a product with
-    # 1 < cols and d^2 cols below this; 0 always takes the slot kernels
-    _dense_work = _DENSE_WORK
-
-    def __init__(self, evaluator, dim, name="cocycle", slots=None):
+    def __init__(self, evaluator, dim, name="cocycle", forms=None):
         if dim < 1:
             raise ParameterError("ambient dimension must be >= 1")
         self._evaluator = evaluator
         self.dim = int(dim)
         self.name = name
-        self._slots = slots
+        self._forms = forms
 
     @classmethod
     def constant(cls, A, name="constant"):
@@ -245,19 +116,14 @@ class CocycleGenerator:
     def _factor(self, state, cols, transpose=False):
         """The product hook: the matrix at ``state``, or its transpose, in
         the form every product with a frame of ``cols`` columns takes,
-        ``F @ Q`` or ``_product(F, Q, out)``.  That is the array itself
-        without ``slots``, and with them for 1 < cols and d^2 cols <
-        ``_dense_work`` (_DENSE_WORK unless the generator sets it), where
-        gemm beats the row-slot kernel; otherwise a _SlotMatrix over the
-        stored form, or a _SlotTranspose of it for a transposed product
-        with at most two columns (see _SlotMatrix)."""
-        d = self.dim
-        if self._slots is None or 1 < cols and d * d * cols < self._dense_work:
-            A = self(state)
-            return A.T if transpose else A
-        if transpose and cols <= 2:
-            return _SlotTranspose(*self._slots(state))
-        return _SlotMatrix(*self._slots(state, transpose))
+        ``F @ Q`` or ``_product(F, Q, out)``.  That is ``forms(state, cols,
+        transpose)`` for a generator with ``forms`` (an array or a row-slot
+        kernel, see transfer.random_ulam_cocycle) and the array itself
+        otherwise."""
+        if self._forms is not None:
+            return self._forms(state, cols, transpose)
+        A = self(state)
+        return A.T if transpose else A
 
     def __repr__(self):
         return f"CocycleGenerator(dim={self.dim}, name={self.name!r})"
@@ -287,8 +153,8 @@ class _QRStepper:
     Fortran-ordered buffers are allocated once, not once per step, on a
     64-byte boundary.  Q is returned C-contiguous because the next product
     ``A @ Q`` rounds differently for a Fortran-ordered Q.  A is an array or
-    a generator's _SlotMatrix (``CocycleGenerator._factor``); the slot
-    kernel writes the product in row chunks straight into the buffer.
+    a row-slot kernel (``CocycleGenerator._factor``), which writes the
+    product straight into the buffer.
     Requires m >= n >= 1.
     """
 
@@ -329,10 +195,10 @@ def _qr_pass(factor, Q, stops):
     N = stops[-1], with one QR per block of steps (Benettin, Galgani,
     Giorgilli and Strelcyn 1980); yields (k, Q, diags) at each block end k:
     the frame after step k and the |diag R| of the block's factorizations.
-    Each factor is an array or a _SlotMatrix, as the generator's product
-    hook ``CocycleGenerator._factor`` gives it, and every product of the
-    walk goes through ``_product``: gemm for arrays, the row-slot kernel
-    (O(nnz) per column) for sparse generators' factors.
+    Each factor is an array or a row-slot kernel, as the generator's
+    product hook ``CocycleGenerator._factor`` gives it, and every product
+    of the walk goes through ``_product``: gemm for arrays, the kernel's
+    own product (O(nnz) per column) otherwise.
 
     Blocks end at every stop.  A block of b steps factors the plain product
     A_{k+b} ... A_{k+1} Q once; in exact arithmetic its R-diagonal is the

@@ -712,15 +712,15 @@ class _CoframeProjection:
 
 
 def _argmax_distance_unit(V_basis, K_basis, W_basis, norm):
-    """Most-distant unit vector of V = span(V_basis) from W = span(W_basis),
-    given K = span(K_basis) = V intersect W.
+    """(u, d(u, W)): the most-distant unit vector u of V = span(V_basis)
+    from W = span(W_basis), given K = span(K_basis) = V intersect W.
 
     d(., W) is constant on each coset c + K, whose least norm d(c, K) is
     reached at c - k*, k* a best approximation of c from K; the unit vector
     (c - k*) / d(c, K) is at distance d(c, W) / d(c, K) <= 1 from W.  If V
-    has one direction outside K, or K = W (the ratio is then 1), any c of V
-    outside K attains the maximum.  Otherwise the maximum is taken over the
-    vertices of V intersect ball, as in one_sided_hausdorff.
+    has one direction outside K, or K = W (the ratio is then exactly 1),
+    any c of V outside K attains the maximum.  Otherwise the maximum is
+    taken over the vertices of V intersect ball, as in one_sided_hausdorff.
     """
     QV, _ = _orthonormalize(V_basis)
     M = QV
@@ -729,15 +729,21 @@ def _argmax_distance_unit(V_basis, K_basis, W_basis, norm):
         M = QV - QW @ (QW.T @ QV)
     _, _, vt = np.linalg.svd(M)
     c = QV @ vt[0]          # the l2 most-distant unit vector, outside K
-    if norm == "l2":
-        return _sign_fix(c)
     k_dim = K_basis.shape[1]
-    if QV.shape[1] - k_dim == 1 or k_dim == W_basis.shape[1]:
+    if norm == "l2":
+        u = _sign_fix(c)
+    elif QV.shape[1] - k_dim == 1 or k_dim == W_basis.shape[1]:
         _, coef = _dist_batch(c[None, :], K_basis, norm)
         r = c - K_basis @ coef[0]
-        return _sign_fix(r / vector_norm(r, norm))
-    cand = _ball_vertices(V_basis, norm)
-    return _sign_fix(cand[int(np.argmax(_dist_batch(cand, W_basis, norm)[0]))])
+        u = _sign_fix(r / vector_norm(r, norm))
+    else:
+        cand = _ball_vertices(V_basis, norm)
+        dist = _dist_batch(cand, W_basis, norm)[0]
+        best = int(np.argmax(dist))
+        return _sign_fix(cand[best]), float(dist[best])
+    if k_dim == W_basis.shape[1]:
+        return u, 1.0
+    return u, float(_dist_batch(u[None, :], W_basis, norm)[0][0])
 
 
 def good_complement(filtration, eps=0.9):
@@ -788,8 +794,7 @@ def good_complement(filtration, eps=0.9):
             # K = V_j intersect W: the earlier levels' vectors lie outside V_j
             K = np.column_stack([Vn.basis] + [v[:, None] for v in level_vecs])
             W = np.column_stack([K] + [v[:, None] for v in chosen_prior])
-            u = _argmax_distance_unit(Vj.basis, K, W, norm)
-            du = distance_point_subspace(u, Subspace(W, norm)) if W.shape[1] else 1.0
+            u, du = _argmax_distance_unit(Vj.basis, K, W, norm)
             if du <= 1.0 - eps:
                 raise FiltrationError(
                     f"good complement floor violated at level {j + 1}: "

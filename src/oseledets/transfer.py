@@ -4,13 +4,16 @@ Branches are affine (exact rational arithmetic end to end) or affine plus
 a sinusoidal perturbation with certified derivative bounds.  Ulam
 matrices for affine maps are assembled by one vectorized exact sweep over
 the cut points (branch ends, grid points and preimages of grid points),
-all integers over their least common denominator; the result is kept as
-index arrays and Python-int numerators, so row sums are exactly 1 and
-several downstream checks are exact rather than approximate.  The
-Fraction rows are built only when read.  A two-branch map's state,
-slot form included, takes about 0.2 / 0.75 / 2.8 ms at N = 128 / 1024 /
-4096 on a 2-core VM.  Cocycle generators act on density vectors, i.e.
-they are transposes of the row-stochastic bin-transition matrices.
+all integers over their least common denominator, so row sums are
+exactly 1 and several downstream checks are exact rather than
+approximate.  Every Ulam matrix is held by its float nonzeros; the
+Fraction rows are built only when read.  Cocycle generators act on
+density vectors, i.e. they are transposes of the row-stochastic
+bin-transition matrices.  This module owns how their products multiply:
+the row-slot format each state is stored in, its kernels, and when a
+product takes the dense matrix instead (``random_ulam_cocycle``).  A
+two-branch map's state, slot form included, takes about 0.2 / 0.75 / 2.8
+ms at N = 128 / 1024 / 4096 on a 2-core VM.
 """
 
 import bisect
@@ -274,94 +277,188 @@ class RandomLYSystem:
 class UlamOperator:
     """Row-stochastic bin-transition matrix at a fixed resolution.
 
-    An affine map's operator holds its entries exactly, as the arrays of
-    ``_affine_sweep``: row and column indices and Python-int numerators
-    over the least common denominator G of every cut point, P[i, j] =
-    num / G.  ``_nonzeros`` is the one place they become floats: int true
-    division rounds correctly, so every float is the double nearest the
-    exact entry.  ``matrix`` is scattered from those nonzeros, and
-    ``density_matrix()`` from the row-slot form of its transpose, the
-    form ``random_ulam_cocycle`` stores in place of dense matrices, so an
-    evicted dense matrix is rebuilt by a scatter, not a new sweep.
-    ``entries`` (``(G, {(i, j): num})``), ``exact_rows`` (one ``{j:
-    Fraction}`` dict per row) and ``exact_row_sums()`` are built only when
-    read.  Other maps hold the float matrix alone.
+    Every operator holds its nonzeros P[i, j] as index arrays and float64
+    values, in row-major order (``_nonzeros``); ``matrix`` and
+    ``density_matrix()`` are scattered from them.  An affine map's
+    operator also keeps them exactly, as ``_exact = (G, nums)``:
+    Python-int numerators over the least common denominator G of every
+    cut point (see ``_affine_sweep``), P[i, j] = num / G, whose floats are
+    the doubles nearest the exact entries.  ``exact_rows`` (one ``{j:
+    Fraction}`` dict per row) and ``exact_row_sums()`` are built from them
+    only when read; both are None for other maps.
     """
 
-    def __init__(self, n_bins, matrix=None, sweep=None):
+    def __init__(self, n_bins, rows, cols, vals, exact=None):
         self.n_bins = n_bins
-        self._matrix = matrix
-        self._sweep = sweep
+        self._nonzeros = rows, cols, vals
+        self._exact = exact
 
     @property
     def exact(self):
-        return self._sweep is not None
-
-    @property
-    def matrix(self):
-        if self._matrix is None:
-            i, j, vals = self._nonzeros()
-            self._matrix = np.zeros((self.n_bins, self.n_bins))
-            self._matrix[i, j] = vals
-        return self._matrix
+        return self._exact is not None
 
     @functools.cached_property
-    def entries(self):
-        if self._sweep is None:
-            return None
-        G, rows, cols, nums = self._sweep[:4]
-        return G, dict(zip(zip(rows.tolist(), cols.tolist()), nums.tolist()))
+    def matrix(self):
+        return _dense(self.n_bins, *self._nonzeros)
 
     @functools.cached_property
     def exact_rows(self):
-        if self._sweep is None:
+        if self._exact is None:
             return None
-        G, rows, cols, nums = self._sweep[:4]
+        G, nums = self._exact
+        rows, cols, _ = self._nonzeros
         out = [dict() for _ in range(self.n_bins)]
         for i, j, num in zip(rows.tolist(), cols.tolist(), nums.tolist()):
             out[i][j] = Fraction(num, G)
         return out
 
     def row_sums(self):
-        i, _, vals = self._nonzeros()
+        i, _, vals = self._nonzeros
         return np.bincount(i, weights=vals, minlength=self.n_bins)
 
     def exact_row_sums(self):
-        if self._sweep is None:
+        if self._exact is None:
             return None
-        G, rows, _, nums = self._sweep[:4]
+        G, nums = self._exact
         sums = [0] * self.n_bins
-        for i, num in zip(rows.tolist(), nums.tolist()):
+        for i, num in zip(self._nonzeros[0].tolist(), nums.tolist()):
             sums[i] += num
         return [Fraction(s, G) for s in sums]
 
     def density_matrix(self):
         """Transpose acting on density column vectors (a new array)."""
-        return _scatter(self.n_bins, _slot_form(self))
-
-    def _nonzeros(self):
-        """(i, j, vals): the nonzero entries P[i, j] as index arrays and
-        float64 values."""
-        if self._sweep is None:
-            i, j = np.nonzero(self._matrix)
-            return i, j, self._matrix[i, j]
-        G, rows, cols, nums, spacing, spacings = self._sweep
-        # a whole preimage spacing is one numerator per branch: divide it
-        # once; every other numerator (spacing -1, which picks a value
-        # overwritten here) is divided in one object-array pass
-        vals = np.array([h / G for h in spacings])[spacing]
-        cut = spacing < 0
-        vals[cut] = (nums[cut] / G).astype(np.float64)
-        return rows, cols, vals
+        i, j, vals = self._nonzeros
+        return _dense(self.n_bins, j, i, vals)
 
     def __repr__(self):
         return f"UlamOperator(n_bins={self.n_bins}, exact={self.exact})"
 
 
+# a map table's generator gives its dense matrix for a product with a
+# frame of 1 < n columns while d^2 n stays below this (see _SlotMatrix)
+_DENSE_WORK = 2 ** 19
+# floats (128 KiB) one gather of the _SlotMatrix kernel holds at most
+_GATHER_FLOATS = 2 ** 14
+
+
+class _SlotMatrix:
+    """A d x d matrix in row-slot (ELL) form: row i holds vals[i, s] at
+    column idx[i, s] for s < w, w the largest nonzero count of a row, and
+    shorter rows are padded with zeros at column 0.
+
+    ``A @ x`` multiplies a vector, one sum of vals[i, s] x[idx[i, s]] over
+    each row's slots.  ``A @ Q`` and ``product(Q, out)`` multiply a d x n
+    frame: the kernel gathers, for a chunk of rows, the w rows of Q that
+    each meets and contracts them with one batched ``np.matmul``: O(d w
+    n), against O(d^2 n) for gemm.  Each gather holds at most 2^14 floats
+    (128 KiB), no more than the d x n array a full-frame product allocates
+    from d = 128 on.  Q is copied first when it shares memory with
+    ``out``, as a chained product in the QR stepper's buffer does; the
+    copy is the d x n temporary the gemm path makes for every product.
+    The batched matmul has a fixed cost of 10-20 us, so for a frame of 1 <
+    n columns with d^2 n < 2^19 a map table's generator
+    (``random_ulam_cocycle``) gives the dense matrix, which gemm
+    multiplies, instead.  Medians on a 2-core VM with one BLAS thread, 3/10
+    mixture matrices (w = 4):
+
+    ======  =====  =========  ===========
+    d       n      gemm       slot kernel
+    ======  =====  =========  ===========
+    128     3      9 us       20 us
+    128     32     19 us      19 us
+    128     128    96 us      54 us
+    256     3      19 us      23 us
+    256     8      27 us      22 us
+    256     256    0.85 ms    0.29 ms
+    512     2      86 us      52 us
+    512     512    5.5 ms     0.85 ms
+    1024    1024   52 ms      6.2 ms
+    ======  =====  =========  ===========
+
+    A single column (n = 1) always takes the kernel, O(nnz): 12 us at
+    d = 128 against 7 us for gemv, 9 against 12 at 256 and 24 against 84
+    at 512, and a generator that has to scatter the dense matrix first
+    pays more than the difference.
+    """
+
+    __slots__ = ("idx", "vals")
+
+    def __init__(self, idx, vals):
+        self.idx, self.vals = idx, vals
+
+    @property
+    def shape(self):
+        d = self.idx.shape[0]
+        return d, d
+
+    def min(self):
+        """The least entry (0 where a row is padded)."""
+        return self.vals.min()
+
+    def __matmul__(self, Q):
+        if Q.ndim == 1:
+            return (self.vals * Q[self.idx]).sum(axis=1)
+        return self.product(Q)
+
+    def product(self, Q, out=None):
+        """A @ Q, written into ``out`` when given."""
+        d, n = Q.shape
+        if out is None:
+            out = np.empty((d, n))
+        elif np.may_share_memory(Q, out):
+            Q = Q.copy()
+        idx, vals = self.idx, self.vals
+        w = idx.shape[1]
+        rows = max(1, _GATHER_FLOATS // (w * n))
+        for r in range(0, d, rows):
+            # one expression, so a chunk's gather is freed before the next
+            out[r:r + rows] = np.matmul(
+                vals[r:r + rows, None, :],
+                Q.take(idx[r:r + rows].ravel(), axis=0).reshape(-1, w, n)
+            )[:, 0]
+        return out
+
+
+class _SlotTranspose(_SlotMatrix):
+    """The transpose of the matrix whose row-slot form is (idx, vals),
+    multiplied from that form without a transposed one: column by column,
+    (A^T x)[j] is the sum of vals[i, s] x[i] over the slots with idx[i, s]
+    = j, one ``np.bincount``, O(nnz).  ``random_ulam_cocycle`` gives it for
+    every transposed product it does not give a dense matrix for, the l1
+    norm chain's rows 1^T P among them.
+
+    Per column it is about as fast as a _SlotMatrix over a stored
+    transposed form (same VM, at 3 and 5 columns: 32/53 us against 31/34
+    at d = 512, 180/292 against 227/234 at 4096), which would cost a
+    second store and one sort per state (77 us at d = 256).  A full-width transposed
+    product is slower: 3.0 ms against 0.24 at d = 256.  Only a filtration
+    that carries every direction of an Ulam cocycle takes one.
+    """
+
+    __slots__ = ()
+
+    def __matmul__(self, x):
+        if x.ndim == 1:
+            return np.bincount(self.idx.ravel(),
+                               weights=(self.vals * x[:, None]).ravel(),
+                               minlength=self.idx.shape[0])
+        return self.product(x)
+
+    def product(self, Q, out=None):
+        """A^T @ Q, written into ``out`` when given."""
+        if out is None:
+            out = np.empty(Q.shape)
+        elif np.may_share_memory(Q, out):
+            Q = Q.copy()
+        for c in range(Q.shape[1]):
+            out[:, c] = self @ Q[:, c]
+        return out
+
+
 def _row_slots(n, rows, cols, vals):
     """Row-slot form (idx, vals) of the n×n matrix with the given nonzeros
-    (see cocycle._SlotMatrix): each row's entries in ascending column
-    order, then zeros at column 0."""
+    (see _SlotMatrix): each row's entries in ascending column order, then
+    zeros at column 0."""
     order = np.lexsort((cols, rows))
     rows, cols, vals = rows[order], cols[order], vals[order]
     counts = np.bincount(rows, minlength=n)
@@ -376,16 +473,15 @@ def _row_slots(n, rows, cols, vals):
 def _slot_form(op):
     """Row-slot form of op's density-side matrix P^T, the entry
     ``random_ulam_cocycle`` stores for every state."""
-    i, j, vals = op._nonzeros()
+    i, j, vals = op._nonzeros
     return _row_slots(op.n_bins, j, i, vals)
 
 
-def _transposed(n, slots):
-    """Row-slot form of the transpose of the n×n matrix of a row-slot
-    form: the same nonzeros, so the same floats."""
-    idx, vals = slots
-    rows, s = np.nonzero(vals)
-    return _row_slots(n, idx[rows, s], rows, vals[rows, s])
+def _dense(n, rows, cols, vals):
+    """The n×n matrix with the given nonzeros."""
+    M = np.zeros((n, n))
+    M[rows, cols] = vals
+    return M
 
 
 def _scatter(n, slots):
@@ -393,9 +489,7 @@ def _scatter(n, slots):
     nonzeros it holds."""
     idx, vals = slots
     rows, s = np.nonzero(vals)
-    M = np.zeros((n, n))
-    M[rows, idx[rows, s]] = vals[rows, s]
-    return M
+    return _dense(n, rows, idx[rows, s], vals[rows, s])
 
 
 def _bin_range(lo, hi, n):
@@ -509,16 +603,25 @@ def ulam_matrix(T, n_bins):
     over the cut points of every branch (``_affine_sweep``; exactness flag
     set), into index arrays and integer numerators over the least common
     denominator of the cut points, at O(n) big-integer operations and
-    O(nnz) int64 work per map.  Sinusoidal branches use monotone root
-    bracketing with 1e-15 endpoints, well inside the 1e-10 documented
-    tolerance.
+    O(nnz) int64 work per map; here they become floats.  Sinusoidal
+    branches use monotone root bracketing with 1e-15 endpoints, well
+    inside the 1e-10 documented tolerance, and add each piece into its
+    entry in a dict, so no n x n array is allocated.
     """
     if n_bins < 2:
         raise ParameterError("need n_bins >= 2")
     n = n_bins
     if T.is_affine:
-        return UlamOperator(n, sweep=_affine_sweep(T.branches, n))
-    M = np.zeros((n, n))
+        G, rows, cols, nums, spacing, spacings = _affine_sweep(T.branches, n)
+        # int true division rounds correctly.  A whole preimage spacing is
+        # one numerator per branch: divide it once; every other numerator
+        # (spacing -1, which picks a value overwritten here) is divided in
+        # one object-array pass
+        vals = np.array([h / G for h in spacings])[spacing]
+        cut = spacing < 0
+        vals[cut] = (nums[cut] / G).astype(np.float64)
+        return UlamOperator(n, rows, cols, vals, exact=(G, nums))
+    entries = {}
     for br in T.branches:
         af, bf = float(br.a), float(br.b)
         lo_img, hi_img = (float(x) for x in br.image())
@@ -541,15 +644,16 @@ def ulam_matrix(T, n_bins):
             for i in range(i_lo, i_hi):
                 ov = min(x1, (i + 1) / n) - max(x0, i / n)
                 if ov > 0:
-                    M[i, j] += ov * n
-    return UlamOperator(n, matrix=M)
+                    entries[i, j] = entries.get((i, j), 0.0) + ov * n
+    keys = sorted(entries)
+    rows, cols = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+    return UlamOperator(n, rows, cols, np.array([entries[k] for k in keys]))
 
 
 # bytes a random_ulam_cocycle generator keeps: the row-slot form of every
 # state's density matrix (12 B per slot, 6 KB at 128 bins and 4 slots) and
-# of its transpose once a product asks for it, and a small window of
-# recent dense matrices.  Each store keeps its latest entry even when that
-# alone is larger.
+# a small window of recent dense matrices.  Each store keeps its latest
+# entry even when that alone is larger.
 _CACHE_BYTES = 32 * 2 ** 20
 _DENSE_BYTES = 4 * 2 ** 20
 
@@ -585,41 +689,31 @@ def random_ulam_cocycle(system, n_bins):
     spectrum's time.
 
     One store, least recently used first out within ``_CACHE_BYTES``, keeps
-    each assembled state in row-slot form: the density-side matrix
-    (``_slot_form``), and its transpose only once a transposed product of
-    more than two columns asks for it (``_transposed``; narrower ones, the
-    l1 norm sweep's, multiply from the forward form).  The generator's
-    products (the QR pass, the l1 norm sweep, the scaled products)
-    multiply from the store, O(nnz) per column (see cocycle._SlotMatrix).
-    A dense matrix is scattered from it only for a caller that needs one,
-    ``gen(state)`` or a narrow product at small d, and the latest ones are
-    kept read-only within ``_DENSE_BYTES``; the scatter gives the same
-    matrix bit for bit.  Over a map family given as a function (a
-    continuum of states, which never repeat) every product takes the slot
-    kernels, so nothing is scattered.  Only a state whose slots were
-    evicted is assembled again.
+    each assembled state in one form: the row-slot form of its density-side
+    matrix (``_slot_form``).  The generator's ``forms`` choose how each
+    product multiplies: from that form, O(nnz) per column, by a _SlotMatrix
+    or, for a transposed product, a _SlotTranspose; on a map table, whose
+    states repeat, a product with 1 < cols and n_bins^2 cols < _DENSE_WORK
+    takes the dense matrix and gemm instead.  A dense matrix is scattered
+    from the store only for a caller that needs one, ``gen(state)`` or such
+    a narrow product, and the latest ones are kept read-only within
+    ``_DENSE_BYTES``; the scatter gives the same matrix bit for bit.  Over
+    a map family given as a function (a continuum of states, which never
+    repeat) every product takes the slot kernels, so nothing is scattered.
+    Only a state whose slots were evicted is assembled again.
     """
     store = _ByteLRU(_CACHE_BYTES)
     dense = _ByteLRU(_DENSE_BYTES)
+    dense_work = 0 if system._maps is None else _DENSE_WORK
 
     # no function here calls itself: a closure that did would hold itself
     # in a reference cycle, and the stores would outlive the generator
     # until the cycle collector ran
     def assembled(state):
-        key = float(state), False
+        key = float(state)
         form = store.get(key)
         if form is None:
             form = _slot_form(ulam_matrix(system.map_at(state), n_bins))
-            store.put(key, form, form[0].nbytes + form[1].nbytes)
-        return form
-
-    def slots(state, transpose=False):
-        if not transpose:
-            return assembled(state)
-        key = float(state), True
-        form = store.get(key)
-        if form is None:
-            form = _transposed(n_bins, assembled(state))
             store.put(key, form, form[0].nbytes + form[1].nbytes)
         return form
 
@@ -632,11 +726,15 @@ def random_ulam_cocycle(system, n_bins):
             dense.put(key, mat, mat.nbytes)
         return mat
 
-    gen = CocycleGenerator(evaluator, n_bins, name=f"ulam[{n_bins}]",
-                           slots=slots)
-    if system._maps is None:        # a map family: no state repeats
-        gen._dense_work = 0
-    return gen
+    def forms(state, cols, transpose):
+        if 1 < cols and n_bins * n_bins * cols < dense_work:
+            mat = evaluator(state)
+            return mat.T if transpose else mat
+        return (_SlotTranspose if transpose else _SlotMatrix)(
+            *assembled(state))
+
+    return CocycleGenerator(evaluator, n_bins, name=f"ulam[{n_bins}]",
+                            forms=forms)
 
 
 def buzzi_swap_cocycle(n_bins):

@@ -755,6 +755,31 @@ class TestGoodComplement:
                 assert diag["distances"][i] == pytest.approx(best, abs=1e-9)
             prior.append(U.basis)
 
+    @pytest.mark.parametrize("norm, d, dim2, dim3",
+                             [("l1", 6, 4, 2), ("linf", 5, 3, 1)])
+    def test_no_point_distance_solved_twice(self, norm, d, dim2, dim3,
+                                            monkeypatch):
+        # each chosen vector's distance to its W comes out of the solve
+        # that chose it, or is exactly 1 where K = W; it used to be solved
+        # again from a rebuilt Subspace(W)
+        solved = []
+        dist_batch = grassmann._dist_batch
+
+        def recorded(X, B, norm):
+            B = np.asarray(B, dtype=float)
+            for x in np.atleast_2d(X):
+                solved.append((grassmann._sign_fix(x).tobytes(),
+                               B.tobytes(), B.shape))
+            return dist_batch(X, B, norm)
+
+        monkeypatch.setattr(grassmann, "_dist_batch", recorded)
+        for seed in range(1, 6):
+            G = np.random.default_rng([seed, d]).standard_normal((d, d))
+            out = good_complement([Subspace(G[:, :m], norm)
+                                   for m in (d, dim2, dim3)])
+            assert [U.dim for U, _ in out] == [d - dim2, dim2 - dim3]
+        assert len(set(solved)) == len(solved)
+
     def test_large_flags_need_no_enumeration(self):
         # past the enumeration guard for V_3 (l1) and V_2 (linf); level 1 is
         # at distance exactly 1, the one-direction level 2 above the floor.

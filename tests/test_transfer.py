@@ -4,8 +4,11 @@ Lasota-Yorke diagnostics."""
 import gc
 import math
 import random
+import re
+import tracemalloc
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +44,7 @@ from oseledets.transfer import (
 )
 
 HALF = Fraction(1, 2)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _orbit(n=8):
@@ -308,10 +312,11 @@ class TestUlamSweepOracle:
 
     def test_entries_share_one_denominator(self):
         op = ulam_matrix(perturbed_doubling(Fraction(1, 3)), 7)
-        L, nums = op.entries
-        assert all(isinstance(v, int) and v > 0 for v in nums.values())
-        assert op.exact_rows[0] == {j: Fraction(v, L)
-                                    for (i, j), v in nums.items() if i == 0}
+        L, nums = op._exact
+        rows, cols, _ = op._nonzeros
+        assert all(isinstance(v, int) and v > 0 for v in nums.tolist())
+        assert op.exact_rows[0] == {j: Fraction(v, L) for i, j, v in zip(
+            rows.tolist(), cols.tolist(), nums.tolist()) if i == 0}
 
 
 def _continuum_map(theta):
@@ -362,6 +367,21 @@ def _assert_matches_oracle(T, n):
     assert np.array_equal(op.density_matrix(), M.T)
 
 
+class TestSinusoidalAssembly:
+    def test_allocates_no_square_array(self):
+        # the entries are added up per nonzero: an n x n float array at
+        # 2048 bins would be 32 MiB
+        tracemalloc.start()
+        try:
+            op = ulam_matrix(sin_doubling(0.03), 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+        assert op._nonzeros[2].size == 6142
+        assert np.abs(op.row_sums() - 1.0).max() <= 1e-12
+
+
 class TestUlamSweepRandomMaps:
     @settings(max_examples=60, deadline=None, derandomize=True,
               database=None)
@@ -378,9 +398,9 @@ class TestUlamSweepRandomMaps:
         # point is an integer: n = 5 bins of the 3/10 map cut at 3/10,
         # the grid and the preimages k/5 * 3/10, all tenths or fiftieths
         op = ulam_matrix(full_branch_affine([0, Fraction(3, 10), 1]), 5)
-        G, nums = op.entries
+        G, nums = op._exact
         assert G == 10
-        assert math.gcd(G, *nums.values()) == 1
+        assert math.gcd(G, *nums.tolist()) == 1
 
 
 def _count_assemblies(monkeypatch):
@@ -524,7 +544,8 @@ class TestProductHook:
         gen = random_ulam_cocycle(RandomLYSystem(FiniteCycle(1), [T]), 256)
         A = gen(0).T if transpose else gen(0)
         if name == "missed-bins" and not transpose:
-            assert not A[192:].any() and not gen._slots(0)[1][192:].any()
+            assert not A[192:].any()
+            assert not gen._factor(0, 1).vals[192:].any()
         rng = np.random.default_rng(cols)
         Q = np.linalg.qr(rng.standard_normal((256, cols)))[0]
         F = gen._factor(0, cols, transpose)
@@ -535,6 +556,35 @@ class TestProductHook:
         out = np.empty((cols, 256)).T
         assert cocycle._product(F, np.asfortranarray(Q), out) is out
         assert np.abs(out - A @ Q).max() <= 1e-15
+
+    def test_readme_states_the_policy(self):
+        # the README's sentence on Ulam products against the forms the
+        # generators give: dense on a map table for 2 <= n <= the stated
+        # width, the row-slot kernels otherwise
+        text = " ".join(README.read_text().split())
+        low, power = re.search(r"Over a map table, a frame of n ≥ (\d+) "
+                               r"columns uses the dense matrix and BLAS "
+                               r"instead while N²·n < 2\^(\d+)", text).groups()
+        assert 2 ** int(power) == transfer._DENSE_WORK
+        widths = {int(N): int(top) for top, N
+                  in re.findall(r"n ≤ (\d+) at N = (\d+)", text)}
+        sparse_from = int(re.search(r"From N = (\d+) on, every product uses "
+                                    r"the nonzeros", text).group(1))
+        assert "So does every product over a continuum of maps" in text
+        assert widths == {128: 31, 256: 7} and sparse_from == 512
+
+        def dense_widths(system, N, top):
+            gen = random_ulam_cocycle(system, N)
+            return [n for n in range(1, top + 2) for t in (False, True)
+                    if isinstance(gen._factor(0, n, t), np.ndarray)]
+
+        table = RandomLYSystem(FiniteCycle(1), [doubling_map()])
+        family = RandomLYSystem(FiniteCycle(1), lambda s: doubling_map())
+        for N, top in widths.items():
+            assert dense_widths(table, N, top) == [
+                n for n in range(int(low), top + 1) for _ in range(2)]
+            assert dense_widths(family, N, top) == []
+        assert dense_widths(table, sparse_from, 8) == []
 
     def test_products_after_eviction(self, monkeypatch):
         # with room for one state in each store, state 1 evicts state 0's
@@ -588,10 +638,10 @@ class TestProductHook:
             assert np.abs(np.abs(Q1.T @ Q_ref) - np.eye(cols)).max() <= 1e-12
             assert np.abs(diag - np.abs(np.diag(R))).max() <= 1e-14
 
-    def test_transposed_forms_built_on_demand(self, monkeypatch):
-        # a state's transposed row-slot form is built only for a transposed
-        # product of more than two columns; the l1 sweep's one-column
-        # products come from the forward form
+    def test_transposed_products_build_no_second_form(self, monkeypatch):
+        # a state is stored in one row-slot form, built once; transposed
+        # products of every width multiply from it, as the l1 sweep's
+        # one-column products do
         from oseledets.base import IrrationalRotation
         forms = []
         row_slots = transfer._row_slots
@@ -606,11 +656,10 @@ class TestProductHook:
         orbit = generate_orbit(driver, 1, 0, 401)
         lyapunov_exponents(gen, orbit, 400, norm="l1")
         assert len(forms) == 400
-        Q = np.eye(128, 3)
         state = orbit.state(5)
-        for _ in range(2):
-            gen._factor(state, 3, transpose=True) @ Q
-        assert len(forms) == 401
+        for cols in (3, 128):
+            gen._factor(state, cols, transpose=True) @ np.eye(128, cols)
+        assert len(forms) == 400
 
     def test_continuum_spectrum_scatters_nothing(self, monkeypatch):
         # the QR pass and the l1 norm sweep multiply from the row-slot
