@@ -249,20 +249,27 @@ def _best_solves(X, B, S):
     M, ns = B[S], len(S)
     dist = np.full(m, np.inf)
     coef = np.zeros((m, k))
-    # chunk over candidate points: the intermediates are (chunk, ns, d)
+    # blocks of points and of candidates: the intermediates are (points,
+    # candidates, d), about 4e6 floats
     step = max(1, int(4e6 / max(ns * (k + d), 1)))
-    for lo in range(0 if ns else m, m, step):
-        Xc = X[lo:lo + step]
+    width = max(1, int(4e6 / (k + d)))
+    for lo, s0 in itertools.product(range(0, m, step), range(0, ns, width)):
+        Xc, Sc = X[lo:lo + step], slice(s0, s0 + width)
         with np.errstate(all="ignore"):
-            XS = Xc[:, S]                                # (mc, ns, k)
-            C = np.linalg.solve(M[None], XS[..., None])[..., 0]
-            R = Xc[:, None, :] - np.einsum("msk,dk->msd", C, B)
-            obj = np.abs(R).sum(axis=2)                  # (mc, ns)
+            XS = Xc[:, S[Sc]]                            # (mc, nc, k)
+            C = np.linalg.solve(M[None, Sc], XS[..., None])[..., 0]
+            # the residuals stay a temporary: two blocks are held at most
+            obj = np.abs(Xc[:, None, :] - np.einsum("msk,dk->msd", C, B)
+                         ).sum(axis=2)                   # (mc, nc)
         obj = np.where(np.isfinite(obj), obj, np.inf)
         best = obj.argmin(axis=1)
         rows = np.arange(Xc.shape[0])
-        dist[lo:lo + step] = obj[rows, best]
-        coef[lo:lo + step] = C[rows, best, :]
+        val, c = obj[rows, best], C[rows, best]
+        if s0:      # only a smaller value replaces a best, as in argmin
+            new = val < dist[lo:lo + step]
+            val = np.where(new, val, dist[lo:lo + step])
+            c = np.where(new[:, None], c, coef[lo:lo + step])
+        dist[lo:lo + step], coef[lo:lo + step] = val, c
     return dist, coef
 
 

@@ -1,22 +1,23 @@
 """1-D piecewise expanding maps and their transfer operators.
 
 Branches are affine (exact rational arithmetic end to end) or affine plus
-a sinusoidal perturbation with certified derivative bounds.  Ulam
-matrices for affine maps are assembled by one vectorized exact sweep over
-the cut points (branch ends, grid points and preimages of grid points),
-all integers over their least common denominator, so row sums are
-exactly 1 and several downstream checks are exact rather than
-approximate.  Every Ulam matrix is held by its float nonzeros; the
-Fraction rows are built only when read.  Cocycle generators act on
-density vectors, i.e. they are transposes of the row-stochastic
-bin-transition matrices.  This module owns how their products multiply:
-the row-slot format each state is stored in, its kernels, and when a
-product takes the dense matrix instead (``random_ulam_cocycle``).  A
-two-branch map's state, slot form included, takes about 0.2 / 0.75 / 2.8
-ms at N = 128 / 1024 / 4096 on a 2-core VM.
+a sinusoidal perturbation with certified derivative bounds.  A branch
+keeps doubles of its Fractions, taken once, and evaluates arrays of
+points in floats.  Ulam matrices for affine maps are assembled by one
+vectorized exact sweep over the cut points (branch ends, grid points and
+preimages of grid points), all integers over their least common
+denominator, so row sums are exactly 1 and several downstream checks are
+exact rather than approximate; a sinusoidal map's come from one float
+sweep over each branch's sorted cut points.  Every Ulam matrix is held by
+its float nonzeros; the Fraction rows are built only when read.  Cocycle
+generators act on density vectors, i.e. they are transposes of the
+row-stochastic bin-transition matrices.  This module owns how their
+products multiply: the row-slot format each state is stored in, its
+kernels, and when a product takes the dense matrix instead
+(``random_ulam_cocycle``).  A two-branch map's state, slot form included,
+takes about 0.2 / 0.75 / 2.8 ms at N = 128 / 1024 / 4096 on a 2-core VM.
 """
 
-import bisect
 import functools
 import math
 from collections import OrderedDict
@@ -72,7 +73,10 @@ def _frac(x):
 
 class Branch:
     """One monotone branch T(x) = slope*x + intercept + rho*sin(2 pi x)
-    on the open interval (a, b); rho = 0 is the affine (exact) form."""
+    on the open interval (a, b); rho = 0 is the affine (exact) form.
+    Float evaluation reads doubles of the Fractions a, b, slope and
+    intercept, taken once; ``value`` and ``derivative`` take arrays, and
+    an affine branch's ``value`` of a Fraction or int is exact."""
 
     def __init__(self, a, b, slope, intercept, rho=0.0):
         self.a = _frac(a)
@@ -80,16 +84,18 @@ class Branch:
         self.slope = _frac(slope)
         self.intercept = _frac(intercept)
         self.rho = float(rho)
+        self._af, self._bf = float(self.a), float(self.b)
+        self._sf, self._cf = float(self.slope), float(self.intercept)
         if not self.a < self.b:
             raise ParameterError(f"branch domain ({a}, {b}) is empty")
         if self.min_expansion <= 1.0:
             raise ParameterError(
                 f"branch is not uniformly expanding: inf |T'| = "
                 f"{self.min_expansion:.6g} <= 1")
-        lo, hi = self.image()
-        if float(lo) < -_LENGTH_TOL or float(hi) > 1.0 + _LENGTH_TOL:
+        lo, hi = sorted((self.value(self._af), self.value(self._bf)))
+        if lo < -_LENGTH_TOL or hi > 1.0 + _LENGTH_TOL:
             raise ParameterError(
-                f"branch image ({float(lo):.6g}, {float(hi):.6g}) leaves [0,1]")
+                f"branch image ({lo:.6g}, {hi:.6g}) leaves [0,1]")
 
     @property
     def is_affine(self):
@@ -97,30 +103,30 @@ class Branch:
 
     @property
     def min_expansion(self):
-        base = abs(float(self.slope))
-        return base - _TWO_PI * abs(self.rho)
+        return abs(self._sf) - _TWO_PI * abs(self.rho)
 
     @property
     def max_derivative(self):
-        return abs(float(self.slope)) + _TWO_PI * abs(self.rho)
+        return abs(self._sf) + _TWO_PI * abs(self.rho)
 
     @property
     def d2_bound(self):
         return _TWO_PI ** 2 * abs(self.rho)
 
     def value(self, x):
-        if self.is_affine and isinstance(x, (Fraction, int)):
+        if not self.is_affine:
+            return self._sf * x + self._cf + self.rho * np.sin(_TWO_PI * x)
+        if isinstance(x, (Fraction, int)):
             return self.slope * x + self.intercept
-        xf = float(x)
-        return float(self.slope) * xf + float(self.intercept) + \
-            self.rho * math.sin(_TWO_PI * xf)
+        return self._sf * x + self._cf
 
     def derivative(self, x):
-        return float(self.slope) + self.rho * _TWO_PI * math.cos(
-            _TWO_PI * float(x))
+        return self._sf + self.rho * _TWO_PI * np.cos(_TWO_PI * x)
 
     def image(self):
-        va, vb = self.value(self.a), self.value(self.b)
+        """The image's ends in increasing order, exact if affine."""
+        ends = (self.a, self.b) if self.is_affine else (self._af, self._bf)
+        va, vb = (self.value(x) for x in ends)
         return (va, vb) if va <= vb else (vb, va)
 
     def inverse(self, y):
@@ -135,13 +141,14 @@ class Branch:
         yf = float(y)
         if not lo <= yf <= hi:
             return None
-        # min_expansion > 1 makes the branch strictly monotone: bisect the
-        # domain down to 1e-15, keeping the pre-image inside the bracket
-        af, bf = float(self.a), float(self.b)
-        rising = self.value(bf) >= self.value(af)
+        # min_expansion > 1 makes the branch strictly monotone, rising with
+        # its slope: bisect the domain down to 1e-15, comparing Python
+        # floats (numpy scalars compare several times slower)
+        af, bf = self._af, self._bf
+        rising = self._sf > 0
         while bf - af > 1e-15:
             mid = 0.5 * (af + bf)
-            if (self.value(mid) < yf) == rising:
+            if (float(self.value(mid)) < yf) == rising:
                 af = mid
             else:
                 bf = mid
@@ -149,8 +156,8 @@ class Branch:
 
     def __repr__(self):
         form = "affine" if self.is_affine else f"sin(rho={self.rho})"
-        return (f"Branch(({float(self.a):.4g}, {float(self.b):.4g}), "
-                f"slope={float(self.slope):.4g}, {form})")
+        return (f"Branch(({self._af:.4g}, {self._bf:.4g}), "
+                f"slope={self._sf:.4g}, {form})")
 
 
 class PiecewiseExpandingMap1D:
@@ -163,11 +170,10 @@ class PiecewiseExpandingMap1D:
             if v.a < u.b:
                 raise ParameterError(
                     f"branch domains overlap near x={float(v.a):.6g}")
-        total = sum(br.b - br.a for br in self.branches)
-        if abs(float(total) - 1.0) > _LENGTH_TOL:
+        total = sum(br._bf - br._af for br in self.branches)
+        if abs(total - 1.0) > _LENGTH_TOL:
             raise ParameterError(
-                f"branch domains cover total length {float(total)}, expected 1")
-        self._lows = [float(br.a) for br in self.branches]
+                f"branch domains cover total length {total}, expected 1")
 
     @property
     def branch_count(self):
@@ -184,17 +190,6 @@ class PiecewiseExpandingMap1D:
     @property
     def is_affine(self):
         return all(br.is_affine for br in self.branches)
-
-    def branch_of(self, x):
-        xf = float(x)
-        i = bisect.bisect_right(self._lows, xf) - 1
-        i = min(max(i, 0), len(self.branches) - 1)
-        return self.branches[i]
-
-    def apply(self, x):
-        v = self.branch_of(x).value(x)
-        return min(max(float(v), 0.0), 1.0) if not isinstance(v, Fraction) \
-            else v
 
     def __repr__(self):
         tag = self.name or f"{self.branch_count}-branch"
@@ -492,13 +487,6 @@ def _scatter(n, slots):
     return _dense(n, rows, idx[rows, s], vals[rows, s])
 
 
-def _bin_range(lo, hi, n):
-    """Indices of bins [j/n, (j+1)/n) meeting the interval (lo, hi)."""
-    j0 = int(math.floor(float(lo) * n))
-    j1 = int(math.ceil(float(hi) * n))
-    return max(j0, 0), min(j1, n)
-
-
 def _affine_sweep(branches, n):
     """Exact Ulam entries of affine branches as arrays over the least
     common denominator: (G, rows, cols, nums, spacing, spacings), with
@@ -603,10 +591,12 @@ def ulam_matrix(T, n_bins):
     over the cut points of every branch (``_affine_sweep``; exactness flag
     set), into index arrays and integer numerators over the least common
     denominator of the cut points, at O(n) big-integer operations and
-    O(nnz) int64 work per map; here they become floats.  Sinusoidal
-    branches use monotone root bracketing with 1e-15 endpoints, well
-    inside the 1e-10 documented tolerance, and add each piece into its
-    entry in a dict, so no n x n array is allocated.
+    O(nnz) int64 work per map; here they become floats.  Other maps are
+    cut at the branch ends and the pre-images of the bin edges (monotone
+    root bracketing to 1e-15, well inside the 1e-10 documented
+    tolerance); in array operations each piece maps into the bin of its
+    midpoint's image and is split at the domain grid, and an entry that
+    pieces share sums them in piece order.  Nothing is n x n.
     """
     if n_bins < 2:
         raise ParameterError("need n_bins >= 2")
@@ -621,33 +611,31 @@ def ulam_matrix(T, n_bins):
         cut = spacing < 0
         vals[cut] = (nums[cut] / G).astype(np.float64)
         return UlamOperator(n, rows, cols, vals, exact=(G, nums))
-    entries = {}
+    edges = np.arange(n + 1) / n
+    pieces = []
     for br in T.branches:
-        af, bf = float(br.a), float(br.b)
-        lo_img, hi_img = (float(x) for x in br.image())
-        # branch cut points: pre-images of bin edges inside the image
-        cuts = [af, bf]
-        j_lo, j_hi = _bin_range(lo_img, hi_img, n)
-        for j in range(j_lo, j_hi + 1):
-            y = j / n
-            if lo_img < y < hi_img:
-                x = br.inverse(y)
-                if x is not None:
-                    cuts.append(float(x))
-        cuts = sorted(set(cuts))
-        for x0, x1 in zip(cuts, cuts[1:]):
-            if x1 - x0 <= 0:
-                continue
-            mid_img = br.value(0.5 * (x0 + x1))
-            j = min(max(int(mid_img * n), 0), n - 1)
-            i_lo, i_hi = _bin_range(x0, x1, n)
-            for i in range(i_lo, i_hi):
-                ov = min(x1, (i + 1) / n) - max(x0, i / n)
-                if ov > 0:
-                    entries[i, j] = entries.get((i, j), 0.0) + ov * n
-    keys = sorted(entries)
-    rows, cols = np.array(keys, dtype=np.int64).reshape(-1, 2).T
-    return UlamOperator(n, rows, cols, np.array([entries[k] for k in keys]))
+        lo, hi = map(float, br.image())
+        # cut at the branch ends and the pre-images of the bin edges
+        # strictly inside the image
+        cuts = np.unique(np.array([br._af, br._bf, *(
+            br.inverse(y) for y in edges[(lo < edges) & (edges < hi)])],
+            dtype=float))
+        x0, x1 = cuts[:-1], cuts[1:]
+        j = (br.value(0.5 * (x0 + x1)) * n).astype(np.int64)
+        pieces.append((x0, x1, np.clip(j, 0, n - 1)))
+    x0, x1, j = (np.concatenate(a) for a in zip(*pieces))
+    # piece p meets domain bins floor(x0 n) .. ceil(x1 n) - 1
+    i_lo = np.maximum(np.floor(x0 * n), 0).astype(np.int64)
+    count = np.minimum(np.ceil(x1 * n), n).astype(np.int64) - i_lo
+    p = np.repeat(np.arange(x0.size), count)
+    i = i_lo[p] + np.arange(p.size) - (np.cumsum(count) - count)[p]
+    ov = np.minimum(x1[p], (i + 1) / n) - np.maximum(x0[p], i / n)
+    kept = ov > 0
+    # an (i, j) that pieces share adds their overlaps in piece order
+    keys, at = np.unique(i[kept] * n + j[p][kept], return_inverse=True)
+    vals = np.zeros(keys.size)
+    np.add.at(vals, at, ov[kept] * n)
+    return UlamOperator(n, keys // n, keys % n, vals)
 
 
 # bytes a random_ulam_cocycle generator keeps: the row-slot form of every
@@ -755,10 +743,9 @@ def buzzi_swap_cocycle(n_bins):
 
 
 def _branch_norm(br):
-    xs = np.linspace(float(br.a), float(br.b), _METRIC_GRID)
-    vals = np.array([br.value(x) for x in xs], dtype=float)
-    ders = np.array([br.derivative(x) for x in xs], dtype=float)
-    return float(np.abs(vals).max() + np.abs(ders).max() + br.d2_bound)
+    xs = np.linspace(br._af, br._bf, _METRIC_GRID)
+    return float(np.abs(br.value(xs)).max() + np.abs(br.derivative(xs)).max()
+                 + br.d2_bound)
 
 
 def ly_distance(S, T):
@@ -772,21 +759,17 @@ def ly_distance(S, T):
     norm_term = 0.0
     dom_term = 0.0
     for bs, bt in zip(S.branches, T.branches):
-        lo = max(float(bs.a), float(bt.a))
-        hi = min(float(bs.b), float(bt.b))
+        lo, hi = max(bs._af, bt._af), min(bs._bf, bt._bf)
         if hi <= lo:
             return 1.0
         xs = np.linspace(lo, hi, _METRIC_GRID)
-        dv = np.array([bs.value(x) - bt.value(x) for x in xs], dtype=float)
-        dd = np.array([bs.derivative(x) - bt.derivative(x) for x in xs],
-                      dtype=float)
+        dv = bs.value(xs) - bt.value(xs)
+        dd = bs.derivative(xs) - bt.derivative(xs)
         d2 = _TWO_PI ** 2 * abs(bs.rho - bt.rho)
         diff_term = max(diff_term,
                         float(np.abs(dv).max() + np.abs(dd).max() + d2))
         norm_term = max(norm_term, abs(_branch_norm(bs) - _branch_norm(bt)))
-        dom_term = max(dom_term,
-                       abs(float(bs.a) - float(bt.a)),
-                       abs(float(bs.b) - float(bt.b)))
+        dom_term = max(dom_term, abs(bs._af - bt._af), abs(bs._bf - bt._bf))
     return diff_term + norm_term + dom_term
 
 
@@ -942,7 +925,7 @@ def _composition_pieces(maps):
                 if u > v:
                     u, v = v, u
                 slope_min = piece["min_slope"] * (
-                    abs(float(br.slope)) if br.is_affine else br.min_expansion)
+                    abs(br._sf) if br.is_affine else br.min_expansion)
                 if exact:
                     s, c = piece["link"]
                     link = (br.slope * s, br.slope * c + br.intercept)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -175,6 +176,29 @@ class TestPointDistance:
                 slack = 0.5 * step * vector_norm(B[:, 0], norm)
                 assert got <= vals.min() + 1e-10
                 assert got >= vals.min() - slack
+
+    def test_l1_line_in_high_dimension(self):
+        # the d basic solutions of an l1 distance to a line are scored in
+        # blocks of candidates, so one point holds no d x d residuals:
+        # those took 256 MiB at d = 4096
+        rng = np.random.default_rng(7)
+        d = 4096
+        b, c, x = rng.standard_normal((3, d))
+        tracemalloc.start()
+        try:
+            grassmann_distance(Subspace(b, "l1"), Subspace(c, "l1"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * 2 ** 20
+        # sum |x_i - t b_i| = sum |b_i| |x_i / b_i - t| is least at the
+        # median of the ratios x_i / b_i weighted by |b_i|
+        ratios = x / b
+        order = np.argsort(ratios)
+        weight = np.cumsum(np.abs(b)[order])
+        t = ratios[order][np.searchsorted(weight, weight[-1] / 2)]
+        got = distance_point_subspace(x, Subspace(b, "l1"))
+        assert got == pytest.approx(np.abs(x - t * b).sum(), rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):

@@ -2,6 +2,7 @@
 Lasota-Yorke diagnostics."""
 
 import gc
+import itertools
 import math
 import random
 import re
@@ -42,6 +43,7 @@ from oseledets.transfer import (
     tripling_map,
     ulam_matrix,
 )
+import transfer_oracle
 
 HALF = Fraction(1, 2)
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -107,15 +109,18 @@ class TestMaps:
         assert T.branch_count == 2
         assert T.is_affine
         assert T.min_expansion == 2.0
-        assert T.apply(Fraction(3, 4)) == HALF
-        assert T.branch_of(0.3) is T.branches[0]
-        assert T.branch_of(0.7) is T.branches[1]
+        left, right = T.branches
+        assert left.a <= 0.3 < left.b
+        assert right.a <= Fraction(3, 4) < right.b
+        assert right.value(Fraction(3, 4)) == HALF
 
     def test_tripling_structure(self):
         T = tripling_map()
         assert T.branch_count == 3
         assert all(br.slope == 3 for br in T.branches)
-        assert T.apply(Fraction(5, 6)) == HALF
+        last = T.branches[2]
+        assert last.a <= Fraction(5, 6) < last.b
+        assert last.value(Fraction(5, 6)) == HALF
 
     def test_perturbed_doubling_breakpoint(self):
         T = perturbed_doubling(Fraction(1, 4))
@@ -380,6 +385,61 @@ class TestSinusoidalAssembly:
         assert peak < 4 * 2 ** 20
         assert op._nonzeros[2].size == 6142
         assert np.abs(op.row_sums() - 1.0).max() <= 1e-12
+
+
+class TestFloatPathOracle:
+    """The array forms of the float map paths against the point-by-point
+    loops of ``transfer_oracle``, bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 7, 48, 129, 1000])
+    @pytest.mark.parametrize("rho", [0.03, -0.1, 0.15])
+    def test_sinusoidal_nonzeros(self, rho, n):
+        T = sin_doubling(rho)
+        got = ulam_matrix(T, n)._nonzeros
+        for a, b in zip(got, transfer_oracle.ulam_nonzeros(T, n)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_ly_distance(self):
+        maps = [doubling_map(), tripling_map(), sin_doubling(0.03),
+                sin_doubling(-0.1), perturbed_doubling(Fraction(1, 7))]
+        for S, T in itertools.product(maps, repeat=2):
+            assert ly_distance(S, T) == transfer_oracle.ly_distance(S, T)
+
+    @pytest.mark.parametrize("chain, counters, B, kappa", [
+        ([doubling_map(), sin_doubling(0.03)], (2, 4),
+         2.1541351142165723, -0.136165733476471),
+        ([sin_doubling(0.03), tripling_map(),
+          perturbed_doubling(Fraction(1, 5))], (2, 12),
+         2.620748260398593, -0.16057533545924893),
+        ([sin_doubling(-0.1), doubling_map(), sin_doubling(0.03)], (2, 8),
+         3.6052820255344997, -0.05426195983336771),
+    ], ids=["dbl-sin", "sin-trip-pd", "sin-dbl-sin"])
+    def test_mixed_chain_diagnostics(self, chain, counters, B, kappa):
+        # values of the point-by-point map layer; the orbit of the cycle
+        # takes the maps in chain order
+        n = len(chain)
+        sysm = RandomLYSystem(FiniteCycle(n), chain)
+        orbit = generate_orbit(FiniteCycle(n), seed=0, n_past=8, n_future=8)
+        assert complexity_counters(chain) == counters
+        assert ly_bound_B(sysm, orbit, n, p=2.0, t=0.25) == B
+        assert kappa_star_bound(sysm, orbit, n, p=2.0, t=0.25).bound == kappa
+
+    def test_no_fraction_converted_per_call(self, monkeypatch):
+        # a Branch converts its Fractions to float once, when built;
+        # converting them per evaluation took 57,140 Fraction.__float__
+        # calls for this assembly and 12,312 for the distance
+        S, T = sin_doubling(0.03), doubling_map()
+        calls = []
+        to_float = Fraction.__float__
+
+        def counted(self):
+            calls.append(1)
+            return to_float(self)
+
+        monkeypatch.setattr(Fraction, "__float__", counted)
+        ulam_matrix(S, 256)
+        ly_distance(S, T)
+        assert not calls
 
 
 class TestUlamSweepRandomMaps:
